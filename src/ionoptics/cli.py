@@ -409,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", dest="out_dir", help="output directory (default: .)")
     common.add_argument("--config", dest="config", help="JSON file of option defaults")
-    common.add_argument("--seed", type=int, help="RNG seed (consumed by synth)")
 
     p_design = sub.add_parser("design", parents=[common],
                               help="crosstalk vs numerical-aperture tradeoff curve")
@@ -435,6 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", parents=[common],
                              help="synthetic scan datasets with shot noise")
+    p_synth.add_argument("--seed", type=int, help="RNG seed")
     p_synth.add_argument("--rabi-hz", dest="rabi_hz", nargs="+", type=float,
                          help="peak Rabi frequency per beam, Hz (1 or 2 values)")
     p_synth.add_argument("--center-um", dest="center_um", nargs="+", type=float)

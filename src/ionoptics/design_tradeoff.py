@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import erfc
-
 __all__ = [
     "DesignConstraints",
     "DesignPoint",
@@ -141,4 +139,4 @@ def clipping_fraction(spot_radius_um: float, clearance_um: float) -> float:
         raise ValueError(f"spot radius must be positive, got {spot_radius_um!r}")
     if clearance_um < 0:
         raise ValueError(f"clearance must be >= 0, got {clearance_um!r}")
-    return 0.5 * float(erfc(math.sqrt(2.0) * clearance_um / spot_radius_um))
+    return 0.5 * math.erfc(math.sqrt(2.0) * clearance_um / spot_radius_um)

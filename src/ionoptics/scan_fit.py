@@ -127,7 +127,7 @@ class ScanDataset:
 
 
 def _require_fit_grid(data: ScanDataset) -> None:
-    x, t, _, _ = data.arrays()
+    x, t, p, _ = data.arrays()
     if np.unique(t).size == 1:
         raise DegenerateDataError("all durations equal; the fit is rank-deficient")
     if np.unique(x).size < 4:
@@ -136,6 +136,7 @@ def _require_fit_grid(data: ScanDataset) -> None:
         raise DegenerateDataError(f"need >= 4 distinct durations, got {np.unique(t).size}")
     if len(data.records) < 12:
         raise DegenerateDataError(f"need >= 12 records, got {len(data.records)}")
+    _amplitude_profile(x, p)  # raises before any per-position work on a flat scan
 
 
 # === Scan CSV I/O ===========================================================
@@ -312,20 +313,22 @@ def _group_by_position(x: np.ndarray, *columns: np.ndarray):
         yield xs[lo], tuple(c[lo:hi] for c in cols)
 
 
-def _dominant_angular_frequency(t: np.ndarray, p: np.ndarray) -> float:
-    """Peak of the discrete-spectrum power of a detrended trace, rad/s."""
-    spacing = np.diff(np.unique(t))
-    spacing = spacing[spacing > 0]
-    if spacing.size == 0:
-        raise DegenerateDataError("trace has a single duration; no spectrum")
-    omega_max = math.pi / float(spacing.min())
-    grid = np.linspace(omega_max / 512, omega_max, 512)
-    detrended = p - p.mean()
-    power = np.abs(np.exp(-1j * np.outer(grid, t)) @ detrended) ** 2
-    return float(grid[int(np.argmax(power))])
+def _amplitude_profile(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct positions (sorted) and the max-min oscillation amplitude at each.
+
+    Shot noise puts a pedestal under the profile; it is subtracted.
+    """
+    order = np.argsort(x, kind="stable")
+    xs, ps = x[order], p[order]
+    starts = np.flatnonzero(np.diff(xs, prepend=-math.inf))
+    amp = np.maximum.reduceat(ps, starts) - np.minimum.reduceat(ps, starts)
+    amp = amp - amp.min()
+    if float(amp.sum()) <= 0:
+        raise DegenerateDataError("no oscillation amplitude at any position")
+    return xs[starts], amp
 
 
-def _log_profile_refinement(grouped, xs, amp, mask, x_lo, x_hi):
+def _log_profile_refinement(x_sel, omegas, amp_sel, x_lo, x_hi):
     """Quadratic fit of ln Omega(x) over the bright region, or None.
 
     The max-min amplitude profile saturates wherever the scan completes
@@ -333,17 +336,9 @@ def _log_profile_refinement(grouped, xs, amp, mask, x_lo, x_hi):
     oscillation frequency keeps the exact Gaussian shape. ln Omega is a
     parabola in x whose coefficients give all three parameters at once.
     """
-    idx = np.flatnonzero(mask)
-    if idx.size < 4:
+    if x_sel.size < 4:
         return None
-    try:
-        omegas = np.array([
-            _dominant_angular_frequency(*grouped[i][1]) for i in idx
-        ])
-    except DegenerateDataError:
-        return None
-    x_sel = xs[idx]
-    sw = np.sqrt(amp[idx])
+    sw = np.sqrt(amp_sel)
     design = np.stack([np.ones_like(x_sel), x_sel, x_sel * x_sel], axis=1)
     coef, *_ = np.linalg.lstsq(design * sw[:, None], np.log(omegas) * sw, rcond=None)
     a, b, c = (float(v) for v in coef)
@@ -375,27 +370,22 @@ def _half_crossing(xs: np.ndarray, amp: np.ndarray, i_peak: int, half: float, di
     return None
 
 
-def initial_guess(data: ScanDataset, spam: SpamModel = SpamModel()) -> BeamProfileParams:
+def initial_guess(data: ScanDataset, profile: Sequence[FreqProfilePoint]) -> BeamProfileParams:
     """Deterministic, derivative-free starting point for fit_beam.
 
     x_c from the amplitude-weighted centroid of per-position oscillation
     amplitude; w0 from that profile's FWHM via FWHM/sqrt(2 ln 2); Omega0
-    from the dominant discrete-spectrum frequency of the trace at the
-    centroid position (the excitation probability oscillates at Omega
-    itself, and the centroid trace oscillates at essentially Omega0).
-    When the bright region supports it, all three are then refined by a
-    quadratic fit of ln Omega(x), which does not suffer the saturation
-    bias of the amplitude profile.
+    from the frequency-profile point nearest the centroid (the centroid
+    trace oscillates at essentially Omega0). When the bright region
+    supports it, all three are then refined by a quadratic fit of the
+    profile's ln Omega(x), which does not suffer the saturation bias of
+    the amplitude profile.
     """
-    x, t, p, _ = data.arrays()
-    grouped = list(_group_by_position(x, t, p))
-    xs = np.array([pos for pos, _ in grouped])
-    amp = np.array([cols[1].max() - cols[1].min() for _, cols in grouped])
-    amp = amp - amp.min()  # shot noise puts a pedestal under the profile
-    total = float(amp.sum())
-    if total <= 0:
-        raise DegenerateDataError("no oscillation amplitude at any position")
-    xc = float(amp @ xs) / total
+    if not profile:
+        raise DegenerateDataError("frequency profile has no points")
+    x, _, p, _ = data.arrays()
+    xs, amp = _amplitude_profile(x, p)
+    xc = float(amp @ xs) / float(amp.sum())
 
     i_peak = int(np.argmax(amp))
     half = float(amp[i_peak]) / 2.0
@@ -408,12 +398,14 @@ def initial_guess(data: ScanDataset, spam: SpamModel = SpamModel()) -> BeamProfi
     fwhm = max(right - left, float(np.min(np.diff(xs))) if xs.size > 1 else 1e-3)
     w0 = fwhm / math.sqrt(2.0 * math.log(2.0))
 
-    i_center = int(np.argmin(np.abs(xs - xc)))
-    t_c, p_c = grouped[i_center][1]
-    omega0 = _dominant_angular_frequency(t_c, p_c)
+    px = np.array([pt.position_um for pt in profile])
+    omegas = np.array([pt.omega for pt in profile])
+    omega0 = float(omegas[int(np.argmin(np.abs(px - xc)))])
 
+    amp_p = amp[np.searchsorted(xs, px)]
+    bright = (amp_p >= 0.25 * amp[i_peak]) & (omegas > 0)
     refined = _log_profile_refinement(
-        grouped, xs, amp, amp >= 0.25 * amp[i_peak], float(xs[0]), float(xs[-1])
+        px[bright], omegas[bright], amp_p[bright], float(xs[0]), float(xs[-1])
     )
     if refined is not None:
         omega0, xc, w0 = refined
@@ -496,7 +488,8 @@ def fit_beam(
     def is_valid(vec: np.ndarray) -> bool:
         return vec[0] > 0 and vec[2] > 0 and np.all(np.isfinite(vec))
 
-    guess = initial_guess(data, spam)
+    profile = fit_freq_profile(data, spam)
+    guess = initial_guess(data, profile)
     first = _levenberg_marquardt(
         fun_jac, np.array([guess.omega0, guess.center_um, guess.width_um]),
         is_valid, max_iterations,
@@ -516,7 +509,6 @@ def fit_beam(
     pool = converged_runs or runs
     best = min(pool, key=lambda run: run.rms)
 
-    profile = fit_freq_profile(data, spam)
     result = BeamFitResult(
         params=BeamProfileParams(*best.params),
         covariance=best.cov,

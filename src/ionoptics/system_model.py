@@ -6,11 +6,12 @@ plane (the target sites). Cylindrical lenses are expressed by tagging an
 element with the axis it acts on; an element tagged "both" is spherical.
 
 Imaging works per axis: the image plane for an axis is the plane where the
-b entry of the composed source-to-image ray matrix vanishes, found by
-bisection over the trailing gap. An anamorphic train generally focuses the
-two axes at slightly different planes; reports carry that astigmatic offset
-explicitly rather than hiding it, and per-axis spot diameters come from full
-Gaussian propagation, never from the magnification shortcut.
+b entry of the composed source-to-image ray matrix vanishes; that entry is
+linear in the trailing gap, so the gap has a closed form. An anamorphic
+train generally focuses the two axes at slightly different planes; reports
+carry that astigmatic offset explicitly rather than hiding it, and per-axis
+spot diameters come from full Gaussian propagation, never from the
+magnification shortcut.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Literal
-
-from scipy.optimize import bisect
 
 from .beamlab import (
     AXES,
@@ -226,28 +225,20 @@ def reference_prescription() -> OpticalPrescription:
 def image_distance_mm(prescription: OpticalPrescription, axis: Axis) -> float:
     """Trailing gap placing the image plane for one axis.
 
-    Solves b(t) = 0 for the composed matrix free_space(t) @ M by bisection
-    (expanding bracket, then |t| resolved to 1e-9 mm).
+    The composed matrix free_space(t) @ M has b entry b + t*d, which
+    vanishes at t = -b/d.
     """
     m = prescription.matrix(axis)
-
-    def b_entry(t: float) -> float:
-        return m.b + t * m.d
-
-    if m.d == 0 or not math.isfinite(-m.b / m.d):
+    t = -m.b / m.d if m.d != 0 else math.inf
+    if not math.isfinite(t):
         raise SingularityError(
             f"prescription {prescription.name!r} has no finite {axis} image plane"
         )
-    half = 1.0
-    while b_entry(-half) * b_entry(half) > 0:
-        half *= 2.0
-        if half > 1e9:
-            raise SingularityError(
-                f"prescription {prescription.name!r}: no {axis} image plane within 1e9 mm"
-            )
-    if b_entry(-half) == 0:
-        return -half
-    return float(bisect(b_entry, -half, half, xtol=1e-9))
+    if abs(t) > 1e9:
+        raise SingularityError(
+            f"prescription {prescription.name!r}: no {axis} image plane within 1e9 mm"
+        )
+    return t
 
 
 def _axis_matrix_at_image(prescription: OpticalPrescription, axis: Axis) -> tuple[RayMatrix, float]:

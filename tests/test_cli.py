@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 from datetime import datetime
 
 import pytest
@@ -311,6 +313,29 @@ class TestFit:
 
     def test_no_scan_argument_exits_2(self, tmp_path):
         assert main(["fit", "--out-dir", str(tmp_path)]) == 2
+
+    def test_seed_is_a_synth_only_option(self, tmp_path):
+        main(["synth", "--out-dir", str(tmp_path), "--seed", "1"])
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", str(tmp_path / "scan_A.csv"), "--out-dir", str(tmp_path),
+                  "--seed", "1"])
+        assert exc.value.code == 2
+
+    def test_jittered_scan_fails_with_one_error_line(self, tmp_path, subprocess_env):
+        # Every jittered record has its own position, so no position has an
+        # oscillation amplitude; the fit must say so before any per-position
+        # work (which would warn once per position).
+        main(["synth", "--out-dir", str(tmp_path), "--seed", "0",
+              "--jitter-resolution", "0.05"])
+        proc = subprocess.run(
+            [sys.executable, "-m", "ionoptics.cli", "fit", str(tmp_path / "scan_A.csv"),
+             "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, env=subprocess_env, check=False,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: no oscillation amplitude at any position"
+        ]
 
 
 # === pair ===================================================================

@@ -28,6 +28,7 @@ from ionoptics.scan_fit import (
     write_freq_profile_csv,
     write_scan_csv,
 )
+from ionoptics.scan_fit import _amplitude_profile
 from ionoptics.synth_scan import SynthConfig, default_scan_grid, generate
 
 TWO_PI = 2.0 * math.pi
@@ -305,6 +306,27 @@ class TestFitBeam:
         )
         with pytest.raises(DegenerateDataError):
             fit_beam(ScanDataset(records=records))
+
+    def test_amplitude_profile_matches_per_position_loop(self):
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, 7, 60).astype(float)  # repeated, unsorted positions
+        p = rng.uniform(0.0, 1.0, 60)
+        xs, amp = _amplitude_profile(x, p)
+        ref = np.array([p[x == v].max() - p[x == v].min() for v in np.unique(x)])
+        assert np.array_equal(xs, np.unique(x))
+        assert np.array_equal(amp, ref - ref.min())
+
+    def test_empty_frequency_profile_rejected(self):
+        # 8 distinct durations in all, but only 3 at each position: every
+        # position is skipped in the profile that seeds the start point
+        records = tuple(
+            ScanRecord(float(i), (i + j) * 1e-4, 0.1 + 0.08 * i * j, 100)
+            for i in range(6)
+            for j in range(3)
+        )
+        with pytest.warns(UserWarning, match="skipped"):
+            with pytest.raises(DegenerateDataError, match="profile has no points"):
+                fit_beam(ScanDataset(records=records))
 
 
 # === Frequency profile and width ============================================

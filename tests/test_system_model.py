@@ -68,6 +68,15 @@ class TestImagingSolves:
         with pytest.raises(SingularityError):
             image_distance_mm(afocal_source, "axial")
 
+    def test_image_beyond_1e9_mm_is_rejected(self):
+        # 1e-9 mm off the front focal plane: Newton's x*x' = f^2 puts the
+        # image about 2.5e12 mm behind the lens
+        near_focal_source = OpticalPrescription(
+            name="near-focal-object", elements=(gap(50.0 + 1e-9), lens(50.0))
+        )
+        with pytest.raises(SingularityError, match="within 1e9 mm"):
+            image_distance_mm(near_focal_source, "axial")
+
     def test_cascade_matches_elementwise_product(self, telescope_75_15):
         m = telescope_75_15.matrix("axial")
         acc = None
