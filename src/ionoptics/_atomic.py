@@ -1,0 +1,23 @@
+"""Atomic text-file writes shared by the library writers and the CLI."""
+
+from __future__ import annotations
+
+import os
+from pathlib import Path
+
+
+def _write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a sibling ``.tmp`` file and a rename.
+
+    Readers see either the old file or the complete new one, never a
+    partial write. On any failure the ``.tmp`` file is removed and the
+    error re-raised; an existing file at ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -7,10 +7,11 @@ and ``pair`` (two-beam separation and crosstalk bounds).
 
 Option values resolve as command line > config file (--config, JSON
 object keyed by option name with dashes as underscores) > built-in
-defaults. Every run writes ``<subcommand>_manifest.json`` (atomically)
-into the output directory recording the resolved options, inputs,
-outputs, and a timestamp; timestamps live only in the manifest so data
-files are byte-identical across reruns.
+defaults. Every run writes ``<subcommand>_manifest.json`` into the output
+directory recording the resolved options, inputs, outputs, and a
+timestamp; timestamps live only in the manifest so data files are
+byte-identical across reruns. Data files and manifests are all written
+atomically (temporary file, then rename).
 
 Exit codes: 0 success; 1 I/O failure; 2 invalid arguments, config, or
 input data; 3 numerical failure (non-convergent fit, prescription with
@@ -24,7 +25,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._atomic import _write_atomic
 from .beamlab import SingularityError
 from .design_tradeoff import DesignConstraints, min_diameter_for_na, required_na, tradeoff_curve
 from .rabi_model import BeamProfileParams, SpamModel
@@ -66,12 +67,6 @@ EXIT_NUMERICAL = 3
 
 #: Seed salt for off-beam trace datasets so they never reuse scan draws.
 _TRACE_SALT = 0x74726163
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def _write_manifest(out_dir: Path, subcommand: str, options: dict,
@@ -139,7 +134,7 @@ def cmd_design(args: argparse.Namespace, config: dict) -> int:
     for pt in points:
         lines.append(_fmt_row(pt.beam_diameter_um, pt.required_na, pt.crosstalk))
     curve_path = out / "design_curve.csv"
-    curve_path.write_text("\n".join(lines) + "\n")
+    _write_atomic(curve_path, "\n".join(lines) + "\n")
 
     boundary = min_diameter_for_na(constraints.na_cap, constraints.wavelength_um)
     from .design_tradeoff import crosstalk as _crosstalk  # local alias, avoids shadowing
@@ -157,7 +152,7 @@ def cmd_design(args: argparse.Namespace, config: dict) -> int:
         "rows": len(points),
     }
     summary_path = out / "design_summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n")
+    _write_atomic(summary_path, json.dumps(summary, indent=2) + "\n")
     _write_manifest(out, "design", opt, [], [curve_path.name, summary_path.name])
     return EXIT_OK
 
@@ -201,7 +196,7 @@ def cmd_propagate(args: argparse.Namespace, config: dict) -> int:
         disc = compare_measured_pitch(report, float(opt["measured_pitch"]), float(err))
         payload["pitch_discrepancy"] = dataclasses.asdict(disc)
     report_path = out / "image_report.json"
-    report_path.write_text(json.dumps(payload, indent=2) + "\n")
+    _write_atomic(report_path, json.dumps(payload, indent=2) + "\n")
     _write_manifest(out, "propagate", opt, inputs, [report_path.name])
     return EXIT_OK
 
@@ -390,7 +385,7 @@ def cmd_pair(args: argparse.Namespace, config: dict) -> int:
         k_sigma=float(opt["k_sigma"]),
     )
     report_path = out / "pair_report.json"
-    report_path.write_text(json.dumps(pair_report_dict(report), indent=2) + "\n")
+    _write_atomic(report_path, json.dumps(pair_report_dict(report), indent=2) + "\n")
     _write_manifest(out, "pair", opt, inputs, [report_path.name])
     return EXIT_OK
 

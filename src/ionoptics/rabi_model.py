@@ -88,11 +88,15 @@ def p_excited(params: BeamProfileParams, x_um, t_s):
     """Excitation probability sin^2(Omega(x)*t/2) for on-resonance drive.
 
     Accepts scalars or broadcastable arrays for position (um) and duration (s).
+    Each element is the same float whichever way it is evaluated: the square
+    is a product, because numpy squares a scalar with libm ``pow``, which can
+    round differently from the array path's multiply.
     """
     t = np.asarray(t_s, dtype=float)
     if np.any(t < 0):
         raise ValueError("pulse durations must be >= 0")
-    return np.sin(local_rabi(params, x_um) * t / 2.0) ** 2
+    s = np.sin(local_rabi(params, x_um) * t / 2.0)
+    return s * s
 
 
 def apply_spam(p_ideal, spam: SpamModel):

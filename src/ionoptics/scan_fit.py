@@ -25,12 +25,14 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from ._atomic import _write_atomic
 from .rabi_model import BeamProfileParams, SpamModel, crosstalk_rabi_bound, intensity_crosstalk_ratio
 
 __all__ = [
@@ -118,12 +120,24 @@ class ScanDataset:
             raise ValueError("position resolution must be >= 0")
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(positions um, durations s, p1, shots) as float/int arrays."""
-        x = np.array([r.position_um for r in self.records])
-        t = np.array([r.duration_s for r in self.records])
-        p = np.array([r.p1 for r in self.records])
-        n = np.array([r.shots for r in self.records])
-        return x, t, p, n
+        """(positions um, durations s, p1, shots) as float/int arrays.
+
+        Built on the first call and shared by every later one, so the
+        arrays are read-only.
+        """
+        return self._columns
+
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        columns = (
+            np.array([r.position_um for r in self.records]),
+            np.array([r.duration_s for r in self.records]),
+            np.array([r.p1 for r in self.records]),
+            np.array([r.shots for r in self.records]),
+        )
+        for column in columns:
+            column.flags.writeable = False
+        return columns
 
 
 def _require_fit_grid(data: ScanDataset) -> None:
@@ -195,7 +209,7 @@ def write_scan_csv(data: ScanDataset, path: str | Path) -> None:
         lines.append(
             f"{r.position_um:.10g},{r.duration_s * 1e6:.10g},{r.p1:.10g},{r.shots}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 # === Model evaluation =======================================================
@@ -533,22 +547,32 @@ def fit_beam(
 # === Per-position frequency profile =========================================
 
 
-def _fit_single_omega(t: np.ndarray, p: np.ndarray, shots: np.ndarray, spam: SpamModel) -> tuple[float, float]:
-    """1D weighted least-squares fit of eps0 + kappa*sin^2(omega*t/2).
-
-    Returns (omega, sigma_omega); sigma is inf when the trace carries no
-    frequency information (flat trace, omega pinned at zero).
-    """
+def _omega_grid_table(t: np.ndarray, spam: SpamModel) -> tuple[np.ndarray, np.ndarray]:
+    """Search grid of 512 omegas up to the Nyquist limit of ``t``, and the
+    model eps0 + kappa*sin^2(omega*t/2) at every (grid omega, duration)."""
     kappa = 1.0 - spam.eps_prep - spam.eps_meas
-    w = _binomial_weights(p, shots)
     spacing = np.diff(np.unique(t))
     spacing = spacing[spacing > 0]
     if spacing.size == 0:
         raise DegenerateDataError("all durations equal at this position")
     omega_max = math.pi / float(spacing.min())
     grid = np.linspace(0.0, omega_max, 512)
+    return grid, spam.eps_prep + kappa * np.sin(0.5 * np.outer(grid, t)) ** 2
 
-    model = spam.eps_prep + kappa * np.sin(0.5 * np.outer(grid, t)) ** 2
+
+def _refine_omega(
+    table: tuple[np.ndarray, np.ndarray],
+    t: np.ndarray, p: np.ndarray, shots: np.ndarray, spam: SpamModel,
+) -> tuple[float, float]:
+    """Best grid omega of ``table`` for one trace, refined by Gauss-Newton.
+
+    ``table`` must come from ``_omega_grid_table(t, spam)``. Returns
+    (omega, sigma_omega); sigma is inf when the trace carries no frequency
+    information (flat trace, omega pinned at zero).
+    """
+    grid, model = table
+    kappa = 1.0 - spam.eps_prep - spam.eps_meas
+    w = _binomial_weights(p, shots)
     sse = ((model - p) ** 2 * w).sum(axis=1)
     omega = float(grid[int(np.argmin(sse))])
 
@@ -584,6 +608,14 @@ def _fit_single_omega(t: np.ndarray, p: np.ndarray, shots: np.ndarray, spam: Spa
     return omega, sigma
 
 
+def _fit_single_omega(t: np.ndarray, p: np.ndarray, shots: np.ndarray, spam: SpamModel) -> tuple[float, float]:
+    """1D weighted least-squares fit of eps0 + kappa*sin^2(omega*t/2).
+
+    Returns (omega, sigma_omega) as ``_refine_omega`` does.
+    """
+    return _refine_omega(_omega_grid_table(t, spam), t, p, shots, spam)
+
+
 def fit_freq_profile(
     data: ScanDataset, spam: SpamModel = SpamModel()
 ) -> tuple[FreqProfilePoint, ...]:
@@ -591,9 +623,12 @@ def fit_freq_profile(
 
     Positions with fewer than 4 distinct durations are skipped with a
     warning. A point whose uncertainty reaches its value is flagged as
-    baseline (no resolvable oscillation).
+    baseline (no resolvable oscillation). Positions that carry the same
+    duration sequence (same values in the same record order) share one
+    grid-search table; each position's fit is otherwise independent.
     """
     x, t, p, shots = data.arrays()
+    tables: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
     points = []
     for pos, (tt, pp, nn) in _group_by_position(x, t, p, shots):
         if np.unique(tt).size < 4:
@@ -603,7 +638,10 @@ def fit_freq_profile(
                 stacklevel=2,
             )
             continue
-        omega, sigma = _fit_single_omega(tt, pp, nn.astype(float), spam)
+        key = tt.tobytes()
+        if key not in tables:
+            tables[key] = _omega_grid_table(tt, spam)
+        omega, sigma = _refine_omega(tables[key], tt, pp, nn.astype(float), spam)
         points.append(
             FreqProfilePoint(
                 position_um=float(pos),
@@ -777,7 +815,7 @@ def fit_report_dict(result: BeamFitResult) -> dict:
 
 
 def write_fit_report(result: BeamFitResult, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(fit_report_dict(result), indent=2) + "\n")
+    _write_atomic(path, json.dumps(fit_report_dict(result), indent=2) + "\n")
 
 
 def read_fit_report(path: str | Path) -> tuple[BeamProfileParams, np.ndarray, dict]:
@@ -805,7 +843,7 @@ def write_freq_profile_csv(profile: Sequence[FreqProfilePoint], path: str | Path
             f"{pt.position_um:.10g},{pt.omega / TWO_PI:.10g},"
             f"{pt.omega_err / TWO_PI:.10g},{int(pt.baseline)}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def pair_report_dict(report: PairReport) -> dict:

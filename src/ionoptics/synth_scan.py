@@ -7,14 +7,17 @@ can be exercised end to end with known answers.
 Randomness is counter-based (Philox keyed per record), not sequential:
 the draw for record (beam k, position i, duration j) depends only on the
 seed and those indices, so datasets are reproducible regardless of
-generation order and beams never share draws.
+generation order and beams never share draws. One Philox bit generator is
+re-keyed to [seed, tag] with its counter reset before each record, so every
+record gets exactly the stream of a fresh ``Philox(key=[seed, tag])``
+without the cost of building one per record.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +35,21 @@ _BEAM_LABELS = ("A", "B")
 def _point_rng(seed: int, tag: int) -> np.random.Generator:
     key = np.array([seed, tag], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _keyed_rngs(seed: int, tags: Iterable[int]) -> Iterator[np.random.Generator]:
+    """For each tag, one generator in exactly the state of ``_point_rng(seed, tag)``.
+
+    The same generator is re-keyed and yielded every time: draw from it
+    before advancing the iterator.
+    """
+    rng = _point_rng(seed, 0)
+    bit_generator = rng.bit_generator
+    fresh = bit_generator.state  # counter 0, empty buffer
+    for tag in tags:
+        fresh["state"]["key"] = [seed, tag]
+        bit_generator.state = fresh
+        yield rng
 
 
 def _record_tag(beam: int, i_pos: int, j_dur: int) -> int:
@@ -91,19 +109,22 @@ def generate(config: SynthConfig) -> list[ScanDataset]:
     ``analytic`` it is stored exactly, otherwise it is a binomial draw of
     ``shots`` shots divided by the shot count.
     """
+    positions, durations = config.positions_um, config.durations_s
+    grid = [(x, t) for x in positions for t in durations]
+    shots = config.shots
     datasets = []
     for k, beam in enumerate(config.truth):
-        records = []
-        for i, x in enumerate(config.positions_um):
-            for j, t in enumerate(config.durations_s):
-                p = float(apply_spam(p_excited(beam, x, t), config.spam))
-                if config.analytic:
-                    p1 = min(max(p, 0.0), 1.0)
-                else:
-                    rng = _point_rng(config.rng_seed, _record_tag(k, i, j))
-                    p1 = rng.binomial(config.shots, p) / config.shots
-                records.append(ScanRecord(x, t, p1, config.shots))
-        datasets.append(ScanDataset(records=tuple(records), beam_label=_BEAM_LABELS[k]))
+        p = apply_spam(p_excited(beam, np.array(positions)[:, None], np.array(durations)),
+                       config.spam).ravel()
+        if config.analytic:
+            p1 = np.clip(p, 0.0, 1.0).tolist()
+        else:
+            tags = (_record_tag(k, i, j)
+                    for i in range(len(positions)) for j in range(len(durations)))
+            p1 = [rng.binomial(shots, pk) / shots
+                  for rng, pk in zip(_keyed_rngs(config.rng_seed, tags), p.tolist())]
+        records = tuple(ScanRecord(x, t, pk, shots) for (x, t), pk in zip(grid, p1))
+        datasets.append(ScanDataset(records=records, beam_label=_BEAM_LABELS[k]))
     return datasets
 
 
@@ -121,13 +142,13 @@ def position_jitter(data: ScanDataset, resolution_um: float, rng_seed: int = 0) 
     if resolution_um == 0:
         return replace(data, position_resolution_um=0.0)
     half = 0.5 * resolution_um
-    records = []
-    for idx, rec in enumerate(data.records):
-        rng = _point_rng(rng_seed, _JITTER_TAG | idx)
-        offset = rng.uniform(-half, half)
-        records.append(replace(rec, position_um=rec.position_um + offset))
+    tags = (_JITTER_TAG | idx for idx in range(len(data.records)))
+    records = tuple(
+        replace(rec, position_um=rec.position_um + rng.uniform(-half, half))
+        for rec, rng in zip(data.records, _keyed_rngs(rng_seed, tags))
+    )
     return ScanDataset(
-        records=tuple(records),
+        records=records,
         beam_label=data.beam_label,
         position_resolution_um=resolution_um,
     )

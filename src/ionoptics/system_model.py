@@ -23,6 +23,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Literal
 
+from ._atomic import _write_atomic
 from .beamlab import (
     AXES,
     Axis,
@@ -210,7 +211,7 @@ def save_prescription(prescription: OpticalPrescription, path: str | Path) -> No
             for e in prescription.elements
         ],
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_atomic(path, json.dumps(doc, indent=2) + "\n")
 
 
 def reference_prescription() -> OpticalPrescription:

@@ -28,7 +28,7 @@ from ionoptics.scan_fit import (
     write_freq_profile_csv,
     write_scan_csv,
 )
-from ionoptics.scan_fit import _amplitude_profile
+from ionoptics.scan_fit import _amplitude_profile, _fit_single_omega
 from ionoptics.synth_scan import SynthConfig, default_scan_grid, generate
 
 TWO_PI = 2.0 * math.pi
@@ -71,6 +71,19 @@ class TestScanCsv:
         write_scan_csv(ds, p1)
         write_scan_csv(ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_write_keeps_old_file_and_removes_tmp(self, tmp_path, beam_a, monkeypatch):
+        path = tmp_path / "scan.csv"
+        path.write_text("previous contents\n")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("ionoptics._atomic.os.replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            write_scan_csv(synth_dataset(beam_a, seed=3, n_pos=5, n_dur=5), path)
+        assert path.read_text() == "previous contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv"]
 
     @pytest.mark.parametrize(
         "body,lineno",
@@ -125,6 +138,13 @@ class TestRecordValidation:
     def test_shots_domain(self):
         with pytest.raises(ValueError):
             ScanRecord(0.0, 1e-4, 0.5, 0)
+
+    def test_arrays_built_once_and_read_only(self, beam_a):
+        ds = synth_dataset(beam_a, seed=3, n_pos=5, n_dur=5)
+        first = ds.arrays()
+        assert all(a is b for a, b in zip(first, ds.arrays()))
+        assert not any(column.flags.writeable for column in first)
+        np.testing.assert_array_equal(first[2], [r.p1 for r in ds.records])
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -367,6 +387,55 @@ class TestFreqProfile:
         with pytest.warns(UserWarning, match="distinct"):
             profile = fit_freq_profile(ScanDataset(records=records))
         assert [pt.position_um for pt in profile] == [0.0]
+
+    @pytest.mark.parametrize("layout", ["regular", "ragged", "shuffled"])
+    def test_matches_per_position_loop(self, beam_a, layout):
+        # positions that share a duration sequence share one grid table;
+        # the profile must equal independent per-position fits exactly
+        spam = SpamModel(eps_prep=0.02, eps_meas=0.03)
+        n_dur = 15
+        base = synth_dataset(beam_a, seed=5, n_dur=n_dur, spam=spam)
+        n_pos = len(base.records) // n_dur
+        records = list(base.records)
+        if layout == "ragged":
+            records = []
+            for idx, rec in enumerate(base.records):
+                i, j = divmod(idx, n_dur)
+                # position i keeps the durations j with j % (2 + i % 3) != 1:
+                # three duration sequences; position 7 keeps only 2
+                # distinct durations and must be skipped
+                if j % (2 + i % 3) != 1 and not (i == 7 and j >= 3):
+                    records.append(rec)
+        elif layout == "shuffled":
+            order = np.random.default_rng(8).permutation(len(records))
+            records = [records[k] for k in order]
+        data = ScanDataset(records=tuple(records))
+
+        x = np.array([r.position_um for r in records])
+        t = np.array([r.duration_s for r in records])
+        p = np.array([r.p1 for r in records])
+        n = np.array([r.shots for r in records], dtype=float)
+        expected = []
+        for pos in np.unique(x):
+            at = x == pos
+            if np.unique(t[at]).size < 4:
+                continue
+            omega, sigma = _fit_single_omega(t[at], p[at], n[at], spam)
+            expected.append(FreqProfilePoint(float(pos), omega, sigma, sigma >= omega))
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            profile = fit_freq_profile(data, spam)
+        skipped = [str(w.message) for w in caught]
+        if layout == "ragged":
+            sparse = base.records[7 * n_dur].position_um
+            assert len(expected) == n_pos - 1
+            assert skipped == [f"position {sparse:g} um has only 2 distinct "
+                               "durations; skipped in frequency profile"]
+        else:
+            assert len(expected) == n_pos
+            assert skipped == []
+        assert profile == tuple(expected)
 
 
 class TestD4Sigma:

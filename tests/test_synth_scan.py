@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ionoptics.rabi_model import BeamProfileParams, SpamModel, apply_spam, p_excited
+from ionoptics.scan_fit import ScanRecord
 from ionoptics.synth_scan import SynthConfig, default_scan_grid, generate, position_jitter
 
 TWO_PI = 2.0 * math.pi
@@ -34,18 +35,28 @@ class TestDeterminism:
         b = generate(small_config(beam_a, rng_seed=2))[0]
         assert a != b
 
-    def test_record_draw_reconstructable_from_indices(self, beam_a):
+    @pytest.mark.parametrize("analytic", [False, True])
+    def test_record_draw_reconstructable_from_indices(self, beam_a, beam_b, analytic):
         # counter-based keying: record (beam k, position i, duration j)
-        # depends only on (seed, k, i, j)
-        cfg = small_config(beam_a)
-        ds = generate(cfg)[0]
-        i, j = 2, 3
-        rec = ds.records[i * len(cfg.durations_s) + j]
-        p = float(apply_spam(
-            p_excited(beam_a, cfg.positions_um[i], cfg.durations_s[j]), cfg.spam))
-        key = np.array([cfg.rng_seed, (0 << 40) | (i << 20) | j], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        assert rec.p1 == rng.binomial(cfg.shots, p) / cfg.shots
+        # depends only on (seed, k, i, j); every record of both beams
+        # equals a fresh per-record Philox draw (or, analytic, the model)
+        cfg = small_config(beam_a, beam_b, analytic=analytic,
+                           spam=SpamModel(eps_prep=0.03, eps_meas=0.05))
+        datasets = generate(cfg)
+        for k, (beam, ds) in enumerate(zip((beam_a, beam_b), datasets)):
+            expected = []
+            for i, x in enumerate(cfg.positions_um):
+                for j, t in enumerate(cfg.durations_s):
+                    p = float(apply_spam(p_excited(beam, x, t), cfg.spam))
+                    if analytic:
+                        p1 = min(max(p, 0.0), 1.0)
+                    else:
+                        key = np.array([cfg.rng_seed, (k << 40) | (i << 20) | j],
+                                       dtype=np.uint64)
+                        rng = np.random.Generator(np.random.Philox(key=key))
+                        p1 = rng.binomial(cfg.shots, p) / cfg.shots
+                    expected.append(ScanRecord(x, t, p1, cfg.shots))
+            assert ds.records == tuple(expected)
 
     def test_beams_use_disjoint_streams(self, beam_a, beam_b):
         # same truth for both beams: identical probabilities must still get
@@ -128,6 +139,16 @@ class TestJitter:
             assert abs(after.position_um - before.position_um) <= 0.25
             assert after.p1 == before.p1
             assert after.duration_s == before.duration_s
+
+    def test_offsets_reconstructable_from_record_index(self, beam_a):
+        # record idx of the dataset is shifted by the first uniform draw of
+        # a fresh Philox keyed [seed, 2^63 | idx]
+        ds = generate(small_config(beam_a))[0]
+        blurred = position_jitter(ds, 0.5, rng_seed=4)
+        for idx, (before, after) in enumerate(zip(ds.records, blurred.records)):
+            key = np.array([4, (1 << 63) | idx], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
+            assert after.position_um == before.position_um + rng.uniform(-0.25, 0.25)
 
     def test_deterministic(self, beam_a):
         ds = generate(small_config(beam_a))[0]
