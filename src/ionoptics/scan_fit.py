@@ -1,13 +1,15 @@
 """Nonlinear least-squares analysis of position/duration scan data.
 
 A scan dataset is a grid of records (position x, pulse duration t, measured
-excitation probability p1, shot count). The global fit extracts the beam
-parameters (Omega0, x_c, w0) of the sin^2((Omega0*t/2)*exp(-2(x-x_c)^2/w0^2))
-model, SPAM-adjusted, by shot-weighted least squares with a hand-rolled
-damped Gauss-Newton (Levenberg-Marquardt) loop and the analytic Jacobian.
-Per-position 1D fits give the Rabi-frequency profile Omega(x), from which a
-D4sigma second-moment width is computed; pairs of fits yield beam
-separations and crosstalk bounds.
+excitation probability p1, shot count), stored as four validated numpy
+columns. The global fit extracts the beam parameters (Omega0, x_c, w0) of
+the sin^2((Omega0*t/2)*exp(-2(x-x_c)^2/w0^2)) model, SPAM-adjusted, by
+shot-weighted least squares with a hand-rolled damped Gauss-Newton
+(Levenberg-Marquardt) loop and the analytic Jacobian. Per-position 1D fits
+give the Rabi-frequency profile Omega(x), from which a D4sigma second-moment
+width is computed; positions that share a duration sequence are refined
+together in one batch, with results identical to refining them one at a
+time. Pairs of fits yield beam separations and crosstalk bounds.
 
 Record weighting is binomial: weight = shots/(p(1-p) + q) with a variance
 floor q = 1/(4*shots) so records at p in {0, 1} stay finite. With those
@@ -89,14 +91,42 @@ class FitConvergenceError(RuntimeError):
 # === Datasets ===============================================================
 
 
+#: Column names of a dataset, in record order, and the domain of each.
+_COLUMNS = ("position_um", "duration_s", "p1", "shots")
+_DOMAINS = ("must be finite", "must be finite and >= 0", "must be in [0, 1]", "must be >= 1")
+
+
+def _first_out_of_domain(x, t, p, shots) -> tuple[int, int] | None:
+    """(record, column) of the first value outside its column's domain, or None.
+
+    Records are checked in order and, within a record, columns in the
+    order of ``_COLUMNS``; the rule is unit-free, so it applies to
+    durations in seconds and in microseconds alike. ``ScanRecord`` checks
+    one record by the same rules.
+    """
+    bad = np.stack([
+        ~np.isfinite(x),
+        ~(np.isfinite(t) & (t >= 0)),
+        ~((p >= 0) & (p <= 1)),  # NaN fails both comparisons
+        shots < 1,
+    ])
+    rows = np.flatnonzero(bad.any(axis=0))
+    if rows.size == 0:
+        return None
+    return int(rows[0]), int(np.argmax(bad[:, rows[0]]))
+
+
 @dataclass(frozen=True)
 class ScanRecord:
+    """One row of a scan; ``ScanDataset.rows()`` returns a dataset as these."""
+
     position_um: float
     duration_s: float
     p1: float
     shots: int
 
     def __post_init__(self):
+        # the scalar form of _first_out_of_domain, cheap enough for rows()
         if not math.isfinite(self.position_um):
             raise ValueError(f"position must be finite, got {self.position_um!r}")
         if not (math.isfinite(self.duration_s) and self.duration_s >= 0):
@@ -107,50 +137,94 @@ class ScanRecord:
             raise ValueError(f"shots must be >= 1, got {self.shots!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanDataset:
-    records: tuple[ScanRecord, ...]
+    """A scan as four validated, read-only columns of equal length.
+
+    ``position_um`` and ``duration_s`` (seconds) and ``p1`` are float64,
+    ``shots`` is int64; the constructor copies what it is given. Use
+    ``from_records`` and ``rows`` to go from and to ``ScanRecord`` rows.
+    """
+
+    position_um: np.ndarray
+    duration_s: np.ndarray
+    p1: np.ndarray
+    shots: np.ndarray
     beam_label: str = ""
     position_resolution_um: float | None = None
 
     def __post_init__(self):
-        if not self.records:
+        shots = np.asarray(self.shots)
+        if shots.size and shots.dtype.kind not in "iu":
+            raise ValueError(f"shots must be integers, got dtype {shots.dtype}")
+        columns = (
+            np.array(self.position_um, dtype=float),
+            np.array(self.duration_s, dtype=float),
+            np.array(self.p1, dtype=float),
+            shots.astype(np.int64),
+        )
+        if any(c.ndim != 1 or c.size != columns[0].size for c in columns):
+            raise ValueError("columns must be 1-D and of equal length")
+        if columns[0].size == 0:
             raise ValueError("dataset has no records")
+        bad = _first_out_of_domain(*columns)
+        if bad is not None:
+            i, k = bad
+            raise ValueError(
+                f"record {i}: {_COLUMNS[k]} {_DOMAINS[k]}, got {columns[k][i].item()!r}")
         if self.position_resolution_um is not None and self.position_resolution_um < 0:
             raise ValueError("position resolution must be >= 0")
+        for name, column in zip(_COLUMNS, columns):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_records(
+        cls, records: Sequence[ScanRecord], beam_label: str = "",
+        position_resolution_um: float | None = None,
+    ) -> ScanDataset:
+        records = tuple(records)
+        return cls(
+            *(np.array([getattr(r, name) for r in records]) for name in _COLUMNS),
+            beam_label=beam_label, position_resolution_um=position_resolution_um,
+        )
+
+    def rows(self) -> tuple[ScanRecord, ...]:
+        """The records as ``ScanRecord`` objects, in column order."""
+        return tuple(ScanRecord(*row) for row in zip(*(c.tolist() for c in self.arrays())))
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(positions um, durations s, p1, shots) as float/int arrays.
+        """(positions um, durations s, p1, shots): the dataset's read-only columns."""
+        return self.position_um, self.duration_s, self.p1, self.shots
 
-        Built on the first call and shared by every later one, so the
-        arrays are read-only.
-        """
-        return self._columns
+    def __len__(self) -> int:
+        return self.position_um.size
+
+    def __eq__(self, other):
+        if not isinstance(other, ScanDataset):
+            return NotImplemented
+        return (self.beam_label == other.beam_label
+                and self.position_resolution_um == other.position_resolution_um
+                and all(np.array_equal(a, b) for a, b in zip(self.arrays(), other.arrays())))
 
     @cached_property
-    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        columns = (
-            np.array([r.position_um for r in self.records]),
-            np.array([r.duration_s for r in self.records]),
-            np.array([r.p1 for r in self.records]),
-            np.array([r.shots for r in self.records]),
-        )
-        for column in columns:
-            column.flags.writeable = False
-        return columns
+    def _amplitude(self) -> tuple[np.ndarray, np.ndarray]:
+        # shared by the grid check and the initial guess of one fit
+        return _amplitude_profile(self.position_um, self.p1)
 
 
 def _require_fit_grid(data: ScanDataset) -> None:
-    x, t, p, _ = data.arrays()
-    if np.unique(t).size == 1:
+    x, t, _, _ = data.arrays()
+    n_t, n_x = np.unique(t).size, np.unique(x).size
+    if n_t == 1:
         raise DegenerateDataError("all durations equal; the fit is rank-deficient")
-    if np.unique(x).size < 4:
-        raise DegenerateDataError(f"need >= 4 distinct positions, got {np.unique(x).size}")
-    if np.unique(t).size < 4:
-        raise DegenerateDataError(f"need >= 4 distinct durations, got {np.unique(t).size}")
-    if len(data.records) < 12:
-        raise DegenerateDataError(f"need >= 12 records, got {len(data.records)}")
-    _amplitude_profile(x, p)  # raises before any per-position work on a flat scan
+    if n_x < 4:
+        raise DegenerateDataError(f"need >= 4 distinct positions, got {n_x}")
+    if n_t < 4:
+        raise DegenerateDataError(f"need >= 4 distinct durations, got {n_t}")
+    if len(data) < 12:
+        raise DegenerateDataError(f"need >= 12 records, got {len(data)}")
+    data._amplitude  # raises before any per-position work on a flat scan
 
 
 # === Scan CSV I/O ===========================================================
@@ -162,11 +236,13 @@ def read_scan_csv(path: str | Path) -> ScanDataset:
     """Read a scan CSV (header ``position_um,duration_us,p1,shots``).
 
     Rejects malformed rows, NaN values, and out-of-domain fields with the
-    offending line number in the message. The beam label defaults to the
-    file stem.
+    offending line number in the message; the first offending line is
+    reported, whether its fault is the format or a value's range. The
+    beam label defaults to the file stem.
     """
     path = Path(path)
-    records = []
+    rows: list[tuple[float, float, float, int]] = []
+    linenos: list[int] = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -180,35 +256,40 @@ def read_scan_csv(path: str | Path) -> ScanDataset:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 4:
-                raise ScanFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
             try:
-                pos = float(row[0])
-                dur_us = float(row[1])
-                p1 = float(row[2])
-                shots = int(row[3])
+                if len(row) != 4:
+                    raise ValueError(f"expected 4 fields, got {len(row)}")
+                values = (float(row[0]), float(row[1]), float(row[2]), int(row[3]))
+                if not -(1 << 63) <= values[3] < 1 << 63:
+                    raise ValueError(f"shots {row[3]} does not fit a 64-bit integer")
+                rows.append(values)
             except ValueError as exc:
+                if rows:
+                    _check_csv_ranges(rows, linenos)  # an earlier line comes first
                 raise ScanFormatError(f"line {lineno}: {exc}") from exc
-            if not math.isfinite(pos):
-                raise ScanFormatError(f"line {lineno}: position_um is not finite")
-            if not math.isfinite(dur_us) or dur_us < 0:
-                raise ScanFormatError(f"line {lineno}: duration_us must be finite and >= 0")
-            if not math.isfinite(p1) or not 0.0 <= p1 <= 1.0:
-                raise ScanFormatError(f"line {lineno}: p1 must be in [0, 1], got {row[2]}")
-            if shots < 1:
-                raise ScanFormatError(f"line {lineno}: shots must be >= 1, got {row[3]}")
-            records.append(ScanRecord(pos, dur_us * 1e-6, p1, shots))
-    if not records:
+            linenos.append(lineno)
+    if not rows:
         raise ScanFormatError("line 2: no data rows")
-    return ScanDataset(records=tuple(records), beam_label=path.stem)
+    x, t_us, p, shots = _check_csv_ranges(rows, linenos)
+    return ScanDataset(x, t_us * 1e-6, p, shots, beam_label=path.stem)
+
+
+def _check_csv_ranges(rows, linenos) -> tuple[np.ndarray, ...]:
+    """Columns of the parsed CSV rows; ScanFormatError at the first out-of-range line."""
+    x, t_us, p, shots = (np.array(c) for c in zip(*rows))
+    bad = _first_out_of_domain(x, t_us, p, shots)
+    if bad is not None:
+        i, k = bad
+        raise ScanFormatError(
+            f"line {linenos[i]}: {_CSV_FIELDS[k]} {_DOMAINS[k]}, got {rows[i][k]!r}")
+    return x, t_us, p, shots
 
 
 def write_scan_csv(data: ScanDataset, path: str | Path) -> None:
+    x, t, p, shots = data.arrays()
     lines = [",".join(_CSV_FIELDS)]
-    for r in data.records:
-        lines.append(
-            f"{r.position_um:.10g},{r.duration_s * 1e6:.10g},{r.p1:.10g},{r.shots}"
-        )
+    lines += [f"{xi:.10g},{ti:.10g},{pi:.10g},{ni}"
+              for xi, ti, pi, ni in zip(x.tolist(), (t * 1e6).tolist(), p.tolist(), shots.tolist())]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -315,18 +396,6 @@ def _levenberg_marquardt(fun_jac, p0: np.ndarray, is_valid, max_iterations: int)
 # === Initialization =========================================================
 
 
-def _group_by_position(x: np.ndarray, *columns: np.ndarray):
-    """Yield (position, column slices...) for each distinct position, sorted."""
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    cols = [c[order] for c in columns]
-    edges = np.flatnonzero(np.diff(xs)) + 1
-    starts = np.concatenate([[0], edges])
-    stops = np.concatenate([edges, [xs.size]])
-    for lo, hi in zip(starts, stops):
-        yield xs[lo], tuple(c[lo:hi] for c in cols)
-
-
 def _amplitude_profile(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct positions (sorted) and the max-min oscillation amplitude at each.
 
@@ -397,8 +466,7 @@ def initial_guess(data: ScanDataset, profile: Sequence[FreqProfilePoint]) -> Bea
     """
     if not profile:
         raise DegenerateDataError("frequency profile has no points")
-    x, _, p, _ = data.arrays()
-    xs, amp = _amplitude_profile(x, p)
+    xs, amp = data._amplitude
     xc = float(amp @ xs) / float(amp.sum())
 
     i_peak = int(np.argmax(amp))
@@ -560,96 +628,153 @@ def _omega_grid_table(t: np.ndarray, spam: SpamModel) -> tuple[np.ndarray, np.nd
     return grid, spam.eps_prep + kappa * np.sin(0.5 * np.outer(grid, t)) ** 2
 
 
-def _refine_omega(
-    table: tuple[np.ndarray, np.ndarray],
+#: Element budgets of the grid-search buffer and of one chunk of step-halving
+#: trials; larger chunks buy little speed and raise the peak memory.
+_GRID_CHUNK_ELEMENTS = 1 << 16
+_TRIAL_CHUNK_ELEMENTS = 1 << 14
+
+#: Fractions 1/2, 1/4, ... 1/2^19 of a Gauss-Newton step, tried in this
+#: order once the full step is rejected.
+_HALVINGS = np.ldexp(1.0, -np.arange(1, 20))
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for every row i of two (n, D) arrays.
+
+    A stacked 1 x D by D x 1 matmul rounds each row exactly as the 1-D
+    ``a[i] @ b[i]`` does; einsum and ``(a * b).sum(axis=1)`` do not.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _fit_omegas(
     t: np.ndarray, p: np.ndarray, shots: np.ndarray, spam: SpamModel,
-) -> tuple[float, float]:
-    """Best grid omega of ``table`` for one trace, refined by Gauss-Newton.
+) -> tuple[np.ndarray, np.ndarray]:
+    """1D weighted least-squares fits of eps0 + kappa*sin^2(omega*t/2).
 
-    ``table`` must come from ``_omega_grid_table(t, spam)``. Returns
-    (omega, sigma_omega); sigma is inf when the trace carries no frequency
-    information (flat trace, omega pinned at zero).
+    Each row of ``p`` and ``shots`` (shape (P, D)) is a trace over the
+    duration sequence ``t`` (shape (D,)). A row starts at the best omega of
+    a 512-point grid up to the Nyquist limit of ``t`` and is refined by at
+    most 60 Gauss-Newton steps. A step is tried at full length, then halved
+    up to 19 times until it lowers the cost; the row stops when its jtj is
+    <= 0, no trial lowers the cost, or the accepted step is below 1e-12 of
+    max(omega, 1). The rows still iterating are refined together, and every
+    row comes out bit for bit as it would when fitted alone.
+
+    Returns (omega, sigma_omega) per row; sigma is inf where the trace
+    carries no frequency information (flat trace, omega pinned at zero).
     """
-    grid, model = table
-    kappa = 1.0 - spam.eps_prep - spam.eps_meas
+    grid, model = _omega_grid_table(t, spam)
+    eps, kappa = spam.eps_prep, 1.0 - spam.eps_prep - spam.eps_meas
     w = _binomial_weights(p, shots)
-    sse = ((model - p) ** 2 * w).sum(axis=1)
-    omega = float(grid[int(np.argmin(sse))])
 
-    # Gauss-Newton refinement with step halving
+    def weighted_sse(omegas: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # w @ r^2 of trace rows[i] at omegas[i]
+        out = np.empty(omegas.size)
+        size = max(1, _TRIAL_CHUNK_ELEMENTS // t.size)
+        for lo in range(0, omegas.size, size):
+            at = slice(lo, lo + size)
+            r = eps + kappa * np.sin((0.5 * omegas[at])[:, None] * t) ** 2 - p[rows[at]]
+            out[at] = _rowdot(w[rows[at]], r * r)
+        return out
+
+    # grid search: ((model - p)**2 * w).sum(axis=-1), in place in one
+    # reused buffer (fresh temporaries of this size cost twice as much)
+    n_rows = p.shape[0]
+    omega = np.empty(n_rows)
+    size = max(1, _GRID_CHUNK_ELEMENTS // model.size)
+    buffer = np.empty((min(size, n_rows), *model.shape))
+    for lo in range(0, n_rows, size):
+        at = slice(lo, lo + size)
+        sq = buffer[:min(size, n_rows - lo)]
+        np.subtract(model, p[at, None, :], out=sq)
+        np.square(sq, out=sq)
+        np.multiply(sq, w[at, None, :], out=sq)
+        omega[at] = grid[np.argmin(sq.sum(axis=-1), axis=1)]
+
+    active = np.arange(n_rows)
     for _ in range(60):
-        theta = 0.5 * omega * t
-        r = spam.eps_prep + kappa * np.sin(theta) ** 2 - p
+        theta = (0.5 * omega[active])[:, None] * t
         jac = kappa * np.sin(2.0 * theta) * 0.5 * t
-        jtj = float(w @ (jac * jac))
-        if jtj <= 0:
+        jtj = _rowdot(w[active], jac * jac)
+        live = ~(jtj <= 0)
+        active, theta, jac, jtj = active[live], theta[live], jac[live], jtj[live]
+        if active.size == 0:
             break
-        step = -float(w @ (jac * r)) / jtj
-        cost = float(w @ (r * r))
-        scale = 1.0
-        improved = False
-        for _ in range(20):
-            trial = omega + scale * step
-            if trial >= 0:
-                r_t = spam.eps_prep + kappa * np.sin(0.5 * trial * t) ** 2 - p
-                cost_t = float(w @ (r_t * r_t))
-                if cost_t < cost:
-                    omega = trial
-                    improved = True
-                    break
-            scale *= 0.5
-        if not improved or abs(scale * step) < 1e-12 * max(omega, 1.0):
-            break
+        om, w_a = omega[active], w[active]
+        r = eps + kappa * np.sin(theta) ** 2 - p[active]
+        step = -_rowdot(w_a, jac * r) / jtj
+        cost = _rowdot(w_a, r * r)
+        trial = om + step
+        scale = np.ones(active.size)
+        accepted = (trial >= 0) & (weighted_sse(trial, active) < cost)
+        rejected = np.flatnonzero(~accepted)
+        if rejected.size:
+            # only the rejected rows try the shorter steps
+            trials = om[rejected, None] + _HALVINGS * step[rejected, None]
+            costs = weighted_sse(trials.ravel(), np.repeat(active[rejected], _HALVINGS.size))
+            ok = (trials >= 0) & (costs.reshape(trials.shape) < cost[rejected, None])
+            took = ok.any(axis=1)
+            first = np.argmax(ok[took], axis=1)
+            trial[rejected[took]] = trials[took, first]
+            scale[rejected[took]] = _HALVINGS[first]
+            accepted[rejected[took]] = True
+        omega[active[accepted]] = trial[accepted]
+        small = np.abs(scale * step) < 1e-12 * np.maximum(trial, 1.0)
+        active = active[accepted & ~small]
 
-    theta = 0.5 * omega * t
+    theta = (0.5 * omega)[:, None] * t
     jac = kappa * np.sin(2.0 * theta) * 0.5 * t
-    jtj = float(w @ (jac * jac))
-    sigma = math.inf if jtj <= 0 else 1.0 / math.sqrt(jtj)
+    jtj = _rowdot(w, jac * jac)
+    sigma = np.full(omega.size, math.inf)
+    informative = ~(jtj <= 0)
+    sigma[informative] = 1.0 / np.sqrt(jtj[informative])
     return omega, sigma
-
-
-def _fit_single_omega(t: np.ndarray, p: np.ndarray, shots: np.ndarray, spam: SpamModel) -> tuple[float, float]:
-    """1D weighted least-squares fit of eps0 + kappa*sin^2(omega*t/2).
-
-    Returns (omega, sigma_omega) as ``_refine_omega`` does.
-    """
-    return _refine_omega(_omega_grid_table(t, spam), t, p, shots, spam)
 
 
 def fit_freq_profile(
     data: ScanDataset, spam: SpamModel = SpamModel()
 ) -> tuple[FreqProfilePoint, ...]:
-    """Per-position Rabi frequencies from independent 1D fits.
+    """Per-position Rabi frequencies from 1D fits, one per position.
 
     Positions with fewer than 4 distinct durations are skipped with a
     warning. A point whose uncertainty reaches its value is flagged as
     baseline (no resolvable oscillation). Positions that carry the same
     duration sequence (same values in the same record order) share one
-    grid-search table; each position's fit is otherwise independent.
+    grid-search table and are refined together in one batch; the results
+    are identical to refining each position by itself.
     """
     x, t, p, shots = data.arrays()
-    tables: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+    order = np.argsort(x, kind="stable")
+    xs, ts, ps, ns = x[order], t[order], p[order], shots[order].astype(float)
+    starts = np.flatnonzero(np.diff(xs, prepend=-math.inf))
+    stops = np.append(starts[1:], xs.size)
+    sequences: dict[bytes, list[int]] = {}
+    for i, (lo, hi) in enumerate(zip(starts.tolist(), stops.tolist())):
+        sequences.setdefault(ts[lo:hi].tobytes(), []).append(i)
+
+    n_distinct = np.empty(starts.size, dtype=int)
+    omega = np.empty(starts.size)
+    sigma = np.empty(starts.size)
+    for members in sequences.values():
+        lo, hi = starts[members[0]], stops[members[0]]
+        n_distinct[members] = np.unique(ts[lo:hi]).size
+        if n_distinct[members[0]] >= 4:
+            rows = starts[members][:, None] + np.arange(hi - lo)
+            omega[members], sigma[members] = _fit_omegas(ts[lo:hi], ps[rows], ns[rows], spam)
+
     points = []
-    for pos, (tt, pp, nn) in _group_by_position(x, t, p, shots):
-        if np.unique(tt).size < 4:
+    for pos, n, om, sig in zip(xs[starts].tolist(), n_distinct.tolist(),
+                               omega.tolist(), sigma.tolist()):
+        if n < 4:
             warnings.warn(
-                f"position {pos:g} um has only {np.unique(tt).size} distinct "
+                f"position {pos:g} um has only {n} distinct "
                 "durations; skipped in frequency profile",
                 stacklevel=2,
             )
             continue
-        key = tt.tobytes()
-        if key not in tables:
-            tables[key] = _omega_grid_table(tt, spam)
-        omega, sigma = _refine_omega(tables[key], tt, pp, nn.astype(float), spam)
-        points.append(
-            FreqProfilePoint(
-                position_um=float(pos),
-                omega=omega,
-                omega_err=sigma,
-                baseline=sigma >= omega,
-            )
-        )
+        points.append(FreqProfilePoint(position_um=pos, omega=om, omega_err=sig,
+                                       baseline=sig >= om))
     return tuple(points)
 
 
@@ -717,8 +842,8 @@ def _trace_oscillates(trace: ScanDataset, spam: SpamModel) -> bool:
         raise DegenerateDataError(
             f"off-beam trace {trace.beam_label!r} needs >= 4 distinct durations"
         )
-    omega, sigma = _fit_single_omega(t, p, shots.astype(float), spam)
-    return sigma < omega
+    omega, sigma = _fit_omegas(t, p[None, :], shots[None, :].astype(float), spam)
+    return bool(sigma[0] < omega[0])
 
 
 def pair_analysis(

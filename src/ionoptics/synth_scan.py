@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .rabi_model import BeamProfileParams, SpamModel, apply_spam, p_excited
-from .scan_fit import ScanDataset, ScanRecord
+from .scan_fit import ScanDataset
 
 __all__ = ["SynthConfig", "generate", "position_jitter", "default_scan_grid"]
 
@@ -109,22 +109,23 @@ def generate(config: SynthConfig) -> list[ScanDataset]:
     ``analytic`` it is stored exactly, otherwise it is a binomial draw of
     ``shots`` shots divided by the shot count.
     """
-    positions, durations = config.positions_um, config.durations_s
-    grid = [(x, t) for x in positions for t in durations]
+    positions, durations = np.array(config.positions_um), np.array(config.durations_s)
+    n_pos, n_dur = positions.size, durations.size
     shots = config.shots
     datasets = []
     for k, beam in enumerate(config.truth):
-        p = apply_spam(p_excited(beam, np.array(positions)[:, None], np.array(durations)),
-                       config.spam).ravel()
+        p = apply_spam(p_excited(beam, positions[:, None], durations), config.spam).ravel()
         if config.analytic:
-            p1 = np.clip(p, 0.0, 1.0).tolist()
+            p1 = np.clip(p, 0.0, 1.0)
         else:
-            tags = (_record_tag(k, i, j)
-                    for i in range(len(positions)) for j in range(len(durations)))
-            p1 = [rng.binomial(shots, pk) / shots
-                  for rng, pk in zip(_keyed_rngs(config.rng_seed, tags), p.tolist())]
-        records = tuple(ScanRecord(x, t, pk, shots) for (x, t), pk in zip(grid, p1))
-        datasets.append(ScanDataset(records=records, beam_label=_BEAM_LABELS[k]))
+            tags = (_record_tag(k, i, j) for i in range(n_pos) for j in range(n_dur))
+            counts = (rng.binomial(shots, pk)
+                      for rng, pk in zip(_keyed_rngs(config.rng_seed, tags), p.tolist()))
+            p1 = np.fromiter(counts, dtype=np.int64, count=p.size) / shots
+        datasets.append(ScanDataset(
+            np.repeat(positions, n_dur), np.tile(durations, n_pos), p1,
+            np.full(p.size, shots), beam_label=_BEAM_LABELS[k],
+        ))
     return datasets
 
 
@@ -142,16 +143,12 @@ def position_jitter(data: ScanDataset, resolution_um: float, rng_seed: int = 0) 
     if resolution_um == 0:
         return replace(data, position_resolution_um=0.0)
     half = 0.5 * resolution_um
-    tags = (_JITTER_TAG | idx for idx in range(len(data.records)))
-    records = tuple(
-        replace(rec, position_um=rec.position_um + rng.uniform(-half, half))
-        for rec, rng in zip(data.records, _keyed_rngs(rng_seed, tags))
-    )
-    return ScanDataset(
-        records=records,
-        beam_label=data.beam_label,
-        position_resolution_um=resolution_um,
-    )
+    tags = (_JITTER_TAG | idx for idx in range(len(data)))
+    offsets = np.fromiter((rng.uniform(-half, half) for rng in _keyed_rngs(rng_seed, tags)),
+                          dtype=float, count=len(data))
+    x, t, p, shots = data.arrays()
+    return ScanDataset(x + offsets, t, p, shots, beam_label=data.beam_label,
+                       position_resolution_um=resolution_um)
 
 
 def default_scan_grid(

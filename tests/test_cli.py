@@ -162,11 +162,11 @@ class TestSynth:
         rc = main(["synth", "--out-dir", str(tmp_path), "--seed", "3"])
         assert rc == 0
         ds = read_scan_csv(tmp_path / "scan_A.csv")
-        positions = {r.position_um for r in ds.records}
-        durations = {r.duration_s for r in ds.records}
+        positions = {r.position_um for r in ds.rows()}
+        durations = {r.duration_s for r in ds.rows()}
         assert len(positions) == 61
         assert len(durations) == 21
-        assert all(r.shots == 200 for r in ds.records)
+        assert all(r.shots == 200 for r in ds.rows())
 
     def test_two_beams_with_traces(self, tmp_path):
         rc = main(["synth", "--out-dir", str(tmp_path), "--seed", "0",
@@ -177,9 +177,9 @@ class TestSynth:
             assert (tmp_path / name).exists()
         # trace_A drives beam A but records at beam B's center, and vice versa
         trace_a = read_scan_csv(tmp_path / "trace_A.csv")
-        assert {r.position_um for r in trace_a.records} == {4.31}
+        assert {r.position_um for r in trace_a.rows()} == {4.31}
         trace_b = read_scan_csv(tmp_path / "trace_B.csv")
-        assert {r.position_um for r in trace_b.records} == {0.0}
+        assert {r.position_um for r in trace_b.rows()} == {0.0}
 
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -211,9 +211,9 @@ class TestSynth:
             truth=(beam_a,), positions_um=(beam_b.center_um,),
             durations_s=durations, shots=200, rng_seed=0,
         ))[0]
-        assert len(unsalted.records) == len(trace_a.records)
+        assert len(unsalted) == len(trace_a)
         assert any(
-            u.p1 != t.p1 for u, t in zip(unsalted.records, trace_a.records)
+            u.p1 != t.p1 for u, t in zip(unsalted.rows(), trace_a.rows())
         )
 
     def test_explicit_grid(self, tmp_path):
@@ -221,8 +221,8 @@ class TestSynth:
                    "--positions", "-1", "0", "1", "--durations-us", "10", "20", "30"])
         assert rc == 0
         ds = read_scan_csv(tmp_path / "scan_A.csv")
-        assert len(ds.records) == 9
-        assert sorted({r.duration_s for r in ds.records}) == pytest.approx([1e-5, 2e-5, 3e-5])
+        assert len(ds) == 9
+        assert sorted({r.duration_s for r in ds.rows()}) == pytest.approx([1e-5, 2e-5, 3e-5])
 
     def test_positions_without_durations_exits_2(self, tmp_path):
         rc = main(["synth", "--out-dir", str(tmp_path), "--positions", "-1", "0", "1"])
@@ -246,7 +246,7 @@ class TestSynth:
         blurred = read_scan_csv(b / "scan_A.csv")
         deltas = [
             abs(rb.position_um - ra.position_um)
-            for ra, rb in zip(clean.records, blurred.records)
+            for ra, rb in zip(clean.rows(), blurred.rows())
         ]
         assert max(deltas) <= 0.025 + 1e-12
         assert max(deltas) > 0.0
@@ -431,8 +431,8 @@ class TestConfigFile:
         assert man["options"]["grid_durations"] == 5   # config beats default
         assert man["options"]["grid_positions"] == 61  # untouched default
         ds = read_scan_csv(tmp_path / "scan_A.csv")
-        assert all(r.shots == 100 for r in ds.records)
-        assert len({r.duration_s for r in ds.records}) == 5
+        assert all(r.shots == 100 for r in ds.rows())
+        assert len({r.duration_s for r in ds.rows()}) == 5
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,10 +1,15 @@
 """Scan fitting: CSV I/O, the optimizer, profiles, widths, pair reports."""
 
+import csv
+import io
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionoptics.rabi_model import BeamProfileParams, SpamModel
 from ionoptics.scan_fit import (
@@ -28,7 +33,7 @@ from ionoptics.scan_fit import (
     write_freq_profile_csv,
     write_scan_csv,
 )
-from ionoptics.scan_fit import _amplitude_profile, _fit_single_omega
+from ionoptics.scan_fit import _amplitude_profile, _binomial_weights, _omega_grid_table
 from ionoptics.synth_scan import SynthConfig, default_scan_grid, generate
 
 TWO_PI = 2.0 * math.pi
@@ -48,6 +53,54 @@ def synth_dataset(beam, seed=None, shots=200, n_pos=31, n_dur=15, spam=SpamModel
     return generate(cfg)[0]
 
 
+def _fit_single_omega(t, p, shots, spam):
+    """Reference for the frequency profile: one trace, scalar dot products.
+
+    The per-position loop the batched fit replaced. Returns (omega,
+    sigma_omega, capped); capped is True when the Gauss-Newton refinement
+    ran all of its 60 steps.
+    """
+    grid, model = _omega_grid_table(t, spam)
+    kappa = 1.0 - spam.eps_prep - spam.eps_meas
+    w = _binomial_weights(p, shots)
+    sse = ((model - p) ** 2 * w).sum(axis=1)
+    omega = float(grid[int(np.argmin(sse))])
+
+    # Gauss-Newton refinement with step halving
+    capped = True
+    for _ in range(60):
+        theta = 0.5 * omega * t
+        r = spam.eps_prep + kappa * np.sin(theta) ** 2 - p
+        jac = kappa * np.sin(2.0 * theta) * 0.5 * t
+        jtj = float(w @ (jac * jac))
+        if jtj <= 0:
+            capped = False
+            break
+        step = -float(w @ (jac * r)) / jtj
+        cost = float(w @ (r * r))
+        scale = 1.0
+        improved = False
+        for _ in range(20):
+            trial = omega + scale * step
+            if trial >= 0:
+                r_t = spam.eps_prep + kappa * np.sin(0.5 * trial * t) ** 2 - p
+                cost_t = float(w @ (r_t * r_t))
+                if cost_t < cost:
+                    omega = trial
+                    improved = True
+                    break
+            scale *= 0.5
+        if not improved or abs(scale * step) < 1e-12 * max(omega, 1.0):
+            capped = False
+            break
+
+    theta = 0.5 * omega * t
+    jac = kappa * np.sin(2.0 * theta) * 0.5 * t
+    jtj = float(w @ (jac * jac))
+    sigma = math.inf if jtj <= 0 else 1.0 / math.sqrt(jtj)
+    return omega, sigma, capped
+
+
 # === CSV I/O ================================================================
 
 
@@ -58,8 +111,8 @@ class TestScanCsv:
         write_scan_csv(ds, path)
         loaded = read_scan_csv(path)
         assert loaded.beam_label == "scan"
-        assert len(loaded.records) == len(ds.records)
-        for a, b in zip(ds.records, loaded.records):
+        assert len(loaded) == len(ds)
+        for a, b in zip(ds.rows(), loaded.rows()):
             assert b.position_um == pytest.approx(a.position_um, rel=1e-9)
             assert b.duration_s == pytest.approx(a.duration_s, rel=1e-9)
             assert b.p1 == a.p1
@@ -118,12 +171,73 @@ class TestScanCsv:
     def test_negative_positions_are_valid(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("position_um,duration_us,p1,shots\n-2.5,10,0.5,100\n")
-        assert read_scan_csv(path).records[0].position_um == -2.5
+        assert read_scan_csv(path).rows()[0].position_um == -2.5
 
     def test_durations_stored_in_seconds(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("position_um,duration_us,p1,shots\n0,250,0.5,100\n")
-        assert read_scan_csv(path).records[0].duration_s == pytest.approx(250e-6)
+        assert read_scan_csv(path).rows()[0].duration_s == pytest.approx(250e-6)
+
+
+# Scan CSV text mixing valid rows with NaN/inf, negative durations, p outside
+# [0, 1], shots < 1, non-numeric fields, wrong field counts and blank lines.
+_FIELD = st.one_of(
+    st.floats().map(repr),  # includes nan, inf, -inf, negatives
+    st.integers(-3, 300).map(str),
+    st.sampled_from(["abc", "", "1.5.2", " 7", "1e400", str(1 << 63)]),
+)
+_VALID_ROW = st.tuples(
+    st.floats(-50.0, 50.0), st.floats(0.0, 500.0), st.floats(0.0, 1.0), st.integers(1, 1000),
+).map(lambda v: f"{v[0]!r},{v[1]!r},{v[2]!r},{v[3]}")
+_IN_RANGE = ("0", "10", "0.5", "100")
+_OUT_OF_RANGE = (("nan", "inf", "-inf"), ("-1", "inf", "nan"), ("1.5", "-0.1", "nan"), ("0", "-2"))
+_OUT_OF_RANGE_ROW = st.sampled_from(
+    [(k, v) for k, values in enumerate(_OUT_OF_RANGE) for v in values]
+).map(lambda kv: ",".join(kv[1] if i == kv[0] else v for i, v in enumerate(_IN_RANGE)))
+_ROW = st.one_of(
+    _VALID_ROW, _VALID_ROW, _VALID_ROW, _OUT_OF_RANGE_ROW,
+    st.lists(_FIELD, min_size=1, max_size=6).map(",".join),
+    st.just(""),
+)
+
+
+def _reference_scan_rows(text):
+    """A plain loop over the data lines: the first offending 1-based line
+    number, or the parsed rows (position um, duration s, p1, shots)."""
+    rows = []
+    for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+        if lineno == 1 or not row:
+            continue
+        if len(row) != 4:
+            return lineno
+        try:
+            x, t_us, p1, shots = float(row[0]), float(row[1]), float(row[2]), int(row[3])
+        except ValueError:
+            return lineno
+        if not (math.isfinite(x) and math.isfinite(t_us) and t_us >= 0
+                and 0.0 <= p1 <= 1.0 and 1 <= shots < 1 << 63):
+            return lineno
+        rows.append((x, t_us * 1e-6, p1, shots))
+    return rows
+
+
+class TestScanCsvFuzz:
+    @given(lines=st.lists(_ROW, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_rejects_first_bad_line_or_returns_the_rows(self, tmp_path_factory, lines):
+        text = "position_um,duration_us,p1,shots\n" + "\n".join(lines) + "\n"
+        path = tmp_path_factory.mktemp("fuzz") / "scan.csv"
+        path.write_text(text)
+        expected = _reference_scan_rows(text)
+        if isinstance(expected, int) or not expected:
+            with pytest.raises(ScanFormatError) as err:
+                read_scan_csv(path)
+            line = expected if expected else 2
+            assert str(err.value).startswith(f"line {line}: ")
+        else:
+            data = read_scan_csv(path)
+            for column, values in zip(data.arrays(), zip(*expected)):
+                assert column.tolist() == list(values)
 
 
 class TestRecordValidation:
@@ -144,11 +258,31 @@ class TestRecordValidation:
         first = ds.arrays()
         assert all(a is b for a, b in zip(first, ds.arrays()))
         assert not any(column.flags.writeable for column in first)
-        np.testing.assert_array_equal(first[2], [r.p1 for r in ds.records])
+        np.testing.assert_array_equal(first[2], [r.p1 for r in ds.rows()])
+
+    @pytest.mark.parametrize("column,value", [
+        ("position_um", math.inf), ("duration_s", -1e-4), ("duration_s", math.nan),
+        ("p1", 1.2), ("p1", math.nan), ("shots", 0),
+    ])
+    def test_columns_checked_as_records_are(self, column, value):
+        # the dataset's vectorized checks reject what ScanRecord rejects,
+        # naming the first bad record
+        good = ScanRecord(0.5, 1e-4, 0.5, 100)
+        with pytest.raises(ValueError):
+            replace(good, **{column: value})
+        columns = {name: [value_] * 5 for name, value_ in vars(good).items()}
+        columns[column][2] = columns[column][4] = value
+        with pytest.raises(ValueError, match=f"record 2: {column}"):
+            ScanDataset(**columns)
+
+    def test_rows_round_trip(self, beam_a):
+        ds = synth_dataset(beam_a, seed=3, n_pos=5, n_dur=5)
+        assert ScanDataset.from_records(ds.rows(), beam_label=ds.beam_label) == ds
+        assert len(ds.rows()) == len(ds)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            ScanDataset(records=())
+            ScanDataset.from_records(())
 
 
 # === Model and Jacobian =====================================================
@@ -231,10 +365,10 @@ class TestFitBeam:
     def test_shift_equivariance(self, beam_a):
         base = synth_dataset(beam_a, seed=5, n_pos=21, n_dur=11)
         delta = 2.75
-        shifted = ScanDataset(
-            records=tuple(
+        shifted = ScanDataset.from_records(
+            tuple(
                 ScanRecord(r.position_um + delta, r.duration_s, r.p1, r.shots)
-                for r in base.records
+                for r in base.rows()
             )
         )
         fit0 = fit_beam(base)
@@ -249,10 +383,10 @@ class TestFitBeam:
         # by exactly 1/s and leave the envelope untouched
         base = synth_dataset(beam_a, seed=5, n_pos=21, n_dur=11)
         s = 2.0
-        stretched = ScanDataset(
-            records=tuple(
+        stretched = ScanDataset.from_records(
+            tuple(
                 ScanRecord(r.position_um, r.duration_s * s, r.p1, r.shots)
-                for r in base.records
+                for r in base.rows()
             )
         )
         fit0 = fit_beam(base)
@@ -311,7 +445,7 @@ class TestFitBeam:
             for t in durations
         )
         with pytest.raises(DegenerateDataError, match="positions"):
-            fit_beam(ScanDataset(records=records))
+            fit_beam(ScanDataset.from_records(records))
 
     def test_too_few_durations_rejected(self, beam_a):
         ds = synth_dataset(beam_a, seed=0, n_pos=9, n_dur=3)
@@ -325,7 +459,7 @@ class TestFitBeam:
             for j in range(5)
         )
         with pytest.raises(DegenerateDataError):
-            fit_beam(ScanDataset(records=records))
+            fit_beam(ScanDataset.from_records(records))
 
     def test_amplitude_profile_matches_per_position_loop(self):
         rng = np.random.default_rng(5)
@@ -346,7 +480,7 @@ class TestFitBeam:
         )
         with pytest.warns(UserWarning, match="skipped"):
             with pytest.raises(DegenerateDataError, match="profile has no points"):
-                fit_beam(ScanDataset(records=records))
+                fit_beam(ScanDataset.from_records(records))
 
 
 # === Frequency profile and width ============================================
@@ -385,21 +519,23 @@ class TestFreqProfile:
             for t in np.linspace(1e-5, 1e-4, n_t)
         )
         with pytest.warns(UserWarning, match="distinct"):
-            profile = fit_freq_profile(ScanDataset(records=records))
+            profile = fit_freq_profile(ScanDataset.from_records(records))
         assert [pt.position_um for pt in profile] == [0.0]
 
-    @pytest.mark.parametrize("layout", ["regular", "ragged", "shuffled"])
+    @pytest.mark.parametrize(
+        "layout", ["regular", "ragged", "shuffled", "spam_mismatch", "dark", "capped"])
     def test_matches_per_position_loop(self, beam_a, layout):
-        # positions that share a duration sequence share one grid table;
-        # the profile must equal independent per-position fits exactly
+        # positions that share a duration sequence are refined together in
+        # one batch; the profile must equal independent per-position fits
+        # exactly
         spam = SpamModel(eps_prep=0.02, eps_meas=0.03)
         n_dur = 15
         base = synth_dataset(beam_a, seed=5, n_dur=n_dur, spam=spam)
-        n_pos = len(base.records) // n_dur
-        records = list(base.records)
+        n_pos = len(base) // n_dur
+        records = list(base.rows())
         if layout == "ragged":
             records = []
-            for idx, rec in enumerate(base.records):
+            for idx, rec in enumerate(base.rows()):
                 i, j = divmod(idx, n_dur)
                 # position i keeps the durations j with j % (2 + i % 3) != 1:
                 # three duration sequences; position 7 keeps only 2
@@ -409,32 +545,52 @@ class TestFreqProfile:
         elif layout == "shuffled":
             order = np.random.default_rng(8).permutation(len(records))
             records = [records[k] for k in order]
-        data = ScanDataset(records=tuple(records))
+        elif layout == "spam_mismatch":
+            # a 121 x 41 scan made with SPAM 0.08, fitted with the default 0.01
+            n_dur = 41
+            scan = synth_dataset(beam_a, seed=5, n_pos=121, n_dur=n_dur,
+                                 spam=SpamModel(eps_prep=0.08, eps_meas=0.08))
+            n_pos = len(scan) // n_dur
+            records = list(scan.rows())
+            spam = SpamModel()
+        elif layout == "dark":
+            records = [replace(rec, p1=0.0) for rec in records]
+        elif layout == "capped":
+            # a trace on which the refinement runs all of its 60 steps
+            trace = np.random.default_rng(0).uniform(0.0, 1.0, (33, n_dur))[32]
+            records = [replace(rec, p1=float(trace[idx])) if idx < n_dur else rec
+                       for idx, rec in enumerate(records)]
+        data = ScanDataset.from_records(records)
 
         x = np.array([r.position_um for r in records])
         t = np.array([r.duration_s for r in records])
         p = np.array([r.p1 for r in records])
         n = np.array([r.shots for r in records], dtype=float)
         expected = []
+        capped = []
         for pos in np.unique(x):
             at = x == pos
             if np.unique(t[at]).size < 4:
                 continue
-            omega, sigma = _fit_single_omega(t[at], p[at], n[at], spam)
+            omega, sigma, hit_cap = _fit_single_omega(t[at], p[at], n[at], spam)
             expected.append(FreqProfilePoint(float(pos), omega, sigma, sigma >= omega))
+            capped.append(hit_cap)
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             profile = fit_freq_profile(data, spam)
         skipped = [str(w.message) for w in caught]
         if layout == "ragged":
-            sparse = base.records[7 * n_dur].position_um
+            sparse = base.rows()[7 * n_dur].position_um
             assert len(expected) == n_pos - 1
             assert skipped == [f"position {sparse:g} um has only 2 distinct "
                                "durations; skipped in frequency profile"]
         else:
             assert len(expected) == n_pos
             assert skipped == []
+        assert capped == [layout == "capped" and i == 0 for i in range(len(expected))]
+        if layout == "dark":
+            assert all(pt.omega == 0.0 and pt.omega_err == math.inf for pt in expected)
         assert profile == tuple(expected)
 
 
@@ -572,7 +728,7 @@ class TestPairAnalysis:
         a, b = fits
         records = tuple(ScanRecord(4.31, t, 0.02, 100) for t in (0.0, 1e-4, 2e-4))
         with pytest.raises(DegenerateDataError, match="durations"):
-            pair_analysis(a, b, traces_at_centers=(ScanDataset(records=records), None))
+            pair_analysis(a, b, traces_at_centers=(ScanDataset.from_records(records), None))
 
 
 # === Reports ================================================================

@@ -56,21 +56,21 @@ class TestDeterminism:
                         rng = np.random.Generator(np.random.Philox(key=key))
                         p1 = rng.binomial(cfg.shots, p) / cfg.shots
                     expected.append(ScanRecord(x, t, p1, cfg.shots))
-            assert ds.records == tuple(expected)
+            assert ds.rows() == tuple(expected)
 
     def test_beams_use_disjoint_streams(self, beam_a, beam_b):
         # same truth for both beams: identical probabilities must still get
         # independent draws
         cfg = small_config(beam_a, beam_a)
         ds_a, ds_b = generate(cfg)
-        assert [r.p1 for r in ds_a.records] != [r.p1 for r in ds_b.records]
+        assert [r.p1 for r in ds_a.rows()] != [r.p1 for r in ds_b.rows()]
 
 
 class TestContent:
     def test_analytic_mode_is_exact_model(self, beam_a):
         cfg = small_config(beam_a, analytic=True)
         ds = generate(cfg)[0]
-        for rec in ds.records:
+        for rec in ds.rows():
             expected = float(apply_spam(
                 p_excited(beam_a, rec.position_um, rec.duration_s), cfg.spam))
             assert rec.p1 == pytest.approx(expected, abs=1e-15)
@@ -78,12 +78,12 @@ class TestContent:
     def test_two_beam_mode_emits_two_labeled_datasets(self, beam_a, beam_b):
         datasets = generate(small_config(beam_a, beam_b))
         assert [ds.beam_label for ds in datasets] == ["A", "B"]
-        grid = [(r.position_um, r.duration_s) for r in datasets[0].records]
-        assert grid == [(r.position_um, r.duration_s) for r in datasets[1].records]
+        grid = [(r.position_um, r.duration_s) for r in datasets[0].rows()]
+        assert grid == [(r.position_um, r.duration_s) for r in datasets[1].rows()]
 
     def test_p1_quantized_to_shots(self, beam_a):
         cfg = small_config(beam_a, shots=50)
-        for rec in generate(cfg)[0].records:
+        for rec in generate(cfg)[0].rows():
             assert rec.shots == 50
             assert (rec.p1 * 50) == pytest.approx(round(rec.p1 * 50), abs=1e-9)
 
@@ -94,9 +94,9 @@ class TestContent:
         sums = np.zeros(len(cfg0.positions_um) * len(cfg0.durations_s))
         for seed in range(n_seeds):
             ds = generate(small_config(beam_a, rng_seed=seed))[0]
-            sums += [r.p1 for r in ds.records]
+            sums += ds.p1
         means = sums / n_seeds
-        for idx, rec in enumerate(generate(small_config(beam_a, analytic=True))[0].records):
+        for idx, rec in enumerate(generate(small_config(beam_a, analytic=True))[0].rows()):
             p = rec.p1
             se = math.sqrt(max(p * (1 - p), 1e-6) / (200 * n_seeds))
             assert abs(means[idx] - p) < 5 * se
@@ -135,7 +135,7 @@ class TestJitter:
         ds = generate(small_config(beam_a))[0]
         blurred = position_jitter(ds, 0.5, rng_seed=4)
         assert blurred.position_resolution_um == 0.5
-        for before, after in zip(ds.records, blurred.records):
+        for before, after in zip(ds.rows(), blurred.rows()):
             assert abs(after.position_um - before.position_um) <= 0.25
             assert after.p1 == before.p1
             assert after.duration_s == before.duration_s
@@ -145,7 +145,7 @@ class TestJitter:
         # a fresh Philox keyed [seed, 2^63 | idx]
         ds = generate(small_config(beam_a))[0]
         blurred = position_jitter(ds, 0.5, rng_seed=4)
-        for idx, (before, after) in enumerate(zip(ds.records, blurred.records)):
+        for idx, (before, after) in enumerate(zip(ds.rows(), blurred.rows())):
             key = np.array([4, (1 << 63) | idx], dtype=np.uint64)
             rng = np.random.Generator(np.random.Philox(key=key))
             assert after.position_um == before.position_um + rng.uniform(-0.25, 0.25)
@@ -158,8 +158,8 @@ class TestJitter:
     def test_zero_resolution_identity(self, beam_a):
         ds = generate(small_config(beam_a))[0]
         blurred = position_jitter(ds, 0.0, rng_seed=4)
-        assert [r.position_um for r in blurred.records] == [
-            r.position_um for r in ds.records]
+        assert [r.position_um for r in blurred.rows()] == [
+            r.position_um for r in ds.rows()]
         assert blurred.position_resolution_um == 0.0
 
     def test_negative_resolution_rejected(self, beam_a):
@@ -193,4 +193,4 @@ class TestDefaultGrid:
         positions, durations = default_scan_grid(beam_a, 11, 5)
         cfg = SynthConfig(truth=beam_a, positions_um=positions, durations_s=durations)
         ds = generate(cfg)[0]
-        assert len(ds.records) == len(positions) * len(durations)
+        assert len(ds) == len(positions) * len(durations)
