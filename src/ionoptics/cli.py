@@ -316,7 +316,7 @@ def cmd_fit(args: argparse.Namespace, config: dict) -> int:
 
     status = EXIT_OK
     try:
-        result = fit_beam(data, spam, max_iterations=int(opt["max_iterations"]))
+        result = fit_beam(data, spam, max_iterations=opt["max_iterations"])
     except FitConvergenceError as exc:
         result = exc.result
         print(f"fit did not converge: {exc}", file=sys.stderr)

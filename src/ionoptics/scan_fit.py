@@ -5,11 +5,15 @@ excitation probability p1, shot count), stored as four validated numpy
 columns. The global fit extracts the beam parameters (Omega0, x_c, w0) of
 the sin^2((Omega0*t/2)*exp(-2(x-x_c)^2/w0^2)) model, SPAM-adjusted, by
 shot-weighted least squares with a hand-rolled damped Gauss-Newton
-(Levenberg-Marquardt) loop and the analytic Jacobian. Per-position 1D fits
+(Levenberg-Marquardt) loop and the analytic Jacobian. One kernel evaluates
+the weighted residual and, at accepted points only, the Jacobian from the
+same exponential and phase; a single matrix product over the stacked
+Jacobian and residual gives the normal equations. Per-position 1D fits
 give the Rabi-frequency profile Omega(x), from which a D4sigma second-moment
-width is computed; positions that share a duration sequence are refined
-together in one batch, with results identical to refining them one at a
-time. Pairs of fits yield beam separations and crosstalk bounds.
+width is computed; positions that share a duration sequence start from one
+grid search done as two matrix products and are refined together in one
+batch, with results identical to refining them one at a time. Pairs of
+fits yield beam separations and crosstalk bounds.
 
 Record weighting is binomial: weight = shots/(p(1-p) + q) with a variance
 floor q = 1/(4*shots) so records at p in {0, 1} stay finite. With those
@@ -26,6 +30,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -296,31 +301,54 @@ def write_scan_csv(data: ScanDataset, path: str | Path) -> None:
 # === Model evaluation =======================================================
 
 
+def _beam_residual(vec, x, t, p, sqrt_w, spam: SpamModel):
+    """Weighted residual sqrt_w * (model - p) at vec = (omega0, center, width).
+
+    Returns the residual and a function ``fill_jacobian(out)`` that writes
+    the weighted partials w.r.t. omega0, center and width into out[0],
+    out[1] and out[2] (each of the residual's shape). It reuses the
+    exponential and the phase of the residual, so a caller that needs the
+    Jacobian at only some points pays for it only there.
+    """
+    om, xc, w0 = vec
+    kappa = 1.0 - spam.eps_prep - spam.eps_meas
+    dx = x - xc
+    u = dx / w0
+    g = np.exp(-2.0 * u * u)
+    theta = 0.5 * om * t * g
+    r = sqrt_w * (spam.eps_prep + kappa * np.sin(theta) ** 2 - p)
+
+    def fill_jacobian(out: np.ndarray) -> None:
+        s2 = np.sin(2.0 * theta)
+        s2 *= kappa
+        np.multiply(s2 * (0.5 * t), g, out=out[0, ...])
+        s2 *= theta
+        s2 *= 4.0
+        np.divide(s2 * dx, w0**2, out=out[1, ...])
+        np.divide(s2 * (dx * dx), w0**3, out=out[2, ...])
+        out *= sqrt_w
+
+    return r, fill_jacobian
+
+
+def _param_vector(params: BeamProfileParams) -> tuple[float, float, float]:
+    return params.omega0, params.center_um, params.width_um
+
+
 def fit_model(params: BeamProfileParams, spam: SpamModel, x_um, t_s) -> np.ndarray:
     """SPAM-adjusted model probability at each (x, t)."""
-    om, xc, w0 = params.omega0, params.center_um, params.width_um
-    kappa = 1.0 - spam.eps_prep - spam.eps_meas
-    x = np.asarray(x_um, dtype=float)
-    t = np.asarray(t_s, dtype=float)
-    u = (x - xc) / w0
-    theta = 0.5 * om * t * np.exp(-2.0 * u * u)
-    return spam.eps_prep + kappa * np.sin(theta) ** 2
+    x, t = np.asarray(x_um, dtype=float), np.asarray(t_s, dtype=float)
+    model, _ = _beam_residual(_param_vector(params), x, t, p=0.0, sqrt_w=1.0, spam=spam)
+    return model
 
 
 def fit_model_jacobian(params: BeamProfileParams, spam: SpamModel, x_um, t_s) -> np.ndarray:
     """Analytic partials of fit_model w.r.t. (omega0, center, width), shape (n, 3)."""
-    om, xc, w0 = params.omega0, params.center_um, params.width_um
-    kappa = 1.0 - spam.eps_prep - spam.eps_meas
-    x = np.asarray(x_um, dtype=float)
-    t = np.asarray(t_s, dtype=float)
-    dx = x - xc
-    g = np.exp(-2.0 * (dx / w0) ** 2)
-    theta = 0.5 * om * t * g
-    s2 = kappa * np.sin(2.0 * theta)
-    d_om = s2 * 0.5 * t * g
-    d_xc = s2 * theta * 4.0 * dx / w0**2
-    d_w0 = s2 * theta * 4.0 * dx**2 / w0**3
-    return np.stack([d_om, d_xc, d_w0], axis=-1)
+    x, t = np.broadcast_arrays(np.asarray(x_um, dtype=float), np.asarray(t_s, dtype=float))
+    _, fill_jacobian = _beam_residual(_param_vector(params), x, t, p=0.0, sqrt_w=1.0, spam=spam)
+    jac = np.empty((3, *x.shape))
+    fill_jacobian(jac)
+    return np.ascontiguousarray(np.moveaxis(jac, 0, -1))
 
 
 def _binomial_weights(p: np.ndarray, shots: np.ndarray) -> np.ndarray:
@@ -339,14 +367,30 @@ class _LMRun:
     converged: bool
 
 
-def _levenberg_marquardt(fun_jac, p0: np.ndarray, is_valid, max_iterations: int) -> _LMRun:
-    """Minimize ||r(p)||^2 with Marquardt damping and Nielsen's mu update."""
+def _levenberg_marquardt(residual, p0: np.ndarray, is_valid, max_iterations: int) -> _LMRun:
+    """Minimize ||r(p)||^2 with Marquardt damping and Nielsen's mu update.
+
+    The scheme of Madsen, Nielsen & Tingleff, *Methods for Non-Linear Least
+    Squares Problems* (DTU, 2004), section 3.2. ``residual(p)`` returns r
+    and a ``fill_jacobian(out)`` as ``_beam_residual`` does. A trial point
+    costs one residual; the Jacobian is built only at the start point and
+    at accepted trials. There its rows and r are stacked into one (4, n)
+    array, so that a single matrix product gives both J^T J and J^T r.
+    """
     p = np.asarray(p0, dtype=float)
-    r, jac = fun_jac(p)
+    r, fill_jacobian = residual(p)
+    aug = np.empty((4, r.size))
+
+    def normal_equations(r, fill_jacobian):
+        fill_jacobian(aug[:3])
+        aug[3] = r
+        products = aug[:3] @ aug.T  # GEMM; jac.T @ jac would be a far slower SYRK
+        return products[:, :3], products[:, 3]
+
     cost = float(r @ r)
-    jtj = jac.T @ jac
-    g = jac.T @ r
-    mu = 1e-3 * float(np.max(np.diag(jtj)))
+    jtj, g = normal_equations(r, fill_jacobian)
+    d = np.diag(jtj)
+    mu = 1e-3 * float(np.max(d))
     nu = 2.0
     converged = False
     n_iter = 0
@@ -354,8 +398,10 @@ def _levenberg_marquardt(fun_jac, p0: np.ndarray, is_valid, max_iterations: int)
         if float(np.max(np.abs(g))) < GRAD_TOL:
             converged = True
             break
+        damped = jtj.copy()
+        damped.flat[::4] += mu * d  # jtj + mu * diag(d)
         try:
-            step = np.linalg.solve(jtj + mu * np.diag(np.diag(jtj)), -g)
+            step = np.linalg.solve(damped, -g)
         except np.linalg.LinAlgError as exc:
             raise DegenerateDataError(f"normal equations singular: {exc}") from exc
         rel_step = float(np.linalg.norm(step) / (np.linalg.norm(p) + 1e-300))
@@ -367,16 +413,16 @@ def _levenberg_marquardt(fun_jac, p0: np.ndarray, is_valid, max_iterations: int)
             break
         trial = p + step
         if is_valid(trial):
-            r_trial, jac_trial = fun_jac(trial)
+            r_trial, fill_trial = residual(trial)
             cost_trial = float(r_trial @ r_trial)
-            predicted = float(step @ (mu * np.diag(np.diag(jtj)) @ step - g))
+            predicted = float(step @ (mu * d * step - g))
             rho = (cost - cost_trial) / predicted if predicted > 0 else -1.0
         else:
             rho = -1.0
         if rho > 0:
-            p, r, jac, cost = trial, r_trial, jac_trial, cost_trial
-            jtj = jac.T @ jac
-            g = jac.T @ r
+            p, r, cost = trial, r_trial, cost_trial
+            jtj, g = normal_equations(r, fill_trial)
+            d = np.diag(jtj)
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu = 2.0
         else:
@@ -555,38 +601,31 @@ def fit_beam(
 
     Raises FitConvergenceError (carrying the best-so-far result) when no
     run converges, DegenerateDataError when the grid cannot constrain
-    the three parameters.
+    the three parameters, and ValueError unless max_iterations is an
+    integer >= 1.
     """
+    if (isinstance(max_iterations, bool) or not isinstance(max_iterations, numbers.Integral)
+            or max_iterations < 1):
+        raise ValueError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
     _require_fit_grid(data)
     x, t, p, shots = data.arrays()
     sqrt_w = np.sqrt(_binomial_weights(p, shots))
 
-    def fun_jac(vec: np.ndarray):
-        params = BeamProfileParams(*vec)
-        r = sqrt_w * (fit_model(params, spam, x, t) - p)
-        jac = sqrt_w[:, None] * fit_model_jacobian(params, spam, x, t)
-        return r, jac
+    def residual(vec: np.ndarray):
+        return _beam_residual(vec, x, t, p, sqrt_w, spam)
 
     def is_valid(vec: np.ndarray) -> bool:
         return vec[0] > 0 and vec[2] > 0 and np.all(np.isfinite(vec))
 
     profile = fit_freq_profile(data, spam)
     guess = initial_guess(data, profile)
-    first = _levenberg_marquardt(
-        fun_jac, np.array([guess.omega0, guess.center_um, guess.width_um]),
-        is_valid, max_iterations,
-    )
+    first = _levenberg_marquardt(residual, np.array(_param_vector(guess)), is_valid, max_iterations)
     runs = [first]
     multi_start = not (first.converged and first.rms <= RESTART_RMS)
     if multi_start:
         for start in _perturbed_starts(guess):
-            runs.append(
-                _levenberg_marquardt(
-                    fun_jac,
-                    np.array([start.omega0, start.center_um, start.width_um]),
-                    is_valid, max_iterations,
-                )
-            )
+            runs.append(_levenberg_marquardt(
+                residual, np.array(_param_vector(start)), is_valid, max_iterations))
     converged_runs = [run for run in runs if run.converged]
     pool = converged_runs or runs
     best = min(pool, key=lambda run: run.rms)
@@ -628,9 +667,8 @@ def _omega_grid_table(t: np.ndarray, spam: SpamModel) -> tuple[np.ndarray, np.nd
     return grid, spam.eps_prep + kappa * np.sin(0.5 * np.outer(grid, t)) ** 2
 
 
-#: Element budgets of the grid-search buffer and of one chunk of step-halving
-#: trials; larger chunks buy little speed and raise the peak memory.
-_GRID_CHUNK_ELEMENTS = 1 << 16
+#: Element budget of one chunk of step-halving trials; larger chunks buy
+#: little speed and raise the peak memory.
 _TRIAL_CHUNK_ELEMENTS = 1 << 14
 
 #: Fractions 1/2, 1/4, ... 1/2^19 of a Gauss-Newton step, tried in this
@@ -654,7 +692,11 @@ def _fit_omegas(
 
     Each row of ``p`` and ``shots`` (shape (P, D)) is a trace over the
     duration sequence ``t`` (shape (D,)). A row starts at the best omega of
-    a 512-point grid up to the Nyquist limit of ``t`` and is refined by at
+    a 512-point grid up to the Nyquist limit of ``t``: with the grid model
+    m (512, D) and the weights w, the weighted SSE sum_j w (m - p)^2 of
+    every (row, grid omega) is w @ (m*m).T - 2 (w*p) @ m.T plus the row
+    constant sum_j w p^2, which cannot move a row's argmin, so the search is
+    two (P, D) x (D, 512) matrix products. The row is then refined by at
     most 60 Gauss-Newton steps. A step is tried at full length, then halved
     up to 19 times until it lowers the cost; the row stops when its jtj is
     <= 0, no trial lowers the cost, or the accepted step is below 1e-12 of
@@ -678,21 +720,12 @@ def _fit_omegas(
             out[at] = _rowdot(w[rows[at]], r * r)
         return out
 
-    # grid search: ((model - p)**2 * w).sum(axis=-1), in place in one
-    # reused buffer (fresh temporaries of this size cost twice as much)
-    n_rows = p.shape[0]
-    omega = np.empty(n_rows)
-    size = max(1, _GRID_CHUNK_ELEMENTS // model.size)
-    buffer = np.empty((min(size, n_rows), *model.shape))
-    for lo in range(0, n_rows, size):
-        at = slice(lo, lo + size)
-        sq = buffer[:min(size, n_rows - lo)]
-        np.subtract(model, p[at, None, :], out=sq)
-        np.square(sq, out=sq)
-        np.multiply(sq, w[at, None, :], out=sq)
-        omega[at] = grid[np.argmin(sq.sum(axis=-1), axis=1)]
+    # weighted SSE of every (row, grid omega) less the row constant
+    sse = w @ (model * model).T
+    sse -= (2.0 * w * p) @ model.T
+    omega = grid[np.argmin(sse, axis=1)]
 
-    active = np.arange(n_rows)
+    active = np.arange(p.shape[0])
     for _ in range(60):
         theta = (0.5 * omega[active])[:, None] * t
         jac = kappa * np.sin(2.0 * theta) * 0.5 * t

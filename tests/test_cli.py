@@ -294,6 +294,23 @@ class TestFit:
         assert report["converged"] is False
         assert (tmp_path / "scan_A_profile.csv").exists()
 
+    @pytest.mark.parametrize("flag, config", [
+        ("0", None), ("-5", None), (None, 2.5),
+    ])
+    def test_invalid_max_iterations_exits_2(self, tmp_path, capsys, flag, config):
+        main(["synth", "--out-dir", str(tmp_path), "--seed", "0"])
+        argv = ["fit", str(tmp_path / "scan_A.csv"), "--out-dir", str(tmp_path)]
+        if flag is not None:
+            argv += ["--max-iterations", flag]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"max_iterations": config}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert "max_iterations must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "scan_A_report.json").exists()
+        assert not (tmp_path / "scan_A_profile.csv").exists()
+
     def test_missing_scan_file_exits_1(self, tmp_path):
         rc = main(["fit", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)])
         assert rc == 1

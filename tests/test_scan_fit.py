@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ionoptics import scan_fit
 from ionoptics.rabi_model import BeamProfileParams, SpamModel
 from ionoptics.scan_fit import (
     BeamFitResult,
@@ -99,6 +100,62 @@ def _fit_single_omega(t, p, shots, spam):
     jtj = float(w @ (jac * jac))
     sigma = math.inf if jtj <= 0 else 1.0 / math.sqrt(jtj)
     return omega, sigma, capped
+
+
+def _reference_levenberg_marquardt(fun_jac, p0, is_valid, max_iterations):
+    """Reference for the LM core: the loop the fused kernel replaced.
+
+    ``fun_jac(p)`` returns the residual and the full Jacobian at every
+    trial, and the normal equations come from ``jac.T @ jac`` (SYRK) and
+    ``jac.T @ r`` (GEMV), with the damping as 3 x 3 diagonal matrices.
+    """
+    p = np.asarray(p0, dtype=float)
+    r, jac = fun_jac(p)
+    cost = float(r @ r)
+    jtj = jac.T @ jac
+    g = jac.T @ r
+    mu = 1e-3 * float(np.max(np.diag(jtj)))
+    nu = 2.0
+    converged = False
+    n_iter = 0
+    for n_iter in range(1, max_iterations + 1):
+        if float(np.max(np.abs(g))) < scan_fit.GRAD_TOL:
+            converged = True
+            break
+        try:
+            step = np.linalg.solve(jtj + mu * np.diag(np.diag(jtj)), -g)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateDataError(f"normal equations singular: {exc}") from exc
+        rel_step = float(np.linalg.norm(step) / (np.linalg.norm(p) + 1e-300))
+        if rel_step < scan_fit.STEP_TOL:
+            converged = True
+            break
+        trial = p + step
+        if is_valid(trial):
+            r_trial, jac_trial = fun_jac(trial)
+            cost_trial = float(r_trial @ r_trial)
+            predicted = float(step @ (mu * np.diag(np.diag(jtj)) @ step - g))
+            rho = (cost - cost_trial) / predicted if predicted > 0 else -1.0
+        else:
+            rho = -1.0
+        if rho > 0:
+            p, r, jac, cost = trial, r_trial, jac_trial, cost_trial
+            jtj = jac.T @ jac
+            g = jac.T @ r
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+            if mu > 1e200:
+                break
+    try:
+        cov = np.linalg.inv(jtj)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateDataError(f"normal equations singular at optimum: {exc}") from exc
+    cov = 0.5 * (cov + cov.T)
+    rms = math.sqrt(cost / r.size)
+    return scan_fit._LMRun(params=p, cov=cov, rms=rms, n_iter=n_iter, converged=converged)
 
 
 # === CSV I/O ================================================================
@@ -481,6 +538,78 @@ class TestFitBeam:
         with pytest.warns(UserWarning, match="skipped"):
             with pytest.raises(DegenerateDataError, match="profile has no points"):
                 fit_beam(ScanDataset.from_records(records))
+
+    @pytest.mark.parametrize("max_iterations", [0, -5, 2.5, True])
+    def test_invalid_max_iterations_rejected(self, beam_a, max_iterations):
+        with pytest.raises(ValueError, match="max_iterations must be an integer >= 1"):
+            fit_beam(synth_dataset(beam_a, seed=2, n_pos=15, n_dur=9),
+                     max_iterations=max_iterations)
+
+
+def _fit_or_carried(data, spam, max_iterations):
+    try:
+        return fit_beam(data, spam, max_iterations=max_iterations)
+    except FitConvergenceError as exc:
+        return exc.result
+
+
+class TestAgainstReferenceLM:
+    """fit_beam with the fused kernel against the same fit on the reference LM.
+
+    Only the rounding of the normal equations differs, so the step
+    directions differ in their last digits; the tolerances were fixed
+    before the comparison was run.
+    """
+
+    @staticmethod
+    def reference_fit(data, spam, max_iterations, monkeypatch):
+        x, t, p, shots = data.arrays()
+        sqrt_w = np.sqrt(_binomial_weights(p, shots))
+
+        def fun_jac(vec):
+            params = BeamProfileParams(*vec)
+            r = sqrt_w * (fit_model(params, spam, x, t) - p)
+            jac = sqrt_w[:, None] * fit_model_jacobian(params, spam, x, t)
+            return r, jac
+
+        def reference_lm(residual, p0, is_valid, n):
+            return _reference_levenberg_marquardt(fun_jac, p0, is_valid, n)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scan_fit, "_levenberg_marquardt", reference_lm)
+            return _fit_or_carried(data, spam, max_iterations)
+
+    @staticmethod
+    def recovery_scan(beams, seed):
+        positions, durations = default_scan_grid(beams, 61, 21)
+        return generate(SynthConfig(truth=beams, positions_um=positions,
+                                    durations_s=durations, shots=200, rng_seed=seed))
+
+    @pytest.mark.parametrize("case", [
+        "recovery_0", "recovery_1", "recovery_2", "spam_mismatch", "max_iterations_1"])
+    def test_matches_reference(self, beam_a, beam_b, monkeypatch, case):
+        spam, max_iterations = SpamModel(), 200
+        if case.startswith("recovery"):
+            scans = self.recovery_scan((beam_a, beam_b), int(case[-1]))
+        elif case == "spam_mismatch":
+            # every run of the 6-start path is taken
+            scans = [synth_dataset(beam_a, seed=5, n_pos=121, n_dur=41,
+                                   spam=SpamModel(eps_prep=0.08, eps_meas=0.08))]
+        else:
+            scans, max_iterations = [synth_dataset(beam_a, seed=2, n_pos=15, n_dur=9)], 1
+        for data in scans:
+            ref = self.reference_fit(data, spam, max_iterations, monkeypatch)
+            fit = _fit_or_carried(data, spam, max_iterations)
+            sigma = ref.param_errors()
+            got = np.array([fit.params.omega0, fit.params.center_um, fit.params.width_um])
+            want = np.array([ref.params.omega0, ref.params.center_um, ref.params.width_um])
+            assert np.all(np.abs(got - want) <= 1e-6 * sigma)
+            assert np.all(np.abs(fit.param_errors() - sigma) <= 1e-8 * sigma)
+            assert abs(fit.residual_rms - ref.residual_rms) <= 1e-12 * ref.residual_rms
+            assert fit.converged == ref.converged == (case != "max_iterations_1")
+            assert fit.multi_start_used == ref.multi_start_used == (not case.startswith("recovery"))
+            assert abs(fit.n_iterations - ref.n_iterations) <= 3
+            assert fit.freq_profile == ref.freq_profile
 
 
 # === Frequency profile and width ============================================
