@@ -339,13 +339,12 @@ _PAIR_DEFAULTS = {
     "window_s": 2.5e-3,
     "floor": 0.01,
     "k_sigma": 3.0,
-    "spam_prep": 0.01,
-    "spam_meas": 0.01,
 }
 
 
 def _result_from_report(path: str | Path) -> BeamFitResult:
     params, cov, raw = read_fit_report(path)
+    spam = raw["spam"]  # checked by read_fit_report
     return BeamFitResult(
         params=params,
         covariance=cov,
@@ -355,6 +354,8 @@ def _result_from_report(path: str | Path) -> BeamFitResult:
         d4sigma_raw_um=raw.get("d4sigma_raw_um"),
         n_iterations=int(raw.get("n_iterations", 0)),
         converged=bool(raw.get("converged", False)),
+        spam=SpamModel(eps_prep=spam["eps_prep"], eps_meas=spam["eps_meas"]),
+        spam_errors=(float(spam["eps_prep_err"]), float(spam["eps_meas_err"])),
         beam_label=str(raw.get("beam_label", "")),
     )
 
@@ -374,14 +375,12 @@ def cmd_pair(args: argparse.Namespace, config: dict) -> int:
         else:
             traces.append(read_scan_csv(opt[key]))
             inputs.append(str(opt[key]))
-    spam = SpamModel(eps_prep=opt["spam_prep"], eps_meas=opt["spam_meas"])
     report = pair_analysis(
         result_a,
         result_b,
         traces_at_centers=(traces[0], traces[1]),
         observation_window_s=float(opt["window_s"]),
         detection_floor=float(opt["floor"]),
-        spam=spam,
         k_sigma=float(opt["k_sigma"]),
     )
     report_path = out / "pair_report.json"
@@ -454,8 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", parents=[common],
                            help="fit a scan CSV, write report and frequency profile")
     p_fit.add_argument("scan", nargs="?", help="scan CSV path")
-    p_fit.add_argument("--spam-prep", dest="spam_prep", type=float)
-    p_fit.add_argument("--spam-meas", dest="spam_meas", type=float)
+    p_fit.add_argument("--spam-prep", dest="spam_prep", type=float,
+                       help="starting value of the fitted eps_prep when the scan has "
+                            "no t = 0 record (default: 0.01)")
+    p_fit.add_argument("--spam-meas", dest="spam_meas", type=float,
+                       help="starting value of the fitted eps_meas (default: 0.01)")
     p_fit.add_argument("--max-iterations", dest="max_iterations", type=int)
     p_fit.add_argument("--prefix", help="output name prefix (default: scan file stem)")
     p_fit.set_defaults(func=cmd_fit)
@@ -473,8 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pair.add_argument("--floor", type=float, help="excitation detection floor")
     p_pair.add_argument("--k-sigma", dest="k_sigma", type=float,
                         help="resolution criterion for center ambiguity")
-    p_pair.add_argument("--spam-prep", dest="spam_prep", type=float)
-    p_pair.add_argument("--spam-meas", dest="spam_meas", type=float)
     p_pair.set_defaults(func=cmd_pair)
     return parser
 

@@ -3,22 +3,26 @@
 A scan dataset is a grid of records (position x, pulse duration t, measured
 excitation probability p1, shot count), stored as four validated numpy
 columns. The global fit extracts the beam parameters (Omega0, x_c, w0) of
-the sin^2((Omega0*t/2)*exp(-2(x-x_c)^2/w0^2)) model, SPAM-adjusted, by
-shot-weighted least squares with a hand-rolled damped Gauss-Newton
-(Levenberg-Marquardt) loop and the analytic Jacobian. One kernel evaluates
-the weighted residual and, at accepted points only, the Jacobian from the
-same exponential and phase; a single matrix product over the stacked
-Jacobian and residual gives the normal equations. Per-position 1D fits
-give the Rabi-frequency profile Omega(x), from which a D4sigma second-moment
-width is computed; positions that share a duration sequence start from one
-grid search done as two matrix products and are refined together in one
-batch, with results identical to refining them one at a time. Pairs of
-fits yield beam separations and crosstalk bounds.
+the sin^2((Omega0*t/2)*exp(-2(x-x_c)^2/w0^2)) model together with the SPAM
+errors, as eps_prep and the contrast kappa = 1 - eps_prep - eps_meas of
+eps_prep + kappa*sin^2(...), by shot-weighted least squares with a
+hand-rolled damped Gauss-Newton (Levenberg-Marquardt) loop and the analytic
+Jacobian. One kernel evaluates the weighted residual and, at accepted
+points only, the Jacobian from the same exponential and phase; a single
+matrix product over the stacked Jacobian and residual gives the normal
+equations. Per-position 1D fits give the Rabi-frequency profile Omega(x),
+from which a D4sigma second-moment width is computed; positions that share
+a duration sequence start from one grid search done as two matrix products
+and are refined together in one batch, with results identical to refining
+them one at a time. Pairs of fits yield beam separations and crosstalk
+bounds.
 
-Record weighting is binomial: weight = shots/(p(1-p) + q) with a variance
-floor q = 1/(4*shots) so records at p in {0, 1} stay finite. With those
-weights the residual RMS of a well-specified fit sits near 1, which is the
-shot-noise floor used to trigger multi-start recovery.
+Record weighting is binomial: weight = shots/(m(1-m) + q) with a variance
+floor q = 1/(4*shots) so records at m in {0, 1} stay finite. The global fit
+takes m from the model at its starting point, the per-position profile from
+the measured p1. With the SPAM fitted and those weights, the residual RMS
+of a well-specified fit sits near 1, which is the shot-noise floor used to
+trigger multi-start recovery.
 
 File formats (see docs/file_formats.md): scans travel as CSV with header
 ``position_um,duration_us,p1,shots``; fit results as JSON (frequencies in
@@ -301,22 +305,25 @@ def write_scan_csv(data: ScanDataset, path: str | Path) -> None:
 # === Model evaluation =======================================================
 
 
-def _beam_residual(vec, x, t, p, sqrt_w, spam: SpamModel):
-    """Weighted residual sqrt_w * (model - p) at vec = (omega0, center, width).
+def _beam_residual(vec, x, t, p, sqrt_w):
+    """Weighted residual sqrt_w * (model - p) at vec = (omega0, center, width,
+    eps_prep, kappa), where kappa = 1 - eps_prep - eps_meas.
 
     Returns the residual and a function ``fill_jacobian(out)`` that writes
-    the weighted partials w.r.t. omega0, center and width into out[0],
-    out[1] and out[2] (each of the residual's shape). It reuses the
-    exponential and the phase of the residual, so a caller that needs the
-    Jacobian at only some points pays for it only there.
+    the weighted partials w.r.t. the five parameters into out[0] ... out[4]
+    (each of the residual's shape). The model eps_prep + kappa*sin^2(theta)
+    is affine in the SPAM parameters, so their partials are 1 and
+    sin^2(theta). It reuses the exponential, the phase and sin^2(theta) of
+    the residual, so a caller that needs the Jacobian at only some points
+    pays for it only there.
     """
-    om, xc, w0 = vec
-    kappa = 1.0 - spam.eps_prep - spam.eps_meas
+    om, xc, w0, eps_prep, kappa = vec
     dx = x - xc
     u = dx / w0
     g = np.exp(-2.0 * u * u)
     theta = 0.5 * om * t * g
-    r = sqrt_w * (spam.eps_prep + kappa * np.sin(theta) ** 2 - p)
+    sin_sq = np.sin(theta) ** 2
+    r = sqrt_w * (eps_prep + kappa * sin_sq - p)
 
     def fill_jacobian(out: np.ndarray) -> None:
         s2 = np.sin(2.0 * theta)
@@ -326,29 +333,33 @@ def _beam_residual(vec, x, t, p, sqrt_w, spam: SpamModel):
         s2 *= 4.0
         np.divide(s2 * dx, w0**2, out=out[1, ...])
         np.divide(s2 * (dx * dx), w0**3, out=out[2, ...])
+        out[3, ...] = 1.0
+        out[4, ...] = sin_sq
         out *= sqrt_w
 
     return r, fill_jacobian
 
 
-def _param_vector(params: BeamProfileParams) -> tuple[float, float, float]:
-    return params.omega0, params.center_um, params.width_um
+def _param_vector(params: BeamProfileParams, spam: SpamModel) -> tuple[float, ...]:
+    """(omega0, center, width, eps_prep, kappa): the parameters of ``_beam_residual``."""
+    return (params.omega0, params.center_um, params.width_um,
+            spam.eps_prep, 1.0 - spam.eps_prep - spam.eps_meas)
 
 
 def fit_model(params: BeamProfileParams, spam: SpamModel, x_um, t_s) -> np.ndarray:
     """SPAM-adjusted model probability at each (x, t)."""
     x, t = np.asarray(x_um, dtype=float), np.asarray(t_s, dtype=float)
-    model, _ = _beam_residual(_param_vector(params), x, t, p=0.0, sqrt_w=1.0, spam=spam)
+    model, _ = _beam_residual(_param_vector(params, spam), x, t, p=0.0, sqrt_w=1.0)
     return model
 
 
 def fit_model_jacobian(params: BeamProfileParams, spam: SpamModel, x_um, t_s) -> np.ndarray:
     """Analytic partials of fit_model w.r.t. (omega0, center, width), shape (n, 3)."""
     x, t = np.broadcast_arrays(np.asarray(x_um, dtype=float), np.asarray(t_s, dtype=float))
-    _, fill_jacobian = _beam_residual(_param_vector(params), x, t, p=0.0, sqrt_w=1.0, spam=spam)
-    jac = np.empty((3, *x.shape))
+    _, fill_jacobian = _beam_residual(_param_vector(params, spam), x, t, p=0.0, sqrt_w=1.0)
+    jac = np.empty((5, *x.shape))
     fill_jacobian(jac)
-    return np.ascontiguousarray(np.moveaxis(jac, 0, -1))
+    return np.ascontiguousarray(np.moveaxis(jac[:3], 0, -1))
 
 
 def _binomial_weights(p: np.ndarray, shots: np.ndarray) -> np.ndarray:
@@ -374,23 +385,31 @@ def _levenberg_marquardt(residual, p0: np.ndarray, is_valid, max_iterations: int
     Squares Problems* (DTU, 2004), section 3.2. ``residual(p)`` returns r
     and a ``fill_jacobian(out)`` as ``_beam_residual`` does. A trial point
     costs one residual; the Jacobian is built only at the start point and
-    at accepted trials. There its rows and r are stacked into one (4, n)
-    array, so that a single matrix product gives both J^T J and J^T r.
+    at accepted trials. There its k rows and r are stacked into one
+    (k + 1, n) array, so that a single matrix product gives both J^T J and
+    J^T r; k is the length of ``p0``.
+
+    The damping mu * diag(J^T J) scales with each parameter's own
+    curvature, so mu is dimensionless and starts at 1e-3. A start of
+    1e-3 * max(diag(J^T J)), which suits damping by mu * I, would grow with
+    the record weights: on a scan with SPAM 0 the first step is then so
+    small that the loop stops on the step tolerance without moving.
     """
     p = np.asarray(p0, dtype=float)
+    k = p.size
     r, fill_jacobian = residual(p)
-    aug = np.empty((4, r.size))
+    aug = np.empty((k + 1, r.size))
 
     def normal_equations(r, fill_jacobian):
-        fill_jacobian(aug[:3])
-        aug[3] = r
-        products = aug[:3] @ aug.T  # GEMM; jac.T @ jac would be a far slower SYRK
-        return products[:, :3], products[:, 3]
+        fill_jacobian(aug[:k])
+        aug[k] = r
+        products = aug[:k] @ aug.T  # GEMM; jac.T @ jac would be a far slower SYRK
+        return products[:, :k], products[:, k]
 
     cost = float(r @ r)
     jtj, g = normal_equations(r, fill_jacobian)
     d = np.diag(jtj)
-    mu = 1e-3 * float(np.max(d))
+    mu = 1e-3
     nu = 2.0
     converged = False
     n_iter = 0
@@ -399,7 +418,7 @@ def _levenberg_marquardt(residual, p0: np.ndarray, is_valid, max_iterations: int
             converged = True
             break
         damped = jtj.copy()
-        damped.flat[::4] += mu * d  # jtj + mu * diag(d)
+        damped.flat[::k + 1] += mu * d  # jtj + mu * diag(d)
         try:
             step = np.linalg.solve(damped, -g)
         except np.linalg.LinAlgError as exc:
@@ -553,7 +572,60 @@ def _perturbed_starts(guess: BeamProfileParams):
         )
 
 
+def _spam_seed(data: ScanDataset, spam: SpamModel) -> SpamModel:
+    """SPAM for the frequency profile and the initial guess: eps_prep is the
+    shot-weighted mean p1 of the t = 0 records (an undriven ion reads bright
+    with probability eps_prep), or ``spam.eps_prep`` when the scan has none;
+    eps_meas is ``spam.eps_meas``.
+    """
+    _, t, p, shots = data.arrays()
+    dark = t == 0
+    if not dark.any():
+        return spam
+    n = shots[dark].astype(float)
+    eps_prep = float(p[dark] @ n) / float(n.sum())
+    try:
+        return SpamModel(eps_prep=eps_prep, eps_meas=spam.eps_meas)
+    except ValueError as exc:
+        raise DegenerateDataError(f"the t = 0 records do not give a SPAM error: {exc}") from exc
+
+
+def _spam_at(data: ScanDataset, beam: BeamProfileParams, fallback: SpamModel) -> SpamModel:
+    """Least-squares SPAM of the scan with the beam held at ``beam``.
+
+    The model eps_prep + kappa*sin^2(theta) is linear in the two SPAM
+    parameters, so this is a 2 x 2 linear solve, each record weighted by
+    its shots. Returns ``fallback`` when the solution is no SpamModel.
+    """
+    x, t, p, shots = data.arrays()
+    sin_sq, _ = _beam_residual(_param_vector(beam, SpamModel(0.0, 0.0)), x, t, p=0.0, sqrt_w=1.0)
+    design = np.stack([np.ones_like(x), sin_sq])
+    weighted = design * shots
+    try:
+        eps_prep, kappa = np.linalg.solve(weighted @ design.T, weighted @ p)
+        return SpamModel(eps_prep=float(eps_prep), eps_meas=float(1.0 - eps_prep - kappa))
+    except (np.linalg.LinAlgError, ValueError):
+        return fallback
+
+
 # === Global fit =============================================================
+
+
+#: Runs whose residual RMS is within this relative distance of the lowest
+#: are tied; the earliest of them is reported.
+RMS_TIE = 1e-12
+
+
+def _best_run(runs: Sequence[_LMRun]) -> _LMRun:
+    """The earliest converged run tied for the lowest RMS (any run if none converged).
+
+    Starts that reach one optimum can differ in the last bits of their RMS;
+    taking the first of the tied runs keeps rounding from choosing the
+    reported run.
+    """
+    pool = [run for run in runs if run.converged] or list(runs)
+    lowest = min(run.rms for run in pool)
+    return next(run for run in pool if run.rms <= lowest * (1.0 + RMS_TIE))
 
 
 @dataclass(frozen=True)
@@ -574,6 +646,8 @@ class BeamFitResult:
     d4sigma_raw_um: float | None  # same without baseline subtraction
     n_iterations: int
     converged: bool
+    spam: SpamModel  # fitted SPAM errors
+    spam_errors: tuple[float, float]  # 1-sigma (eps_prep, eps_meas)
     beam_label: str = ""
     multi_start_used: bool = False
 
@@ -592,57 +666,78 @@ def fit_beam(
     spam: SpamModel = SpamModel(),
     max_iterations: int = 200,
 ) -> BeamFitResult:
-    """Fit the three-parameter beam model to a scan dataset.
+    """Fit the beam model and the SPAM errors to a scan dataset.
 
-    Runs the damped Gauss-Newton loop from a deterministic initial guess;
-    if the weighted residual RMS stays above twice the shot-noise floor, or
-    the first run fails to converge, five deterministically perturbed
-    restarts are tried and the best converged run kept.
+    Five parameters are fitted: Omega0, x_c, w0, eps_prep and kappa = 1 -
+    eps_prep - eps_meas. ``spam`` holds starting values only. The frequency
+    profile and the initial beam guess use eps_prep from the shot-weighted
+    mean p1 of the t = 0 records (``spam.eps_prep`` when the scan has none)
+    and ``spam.eps_meas``. The LM then starts from that beam guess and the
+    least-squares SPAM at it (that starting SPAM when the solve gives none
+    in [0, 0.5)), and every run weights the records by the binomial
+    variance of the model at this start. A step that would take eps_prep
+    or eps_meas outside [0, 0.5) is rejected.
+
+    If the weighted residual RMS of the first run stays above twice the
+    shot-noise floor, or the run fails to converge, five deterministically
+    perturbed beam starts are tried. The earliest converged run tied for
+    the lowest RMS is kept.
 
     Raises FitConvergenceError (carrying the best-so-far result) when no
     run converges, DegenerateDataError when the grid cannot constrain
-    the three parameters, and ValueError unless max_iterations is an
-    integer >= 1.
+    the parameters or the t = 0 records read bright half the time or more,
+    and ValueError unless max_iterations is an integer >= 1.
     """
     if (isinstance(max_iterations, bool) or not isinstance(max_iterations, numbers.Integral)
             or max_iterations < 1):
         raise ValueError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
     _require_fit_grid(data)
     x, t, p, shots = data.arrays()
-    sqrt_w = np.sqrt(_binomial_weights(p, shots))
+    seed = _spam_seed(data, spam)
+    profile = fit_freq_profile(data, seed)
+    guess = initial_guess(data, profile)
+    start_spam = _spam_at(data, guess, seed)
+    start = np.array(_param_vector(guess, start_spam))
+    model, _ = _beam_residual(start, x, t, p=0.0, sqrt_w=1.0)
+    sqrt_w = np.sqrt(_binomial_weights(model, shots))
 
     def residual(vec: np.ndarray):
-        return _beam_residual(vec, x, t, p, sqrt_w, spam)
+        return _beam_residual(vec, x, t, p, sqrt_w)
 
     def is_valid(vec: np.ndarray) -> bool:
-        return vec[0] > 0 and vec[2] > 0 and np.all(np.isfinite(vec))
+        eps_meas = 1.0 - vec[3] - vec[4]
+        return bool(vec[0] > 0 and vec[2] > 0 and 0 <= vec[3] < 0.5 and 0 <= eps_meas < 0.5
+                    and np.all(np.isfinite(vec)))
 
-    profile = fit_freq_profile(data, spam)
-    guess = initial_guess(data, profile)
-    first = _levenberg_marquardt(residual, np.array(_param_vector(guess)), is_valid, max_iterations)
+    first = _levenberg_marquardt(residual, start, is_valid, max_iterations)
     runs = [first]
     multi_start = not (first.converged and first.rms <= RESTART_RMS)
     if multi_start:
-        for start in _perturbed_starts(guess):
+        for beam in _perturbed_starts(guess):
             runs.append(_levenberg_marquardt(
-                residual, np.array(_param_vector(start)), is_valid, max_iterations))
-    converged_runs = [run for run in runs if run.converged]
-    pool = converged_runs or runs
-    best = min(pool, key=lambda run: run.rms)
+                residual, np.array(_param_vector(beam, start_spam)), is_valid, max_iterations))
+    best = _best_run(runs)
+    converged = any(run.converged for run in runs)
 
+    eps_prep, kappa = (float(v) for v in best.params[3:])
+    cov = best.cov
     result = BeamFitResult(
-        params=BeamProfileParams(*best.params),
-        covariance=best.cov,
+        params=BeamProfileParams(*best.params[:3]),
+        covariance=cov[:3, :3].copy(),
         residual_rms=best.rms,
         freq_profile=profile,
         d4sigma_um=_d4sigma_or_none(profile, subtract_baseline=True),
         d4sigma_raw_um=_d4sigma_or_none(profile, subtract_baseline=False),
         n_iterations=best.n_iter,
-        converged=bool(converged_runs),
+        converged=converged,
+        spam=SpamModel(eps_prep=eps_prep, eps_meas=1.0 - eps_prep - kappa),
+        # var(eps_meas) = var(eps_prep) + var(kappa) + 2 cov(eps_prep, kappa)
+        spam_errors=(math.sqrt(max(cov[3, 3], 0.0)),
+                     math.sqrt(max(cov[3, 3] + cov[4, 4] + 2.0 * cov[3, 4], 0.0))),
         beam_label=data.beam_label,
         multi_start_used=multi_start,
     )
-    if not converged_runs:
+    if not converged:
         raise FitConvergenceError(
             f"no optimizer run converged within {max_iterations} iterations "
             f"(best residual RMS {best.rms:.3g})",
@@ -885,7 +980,6 @@ def pair_analysis(
     traces_at_centers: tuple[ScanDataset | None, ScanDataset | None] = (None, None),
     observation_window_s: float = 2.5e-3,
     detection_floor: float = 0.01,
-    spam: SpamModel = SpamModel(),
     k_sigma: float = 3.0,
 ) -> PairReport:
     """Separation and crosstalk bounds for a pair of individually fitted beams.
@@ -893,7 +987,8 @@ def pair_analysis(
     ``traces_at_centers`` holds, per beam, the response measured at the
     *neighbor's* center while that beam was driven (beam A's off-beam trace
     is recorded at beam B's center and vice versa). Each supplied trace is
-    tested for resolvable oscillation; absent oscillation the crosstalk at
+    tested for resolvable oscillation, with the SPAM fitted to its driven
+    beam's scan; absent oscillation the crosstalk at
     the neighbor is bounded by the largest Rabi frequency that stays under
     ``detection_floor`` for the whole observation window, expressed as an
     intensity ratio against the driven beam's peak.
@@ -918,7 +1013,7 @@ def pair_analysis(
         if trace is None:
             detected.append(None)
             continue
-        seen = _trace_oscillates(trace, spam)
+        seen = _trace_oscillates(trace, result.spam)
         detected.append(seen)
         if seen:
             notes.append(
@@ -947,11 +1042,16 @@ def pair_analysis(
 # === Reports ================================================================
 
 
+#: Version of the fit report layout; read_fit_report accepts only this one.
+FIT_REPORT_SCHEMA = 2
+
+
 def fit_report_dict(result: BeamFitResult) -> dict:
     """JSON-ready fit report; frequencies in Hz, lengths in um."""
     scale = np.diag([1.0 / TWO_PI, 1.0, 1.0])
     cov_hz = scale @ result.covariance @ scale
     return {
+        "schema_version": FIT_REPORT_SCHEMA,
         "beam_label": result.beam_label,
         "converged": result.converged,
         "n_iterations": result.n_iterations,
@@ -963,6 +1063,12 @@ def fit_report_dict(result: BeamFitResult) -> dict:
         },
         "covariance_order": ["peak_rabi_hz", "center_um", "width_um"],
         "covariance": cov_hz.tolist(),
+        "spam": {
+            "eps_prep": result.spam.eps_prep,
+            "eps_prep_err": result.spam_errors[0],
+            "eps_meas": result.spam.eps_meas,
+            "eps_meas_err": result.spam_errors[1],
+        },
         "residual_rms": result.residual_rms,
         "gaussian_diameter_um": result.gaussian_diameter_um,
         "d4sigma_um": result.d4sigma_um,
@@ -977,8 +1083,16 @@ def write_fit_report(result: BeamFitResult, path: str | Path) -> None:
 
 
 def read_fit_report(path: str | Path) -> tuple[BeamProfileParams, np.ndarray, dict]:
-    """Reconstruct (params, covariance in rad/s & um, raw dict) from a report."""
+    """Reconstruct (params, covariance in rad/s & um, raw dict) from a report.
+
+    Raises ScanFormatError unless the report has the current
+    ``schema_version`` and a valid ``spam`` block.
+    """
     raw = json.loads(Path(path).read_text())
+    version = raw.get("schema_version") if isinstance(raw, dict) else None
+    if version != FIT_REPORT_SCHEMA:
+        raise ScanFormatError(
+            f"{path}: fit report schema_version must be {FIT_REPORT_SCHEMA}, got {version!r}")
     try:
         params = BeamProfileParams(
             omega0=raw["params"]["peak_rabi_hz"] * TWO_PI,
@@ -986,7 +1100,10 @@ def read_fit_report(path: str | Path) -> tuple[BeamProfileParams, np.ndarray, di
             width_um=raw["params"]["width_um"],
         )
         cov_hz = np.array(raw["covariance"], dtype=float)
-    except (KeyError, TypeError) as exc:
+        spam = raw["spam"]
+        SpamModel(eps_prep=spam["eps_prep"], eps_meas=spam["eps_meas"])
+        float(spam["eps_prep_err"]), float(spam["eps_meas_err"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ScanFormatError(f"{path}: not a fit report ({exc!r})") from exc
     if cov_hz.shape != (3, 3):
         raise ScanFormatError(f"{path}: covariance must be 3x3, got {cov_hz.shape}")

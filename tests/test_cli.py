@@ -276,6 +276,33 @@ class TestFit:
         assert params.omega0 == pytest.approx(TWO_PI * raw["params"]["peak_rabi_hz"])
         assert cov.shape == (3, 3)
 
+    def test_report_carries_fitted_spam(self, tmp_path):
+        main(["synth", "--out-dir", str(tmp_path), "--seed", "0",
+              "--spam-prep", "0.03", "--spam-meas", "0.05"])
+        main(["fit", str(tmp_path / "scan_A.csv"), "--out-dir", str(tmp_path)])
+        report = load_json(tmp_path / "scan_A_report.json")
+        assert report["schema_version"] == 2
+        assert report["spam"]["eps_prep"] == pytest.approx(0.03, abs=0.005)
+        assert report["spam"]["eps_meas"] == pytest.approx(0.05, abs=0.01)
+        assert report["spam"]["eps_prep_err"] > 0 and report["spam"]["eps_meas_err"] > 0
+
+    def test_spam_options_are_starting_values(self, tmp_path):
+        main(["synth", "--out-dir", str(tmp_path), "--seed", "0"])
+        scan = str(tmp_path / "scan_A.csv")
+        main(["fit", scan, "--out-dir", str(tmp_path), "--prefix", "default"])
+        main(["fit", scan, "--out-dir", str(tmp_path), "--prefix", "started",
+              "--spam-prep", "0.2", "--spam-meas", "0.2"])
+        default = load_json(tmp_path / "default_report.json")
+        started = load_json(tmp_path / "started_report.json")
+        # the fit recovers the scan's SPAM (0.01) from a start of 0.2; the
+        # weights come from the model at the start, so the beam moves, but
+        # by less than one sigma
+        for key in ("eps_prep", "eps_meas"):
+            assert started["spam"][key] == pytest.approx(0.01, abs=0.005)
+        for i, key in enumerate(default["covariance_order"]):
+            sigma = math.sqrt(default["covariance"][i][i])
+            assert abs(started["params"][key] - default["params"][key]) < sigma
+
     def test_prefix_overrides_output_names(self, tmp_path):
         main(["synth", "--out-dir", str(tmp_path), "--seed", "0"])
         rc = main(["fit", str(tmp_path / "scan_A.csv"), "--out-dir", str(tmp_path),
@@ -392,6 +419,27 @@ class TestPair:
     def test_missing_fit_path_exits_2(self, tmp_path):
         rc = main(["pair", "--fit-a", "whatever.json", "--out-dir", str(tmp_path)])
         assert rc == 2
+
+    def test_spam_comes_from_the_reports(self, pair_run, tmp_path):
+        # pair has no SPAM option and no SPAM config key
+        argv = ["pair", "--fit-a", str(pair_run / "scan_A_report.json"),
+                "--fit-b", str(pair_run / "scan_B_report.json"), "--out-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--spam-prep", "0.01"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"spam_meas": 0.01}))
+        assert main([*argv, "--config", str(cfg)]) == 2
+
+    def test_report_without_schema_version_exits_2(self, pair_run, tmp_path, capsys):
+        old = load_json(pair_run / "scan_A_report.json")
+        del old["schema_version"], old["spam"]
+        path = tmp_path / "old_report.json"
+        path.write_text(json.dumps(old))
+        rc = main(["pair", "--fit-a", str(path), "--fit-b", str(pair_run / "scan_B_report.json"),
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "schema_version" in capsys.readouterr().err
 
     def test_malformed_report_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

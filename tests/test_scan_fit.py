@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionoptics import scan_fit
-from ionoptics.rabi_model import BeamProfileParams, SpamModel
+from ionoptics.rabi_model import BeamProfileParams, SpamModel, apply_spam, local_rabi, p_excited
 from ionoptics.scan_fit import (
     BeamFitResult,
     DegenerateDataError,
@@ -34,7 +35,13 @@ from ionoptics.scan_fit import (
     write_freq_profile_csv,
     write_scan_csv,
 )
-from ionoptics.scan_fit import _amplitude_profile, _binomial_weights, _omega_grid_table
+from ionoptics.scan_fit import (
+    _amplitude_profile,
+    _beam_residual,
+    _best_run,
+    _binomial_weights,
+    _omega_grid_table,
+)
 from ionoptics.synth_scan import SynthConfig, default_scan_grid, generate
 
 TWO_PI = 2.0 * math.pi
@@ -105,16 +112,16 @@ def _fit_single_omega(t, p, shots, spam):
 def _reference_levenberg_marquardt(fun_jac, p0, is_valid, max_iterations):
     """Reference for the LM core: the loop the fused kernel replaced.
 
-    ``fun_jac(p)`` returns the residual and the full Jacobian at every
-    trial, and the normal equations come from ``jac.T @ jac`` (SYRK) and
-    ``jac.T @ r`` (GEMV), with the damping as 3 x 3 diagonal matrices.
+    ``fun_jac(p)`` returns the residual and the full (n, k) Jacobian at
+    every trial, and the normal equations come from ``jac.T @ jac`` (SYRK)
+    and ``jac.T @ r`` (GEMV), with the damping as k x k diagonal matrices.
     """
     p = np.asarray(p0, dtype=float)
     r, jac = fun_jac(p)
     cost = float(r @ r)
     jtj = jac.T @ jac
     g = jac.T @ r
-    mu = 1e-3 * float(np.max(np.diag(jtj)))
+    mu = 1e-3
     nu = 2.0
     converged = False
     n_iter = 0
@@ -391,6 +398,28 @@ class TestJacobian:
         worst = float(np.max(np.abs(analytic - fd) / denom))
         assert worst < 1e-6
 
+    def test_spam_rows_match_central_differences(self):
+        # the partials w.r.t. eps_prep and kappa, written by fill_jacobian
+        # as rows 3 and 4, against central differences of the residual
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-6.0, 6.0, 200)
+        t = rng.uniform(0.0, 2e-3, 200)
+        for _ in range(20):
+            vec = np.array([rng.uniform(0.3, 3.0) * TWO_PI * 2000.0, rng.uniform(-3.0, 3.0),
+                            rng.uniform(0.8, 4.0), rng.uniform(0.0, 0.2), rng.uniform(0.6, 1.0)])
+            sqrt_w = rng.uniform(1.0, 30.0, 200)
+            jac = np.empty((5, 200))
+            _beam_residual(vec, x, t, 0.3, sqrt_w)[1](jac)
+            for row in (3, 4):
+                h = 1e-6
+                hi, lo = vec.copy(), vec.copy()
+                hi[row] += h
+                lo[row] -= h
+                fd = (_beam_residual(hi, x, t, 0.3, sqrt_w)[0]
+                      - _beam_residual(lo, x, t, 0.3, sqrt_w)[0]) / (2 * h)
+                np.testing.assert_allclose(jac[row], fd, rtol=1e-7, atol=1e-7)
+            np.testing.assert_array_equal(jac[3], sqrt_w)
+
     def test_gradient_zero_at_center_for_symmetric_params(self, beam_a):
         spam = SpamModel()
         jac = fit_model_jacobian(beam_a, spam, beam_a.center_um, 1e-4)
@@ -399,6 +428,42 @@ class TestJacobian:
 
 
 # === Global fit =============================================================
+
+
+def _count_lm_runs(monkeypatch) -> list:
+    """Record every _levenberg_marquardt run of the fits that follow."""
+    runs = []
+    lm = scan_fit._levenberg_marquardt
+
+    def counted(*args):
+        runs.append(lm(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(scan_fit, "_levenberg_marquardt", counted)
+    return runs
+
+
+class TestBestRun:
+    @staticmethod
+    def run(rms, tag, converged=True):
+        return scan_fit._LMRun(params=np.array([tag]), cov=np.eye(1), rms=rms,
+                               n_iter=tag, converged=converged)
+
+    def test_earliest_of_tied_runs(self):
+        # runs 0 and 1 reach one optimum; rounding left run 0 one part in
+        # 1e13 above run 1, which min() would report
+        runs = [self.run(3.0 * (1 + 1e-13), 0), self.run(3.0, 1),
+                self.run(1.0, 2, converged=False), self.run(3.0 * (1 + 1e-11), 3)]
+        assert min(runs[:2], key=lambda run: run.rms) is runs[1]
+        assert _best_run(runs) is runs[0]
+
+    def test_lower_rms_beyond_the_tie_wins(self):
+        runs = [self.run(3.0 * (1 + 1e-11), 0), self.run(3.0, 1)]
+        assert _best_run(runs) is runs[1]
+
+    def test_unconverged_pool_when_nothing_converged(self):
+        runs = [self.run(2.0, 0, converged=False), self.run(1.0, 1, converged=False)]
+        assert _best_run(runs) is runs[1]
 
 
 class TestFitBeam:
@@ -474,14 +539,114 @@ class TestFitBeam:
         for emp, pred in zip(empirical, predicted):
             assert pred / 2.0 < emp < pred * 2.0
 
-    def test_multistart_recovers_from_model_mismatch(self, beam_a):
-        # exact data generated with heavy SPAM, fitted assuming light SPAM:
-        # the residual RMS cannot reach the shot-noise floor, so the
-        # deterministic restarts must run
-        ds = synth_dataset(beam_a, spam=SpamModel(eps_prep=0.25, eps_meas=0.25))
+    def test_multistart_recovers_from_model_mismatch(self, beam_a, monkeypatch):
+        # exact data from a beam with a second lobe at half the peak, one
+        # width off center: no Gaussian and no SPAM reaches the shot-noise
+        # floor, so the deterministic restarts must run
+        positions, durations = default_scan_grid(beam_a, 31, 15)
+        x, t = np.meshgrid(positions, durations, indexing="ij")
+        lobe = replace(beam_a, center_um=beam_a.center_um + beam_a.width_um)
+        omega = local_rabi(beam_a, x) + 0.5 * local_rabi(lobe, x)
+        p = apply_spam(np.sin(0.5 * omega * t) ** 2, SpamModel())
+        ds = ScanDataset(x.ravel(), t.ravel(), p.ravel(), np.full(x.size, 200))
+        runs = _count_lm_runs(monkeypatch)
         result = fit_beam(ds)
         assert result.multi_start_used
         assert result.converged
+        assert len(runs) == 6
+        # the reported run is tied for the lowest RMS
+        assert result.residual_rms <= min(run.rms for run in runs) * (1 + scan_fit.RMS_TIE)
+
+    def test_spam_mismatch_absorbed_in_one_run(self, beam_a, monkeypatch):
+        # exact data made with heavy SPAM and started from the default 0.01:
+        # the fitted SPAM absorbs the difference
+        ds = synth_dataset(beam_a, spam=SpamModel(eps_prep=0.25, eps_meas=0.25))
+        runs = _count_lm_runs(monkeypatch)
+        result = fit_beam(ds)
+        assert len(runs) == 1
+        assert not result.multi_start_used
+        assert result.converged
+        assert result.spam.eps_prep == pytest.approx(0.25, abs=1e-6)
+        assert result.spam.eps_meas == pytest.approx(0.25, abs=1e-6)
+        assert result.params.width_um == pytest.approx(beam_a.width_um, rel=1e-6)
+
+    @pytest.mark.parametrize("spam", [SpamModel(0.08, 0.08), SpamModel(0.02, 0.10)],
+                             ids=["spam_0.08_0.08", "spam_0.02_0.10"])
+    def test_fitted_spam_removes_width_bias(self, beam_a, spam):
+        # 121 x 41 scans fitted from the default starting SPAM (0.01)
+        width_bias, fits = [], []
+        for seed in range(10):
+            fit = fit_beam(synth_dataset(beam_a, seed=seed, n_pos=121, n_dur=41, spam=spam))
+            width_bias.append((fit.params.width_um - beam_a.width_um) / fit.param_errors()[2])
+            fits.append(fit)
+        assert abs(np.mean(width_bias)) < 1.0
+        for fit in fits:
+            assert abs(fit.spam.eps_prep - spam.eps_prep) < 0.01
+            assert abs(fit.spam.eps_meas - spam.eps_meas) < 0.01
+            assert fit.residual_rms < 1.2
+            assert not fit.multi_start_used
+
+    def test_calibration_with_fitted_spam(self, beam_a):
+        # 30 seeds on the operating grid, SPAM 0.03/0.05: for all five
+        # parameters the mean reported sigma is within a factor 1.5 of the
+        # seed-to-seed scatter, and the mean estimate is within 3 standard
+        # errors of the truth (bounds fixed before the first run)
+        n, spam = 30, SpamModel(eps_prep=0.03, eps_meas=0.05)
+        truth = [beam_a.omega0, beam_a.center_um, beam_a.width_um, spam.eps_prep, spam.eps_meas]
+        estimates = np.empty((n, 5))
+        sigmas = np.empty((n, 5))
+        for seed in range(n):
+            r = fit_beam(synth_dataset(beam_a, seed=100 + seed, n_pos=61, n_dur=21, spam=spam))
+            estimates[seed] = [r.params.omega0, r.params.center_um, r.params.width_um,
+                               r.spam.eps_prep, r.spam.eps_meas]
+            sigmas[seed] = [*r.param_errors(), *r.spam_errors]
+        empirical = estimates.std(axis=0, ddof=1)
+        predicted = sigmas.mean(axis=0)
+        for emp, pred in zip(empirical, predicted):
+            assert pred / 1.5 < emp < pred * 1.5
+        bias = estimates.mean(axis=0) - truth
+        assert np.all(np.abs(bias) < 3.0 * empirical / math.sqrt(n))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_zero_spam_converges_inside_the_domain(self, beam_a, seed):
+        # with eps = 0 the unconstrained optimum often lies just below 0
+        spam = SpamModel(eps_prep=0.0, eps_meas=0.0)
+        fit = fit_beam(synth_dataset(beam_a, seed=seed, n_pos=61, n_dur=21, spam=spam))
+        assert fit.converged
+        assert 0.0 <= fit.spam.eps_prep < 0.005
+        assert 0.0 <= fit.spam.eps_meas < 0.005
+        assert abs(fit.params.width_um - beam_a.width_um) < 5 * fit.param_errors()[2]
+
+    def test_scan_without_dark_records_starts_from_given_spam(self, beam_a):
+        spam = SpamModel(eps_prep=0.02, eps_meas=0.10)
+        x, t, p, shots = synth_dataset(beam_a, seed=4, n_pos=61, n_dur=21, spam=spam).arrays()
+        driven = t > 0
+        assert not driven.all()
+        ds = ScanDataset(x[driven], t[driven], p[driven], shots[driven])
+        fit = fit_beam(ds, SpamModel(eps_prep=0.05, eps_meas=0.05))
+        assert fit.converged
+        assert fit.spam.eps_prep == pytest.approx(0.02, abs=0.005)
+        assert fit.spam.eps_meas == pytest.approx(0.10, abs=0.01)
+
+    def test_least_squares_spam_at_a_fixed_beam(self, beam_a):
+        # exact data: the closed form returns the SPAM it was made with; on
+        # data that no SpamModel fits (p = 1 - sin^2, so eps_prep = 1) it
+        # returns the fallback
+        spam, fallback = SpamModel(eps_prep=0.03, eps_meas=0.05), SpamModel(0.02, 0.02)
+        ds = synth_dataset(beam_a, spam=spam)
+        got = scan_fit._spam_at(ds, beam_a, fallback)
+        assert got.eps_prep == pytest.approx(0.03, abs=1e-12)
+        assert got.eps_meas == pytest.approx(0.05, abs=1e-12)
+        x, t, _, shots = ds.arrays()
+        inverted = ScanDataset(x, t, 1.0 - p_excited(beam_a, x, t), shots)
+        assert scan_fit._spam_at(inverted, beam_a, fallback) is fallback
+
+    def test_bright_dark_records_rejected(self, beam_a):
+        # t = 0 records that read bright half the time give no SPAM error
+        x, t, p, shots = synth_dataset(beam_a, n_pos=21, n_dur=11).arrays()
+        ds = ScanDataset(x, t, np.where(t == 0, 0.6, p), shots)
+        with pytest.raises(DegenerateDataError, match="t = 0 records"):
+            fit_beam(ds)
 
     def test_non_convergence_carries_best_result(self, beam_a):
         ds = synth_dataset(beam_a, seed=2, n_pos=15, n_dur=9)
@@ -553,31 +718,45 @@ def _fit_or_carried(data, spam, max_iterations):
         return exc.result
 
 
+def _vector_spam(vec):
+    """The SpamModel of a parameter vector (omega0, center, width, eps_prep, kappa)."""
+    return SpamModel(eps_prep=vec[3], eps_meas=1.0 - vec[3] - vec[4])
+
+
 class TestAgainstReferenceLM:
     """fit_beam with the fused kernel against the same fit on the reference LM.
 
-    Only the rounding of the normal equations differs, so the step
-    directions differ in their last digits; the tolerances were fixed
-    before the comparison was run.
+    The reference evaluates the model through fit_model, fit_model_jacobian
+    and p_excited, and weights every run by the model at the first start
+    (the initial guess). Only the rounding of the normal equations differs,
+    so the step directions differ in their last digits; the tolerances
+    were fixed before the comparison was run.
     """
 
     @staticmethod
     def reference_fit(data, spam, max_iterations, monkeypatch):
         x, t, p, shots = data.arrays()
-        sqrt_w = np.sqrt(_binomial_weights(p, shots))
+        runs = []
 
         def fun_jac(vec):
-            params = BeamProfileParams(*vec)
-            r = sqrt_w * (fit_model(params, spam, x, t) - p)
-            jac = sqrt_w[:, None] * fit_model_jacobian(params, spam, x, t)
-            return r, jac
+            params, vec_spam = BeamProfileParams(*vec[:3]), _vector_spam(vec)
+            r = sqrt_w * (fit_model(params, vec_spam, x, t) - p)
+            jac = np.column_stack([fit_model_jacobian(params, vec_spam, x, t),
+                                   np.ones_like(x), p_excited(params, x, t)])
+            return r, sqrt_w[:, None] * jac
 
         def reference_lm(residual, p0, is_valid, n):
-            return _reference_levenberg_marquardt(fun_jac, p0, is_valid, n)
+            nonlocal sqrt_w
+            if not runs:
+                guess = fit_model(BeamProfileParams(*p0[:3]), _vector_spam(p0), x, t)
+                sqrt_w = np.sqrt(_binomial_weights(guess, shots))
+            runs.append(_reference_levenberg_marquardt(fun_jac, p0, is_valid, n))
+            return runs[-1]
 
+        sqrt_w = None
         with monkeypatch.context() as patch:
             patch.setattr(scan_fit, "_levenberg_marquardt", reference_lm)
-            return _fit_or_carried(data, spam, max_iterations)
+            return _fit_or_carried(data, spam, max_iterations), runs
 
     @staticmethod
     def recovery_scan(beams, seed):
@@ -592,24 +771,34 @@ class TestAgainstReferenceLM:
         if case.startswith("recovery"):
             scans = self.recovery_scan((beam_a, beam_b), int(case[-1]))
         elif case == "spam_mismatch":
-            # every run of the 6-start path is taken
+            # made with SPAM 0.08, started from 0.01: the fitted SPAM absorbs
+            # the difference, so one run reaches the shot-noise floor
             scans = [synth_dataset(beam_a, seed=5, n_pos=121, n_dur=41,
                                    spam=SpamModel(eps_prep=0.08, eps_meas=0.08))]
         else:
             scans, max_iterations = [synth_dataset(beam_a, seed=2, n_pos=15, n_dur=9)], 1
         for data in scans:
-            ref = self.reference_fit(data, spam, max_iterations, monkeypatch)
+            ref, ref_runs = self.reference_fit(data, spam, max_iterations, monkeypatch)
             fit = _fit_or_carried(data, spam, max_iterations)
-            sigma = ref.param_errors()
-            got = np.array([fit.params.omega0, fit.params.center_um, fit.params.width_um])
-            want = np.array([ref.params.omega0, ref.params.center_um, ref.params.width_um])
+            sigma = np.append(ref.param_errors(), ref.spam_errors)
+            got = np.array([fit.params.omega0, fit.params.center_um, fit.params.width_um,
+                            fit.spam.eps_prep, fit.spam.eps_meas])
+            want = np.array([ref.params.omega0, ref.params.center_um, ref.params.width_um,
+                             ref.spam.eps_prep, ref.spam.eps_meas])
             assert np.all(np.abs(got - want) <= 1e-6 * sigma)
-            assert np.all(np.abs(fit.param_errors() - sigma) <= 1e-8 * sigma)
+            got_sigma = np.append(fit.param_errors(), fit.spam_errors)
+            assert np.all(np.abs(got_sigma - sigma) <= 1e-8 * sigma)
             assert abs(fit.residual_rms - ref.residual_rms) <= 1e-12 * ref.residual_rms
             assert fit.converged == ref.converged == (case != "max_iterations_1")
-            assert fit.multi_start_used == ref.multi_start_used == (not case.startswith("recovery"))
+            assert fit.multi_start_used == ref.multi_start_used == (case == "max_iterations_1")
             assert abs(fit.n_iterations - ref.n_iterations) <= 3
             assert fit.freq_profile == ref.freq_profile
+            if not ref.multi_start_used:
+                # the SPAM errors come from the 5 x 5 inverse at the optimum,
+                # eps_meas = 1 - eps_prep - kappa
+                cov = ref_runs[0].cov
+                for row, err in zip(([0, 0, 0, 1, 0], [0, 0, 0, -1, -1]), fit.spam_errors):
+                    assert err == pytest.approx(math.sqrt(row @ cov @ row), rel=1e-8)
 
 
 # === Frequency profile and width ============================================
@@ -853,6 +1042,22 @@ class TestPairAnalysis:
         with pytest.raises(ValueError, match="converged"):
             pair_analysis(replace(a, converged=False), b)
 
+    def test_traces_tested_with_each_fits_spam(self, fits, beam_a, beam_b, monkeypatch):
+        a, b = fits
+        a = replace(a, spam=SpamModel(eps_prep=0.03, eps_meas=0.04))
+        b = replace(b, spam=SpamModel(eps_prep=0.05, eps_meas=0.06))
+        trace_a = _trace(beam_a, beam_b.center_um, seed=7)
+        trace_b = _trace(beam_b, beam_a.center_um, seed=8)
+        tested = []
+
+        def spy(trace, spam):
+            tested.append((trace, spam))
+            return False
+
+        monkeypatch.setattr(scan_fit, "_trace_oscillates", spy)
+        pair_analysis(a, b, traces_at_centers=(trace_a, trace_b))
+        assert tested == [(trace_a, a.spam), (trace_b, b.spam)]
+
     def test_sparse_trace_rejected(self, fits, beam_a):
         a, b = fits
         records = tuple(ScanRecord(4.31, t, 0.02, 100) for t in (0.0, 1e-4, 2e-4))
@@ -912,6 +1117,41 @@ class TestReports:
         assert payload["rabi_bound_hz"] == pytest.approx(12.75371217170397, rel=1e-9)
         assert payload["off_beam_oscillation_a"] is None
         assert isinstance(payload["notes"], list)
+
+    def test_report_carries_schema_and_fitted_spam(self, beam_a):
+        spam = SpamModel(eps_prep=0.04, eps_meas=0.06)
+        result = fit_beam(synth_dataset(beam_a, seed=4, spam=spam))
+        raw = scan_fit.fit_report_dict(result)
+        assert raw["schema_version"] == 2
+        assert raw["spam"] == {
+            "eps_prep": result.spam.eps_prep, "eps_prep_err": result.spam_errors[0],
+            "eps_meas": result.spam.eps_meas, "eps_meas_err": result.spam_errors[1],
+        }
+        assert abs(result.spam.eps_prep - 0.04) < 3 * result.spam_errors[0]
+        assert abs(result.spam.eps_meas - 0.06) < 3 * result.spam_errors[1]
+        assert result.covariance.shape == (3, 3)
+
+    @pytest.mark.parametrize("edit", [
+        "no_schema", "schema_1", "no_spam", "no_eps_meas_err", "negative_eps", "eps_not_number"])
+    def test_report_without_schema_or_spam_rejected(self, tmp_path, beam_a, edit):
+        path = tmp_path / "report.json"
+        write_fit_report(fit_beam(synth_dataset(beam_a, seed=4)), path)
+        raw = json.loads(path.read_text())
+        if edit == "no_schema":
+            del raw["schema_version"]
+        elif edit == "schema_1":
+            raw["schema_version"] = 1
+        elif edit == "no_spam":
+            del raw["spam"]
+        elif edit == "no_eps_meas_err":
+            del raw["spam"]["eps_meas_err"]
+        elif edit == "negative_eps":
+            raw["spam"]["eps_prep"] = -0.01
+        else:
+            raw["spam"]["eps_meas"] = "0.01"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ScanFormatError):
+            read_fit_report(path)
 
     def test_malformed_report_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
