@@ -5,13 +5,14 @@ curve), ``propagate`` (image-plane report for a prescription), ``synth``
 (synthetic scan datasets), ``fit`` (scan fit report + frequency profile),
 and ``pair`` (two-beam separation and crosstalk bounds).
 
-Option values resolve as command line > config file (--config, JSON
-object keyed by option name with dashes as underscores) > built-in
-defaults. Every run writes ``<subcommand>_manifest.json`` into the output
-directory recording the resolved options, inputs, outputs, and a
-timestamp; timestamps live only in the manifest so data files are
-byte-identical across reruns. Data files and manifests are all written
-atomically (temporary file, then rename).
+Each option and its default is declared once, in the subcommand's parser.
+A config file (--config, JSON object keyed by option name with dashes as
+underscores) replaces those defaults, so values resolve as command line >
+config file > built-in default. Every run writes
+``<subcommand>_manifest.json`` into the output directory recording the
+resolved options, inputs, outputs, and a timestamp; timestamps live only
+in the manifest so data files are byte-identical across reruns. Data files
+and manifests are all written atomically (temporary file, then rename).
 
 Exit codes: 0 success; 1 I/O failure; 2 invalid arguments, config, or
 input data; 3 numerical failure (non-convergent fit, prescription with
@@ -29,18 +30,17 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from ._atomic import _write_atomic
 from .beamlab import SingularityError
-from .design_tradeoff import DesignConstraints, min_diameter_for_na, required_na, tradeoff_curve
+from .design_tradeoff import (
+    DesignConstraints, crosstalk, min_diameter_for_na, required_na, tradeoff_curve,
+)
 from .rabi_model import BeamProfileParams, SpamModel
 from .scan_fit import (
     TWO_PI,
     BeamFitResult,
     FitConvergenceError,
-    ScanFormatError,
     fit_beam,
     pair_analysis,
     pair_report_dict,
@@ -53,7 +53,6 @@ from .scan_fit import (
 from .synth_scan import SynthConfig, default_scan_grid, generate, position_jitter
 from .system_model import (
     BeamArraySpec,
-    PrescriptionError,
     compare_measured_pitch,
     image_array,
     load_prescription,
@@ -68,38 +67,31 @@ EXIT_NUMERICAL = 3
 #: Seed salt for off-beam trace datasets so they never reuse scan draws.
 _TRACE_SALT = 0x74726163
 
+#: Namespace entries that are not options of the subcommand.
+_NOT_OPTIONS = ("subcommand", "config", "func")
 
-def _write_manifest(out_dir: Path, subcommand: str, options: dict,
+
+def _options(args: argparse.Namespace) -> dict:
+    return {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
+
+
+def _write_manifest(out_dir: Path, args: argparse.Namespace,
                     inputs: list[str], outputs: list[str]) -> Path:
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "options": options,
+        "options": _options(args),
         "inputs": inputs,
         "outputs": outputs,
     }
-    path = out_dir / f"{subcommand}_manifest.json"
+    path = out_dir / f"{args.subcommand}_manifest.json"
     _write_atomic(path, json.dumps(manifest, indent=2) + "\n")
     return path
 
 
-def _resolve(args: argparse.Namespace, defaults: dict, config: dict) -> dict:
-    """Merge option sources: explicit flag > config file > default."""
-    unknown = set(config) - set(defaults)
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    resolved = {}
-    for key, default in defaults.items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = config.get(key, default)
-        resolved[key] = value
-    return resolved
-
-
-def _out_dir(resolved: dict) -> Path:
-    out = Path(resolved["out_dir"])
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -110,26 +102,16 @@ def _fmt_row(*values) -> str:
 
 # === design =================================================================
 
-_DESIGN_DEFAULTS = {
-    "out_dir": ".",
-    "wavelength": 0.355,
-    "neighbor_distance": 5.0,
-    "na_cap": 0.24,
-    "diameter_range": [1.0, 10.0],
-    "samples": 181,
-}
 
-
-def cmd_design(args: argparse.Namespace, config: dict) -> int:
-    opt = _resolve(args, _DESIGN_DEFAULTS, config)
-    out = _out_dir(opt)
-    lo, hi = (float(v) for v in opt["diameter_range"])
+def cmd_design(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
+    lo, hi = args.diameter_range
     constraints = DesignConstraints(
-        wavelength_um=opt["wavelength"],
-        neighbor_distance_um=opt["neighbor_distance"],
-        na_cap=opt["na_cap"],
+        wavelength_um=args.wavelength,
+        neighbor_distance_um=args.neighbor_distance,
+        na_cap=args.na_cap,
     )
-    points = tradeoff_curve(constraints, (lo, hi), int(opt["samples"]))
+    points = tradeoff_curve(constraints, (lo, hi), args.samples)
     lines = ["diameter_um,required_na,crosstalk"]
     for pt in points:
         lines.append(_fmt_row(pt.beam_diameter_um, pt.required_na, pt.crosstalk))
@@ -137,138 +119,96 @@ def cmd_design(args: argparse.Namespace, config: dict) -> int:
     _write_atomic(curve_path, "\n".join(lines) + "\n")
 
     boundary = min_diameter_for_na(constraints.na_cap, constraints.wavelength_um)
-    from .design_tradeoff import crosstalk as _crosstalk  # local alias, avoids shadowing
-
     summary = {
         "wavelength_um": constraints.wavelength_um,
         "neighbor_distance_um": constraints.neighbor_distance_um,
         "na_cap": constraints.na_cap,
         "diameter_range_um": [lo, hi],
-        "samples": int(opt["samples"]),
+        "samples": args.samples,
         "boundary_diameter_um": boundary,
-        "boundary_crosstalk": _crosstalk(boundary, constraints.neighbor_distance_um),
+        "boundary_crosstalk": crosstalk(boundary, constraints.neighbor_distance_um),
         "boundary_required_na": required_na(boundary, constraints.wavelength_um),
         "boundary_in_range": lo < boundary < hi,
         "rows": len(points),
     }
     summary_path = out / "design_summary.json"
     _write_atomic(summary_path, json.dumps(summary, indent=2) + "\n")
-    _write_manifest(out, "design", opt, [], [curve_path.name, summary_path.name])
+    _write_manifest(out, args, [], [curve_path.name, summary_path.name])
     return EXIT_OK
 
 
 # === propagate ==============================================================
 
-_PROPAGATE_DEFAULTS = {
-    "out_dir": ".",
-    "prescription": None,  # None: packaged reference train
-    "wavelength": 0.355,
-    "source_diameter": 200.0,
-    "source_pitch": 450.0,
-    "channels": 10,
-    "measured_pitch": None,
-    "measured_pitch_err": None,
-}
 
-
-def cmd_propagate(args: argparse.Namespace, config: dict) -> int:
-    opt = _resolve(args, _PROPAGATE_DEFAULTS, config)
-    out = _out_dir(opt)
+def cmd_propagate(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
     inputs = []
-    if opt["prescription"] is None:
+    if args.prescription is None:
         prescription = reference_prescription()
     else:
-        prescription = load_prescription(opt["prescription"])
-        inputs.append(str(opt["prescription"]))
+        prescription = load_prescription(args.prescription)
+        inputs.append(str(args.prescription))
     array = BeamArraySpec(
-        source_diameter_um=opt["source_diameter"],
-        source_pitch_um=opt["source_pitch"],
-        channel_count=int(opt["channels"]),
+        source_diameter_um=args.source_diameter,
+        source_pitch_um=args.source_pitch,
+        channel_count=args.channels,
     )
-    report = image_array(prescription, array, wavelength_um=opt["wavelength"])
+    report = image_array(prescription, array, wavelength_um=args.wavelength)
     payload = dataclasses.asdict(report)
     payload["centers_um"] = list(report.centers_um)
     payload["notes"] = list(report.notes)
-    if opt["measured_pitch"] is not None:
-        err = opt["measured_pitch_err"]
-        if err is None:
+    if args.measured_pitch is not None:
+        if args.measured_pitch_err is None:
             raise ValueError("--measured-pitch requires --measured-pitch-err")
-        disc = compare_measured_pitch(report, float(opt["measured_pitch"]), float(err))
+        disc = compare_measured_pitch(report, args.measured_pitch, args.measured_pitch_err)
         payload["pitch_discrepancy"] = dataclasses.asdict(disc)
     report_path = out / "image_report.json"
     _write_atomic(report_path, json.dumps(payload, indent=2) + "\n")
-    _write_manifest(out, "propagate", opt, inputs, [report_path.name])
+    _write_manifest(out, args, inputs, [report_path.name])
     return EXIT_OK
 
 
 # === synth ==================================================================
 
-_SYNTH_DEFAULTS = {
-    "out_dir": ".",
-    "seed": 0,
-    "rabi_hz": [2000.0],
-    "center_um": [0.0],
-    "width_um": [2.0],
-    "shots": 200,
-    "spam_prep": 0.01,
-    "spam_meas": 0.01,
-    "analytic": False,
-    "positions": None,  # explicit grid overrides the default span
-    "durations_us": None,
-    "grid_positions": 61,
-    "grid_durations": 21,
-    "jitter_resolution": None,
-    "emit_traces": False,
-}
 
-
-def cmd_synth(args: argparse.Namespace, config: dict) -> int:
-    opt = _resolve(args, _SYNTH_DEFAULTS, config)
-    out = _out_dir(opt)
-    rabi = [float(v) for v in opt["rabi_hz"]]
-    centers = [float(v) for v in opt["center_um"]]
-    widths = [float(v) for v in opt["width_um"]]
-    if not (len(rabi) == len(centers) == len(widths)):
+def cmd_synth(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
+    if not (len(args.rabi_hz) == len(args.center_um) == len(args.width_um)):
         raise ValueError(
             f"--rabi-hz/--center-um/--width-um must have equal counts, "
-            f"got {len(rabi)}/{len(centers)}/{len(widths)}"
+            f"got {len(args.rabi_hz)}/{len(args.center_um)}/{len(args.width_um)}"
         )
     truth = tuple(
         BeamProfileParams(omega0=r * TWO_PI, center_um=c, width_um=w)
-        for r, c, w in zip(rabi, centers, widths)
+        for r, c, w in zip(args.rabi_hz, args.center_um, args.width_um)
     )
-    if opt["positions"] is not None and opt["durations_us"] is not None:
-        positions = tuple(float(v) for v in opt["positions"])
-        durations = tuple(float(v) * 1e-6 for v in opt["durations_us"])
-    elif opt["positions"] is None and opt["durations_us"] is None:
-        positions, durations = default_scan_grid(
-            truth, int(opt["grid_positions"]), int(opt["grid_durations"])
-        )
+    if args.positions is not None and args.durations_us is not None:
+        positions = args.positions
+        durations = tuple(v * 1e-6 for v in args.durations_us)
+    elif args.positions is None and args.durations_us is None:
+        positions, durations = default_scan_grid(truth, args.grid_positions, args.grid_durations)
     else:
         raise ValueError("--positions and --durations-us must be given together")
-    spam = SpamModel(eps_prep=opt["spam_prep"], eps_meas=opt["spam_meas"])
-    seed = int(opt["seed"])
+    spam = SpamModel(eps_prep=args.spam_prep, eps_meas=args.spam_meas)
     synth = SynthConfig(
         truth=truth,
         positions_um=positions,
         durations_s=durations,
-        shots=int(opt["shots"]),
+        shots=args.shots,
         spam=spam,
-        rng_seed=seed,
-        analytic=bool(opt["analytic"]),
+        rng_seed=args.seed,
+        analytic=args.analytic,
     )
     datasets = generate(synth)
-    if opt["jitter_resolution"] is not None:
-        datasets = [
-            position_jitter(ds, float(opt["jitter_resolution"]), seed) for ds in datasets
-        ]
+    if args.jitter_resolution is not None:
+        datasets = [position_jitter(ds, args.jitter_resolution, args.seed) for ds in datasets]
     outputs = []
     for ds in datasets:
         path = out / f"scan_{ds.beam_label}.csv"
         write_scan_csv(ds, path)
         outputs.append(path.name)
 
-    if opt["emit_traces"]:
+    if args.emit_traces:
         if len(truth) != 2:
             raise ValueError("--emit-traces requires two beams")
         # Off-beam response: drive one beam, record at the neighbor's center.
@@ -277,69 +217,47 @@ def cmd_synth(args: argparse.Namespace, config: dict) -> int:
                 truth=(driven,),
                 positions_um=(other.center_um,),
                 durations_s=durations,
-                shots=int(opt["shots"]),
+                shots=args.shots,
                 spam=spam,
-                rng_seed=seed ^ _TRACE_SALT,
-                analytic=bool(opt["analytic"]),
+                rng_seed=args.seed ^ _TRACE_SALT,
+                analytic=args.analytic,
             )
             trace = generate(trace_cfg)[0]
             path = out / f"trace_{label}.csv"
             write_scan_csv(trace, path)
             outputs.append(path.name)
-    _write_manifest(out, "synth", opt, [], outputs)
+    _write_manifest(out, args, [], outputs)
     return EXIT_OK
 
 
 # === fit ====================================================================
 
-_FIT_DEFAULTS = {
-    "out_dir": ".",
-    "scan": None,
-    "spam_prep": 0.01,
-    "spam_meas": 0.01,
-    "max_iterations": 200,
-    "prefix": None,  # default: scan file stem
-}
 
-
-def cmd_fit(args: argparse.Namespace, config: dict) -> int:
-    opt = _resolve(args, _FIT_DEFAULTS, config)
-    if opt["scan"] is None:
+def cmd_fit(args: argparse.Namespace) -> int:
+    if args.scan is None:
         raise ValueError("fit requires a scan CSV path")
-    out = _out_dir(opt)
-    scan_path = Path(opt["scan"])
+    out = _out_dir(args)
+    scan_path = Path(args.scan)
     data = read_scan_csv(scan_path)
-    spam = SpamModel(eps_prep=opt["spam_prep"], eps_meas=opt["spam_meas"])
-    prefix = opt["prefix"] or scan_path.stem
+    spam = SpamModel(eps_prep=args.spam_prep, eps_meas=args.spam_meas)
+    prefix = args.prefix or scan_path.stem
     report_path = out / f"{prefix}_report.json"
     profile_path = out / f"{prefix}_profile.csv"
 
     status = EXIT_OK
     try:
-        result = fit_beam(data, spam, max_iterations=opt["max_iterations"])
+        result = fit_beam(data, spam, max_iterations=args.max_iterations)
     except FitConvergenceError as exc:
         result = exc.result
         print(f"fit did not converge: {exc}", file=sys.stderr)
         status = EXIT_NUMERICAL
     write_fit_report(result, report_path)
     write_freq_profile_csv(result.freq_profile, profile_path)
-    _write_manifest(out, "fit", opt, [str(scan_path)],
-                    [report_path.name, profile_path.name])
+    _write_manifest(out, args, [str(scan_path)], [report_path.name, profile_path.name])
     return status
 
 
 # === pair ===================================================================
-
-_PAIR_DEFAULTS = {
-    "out_dir": ".",
-    "fit_a": None,
-    "fit_b": None,
-    "trace_a": None,
-    "trace_b": None,
-    "window_s": 2.5e-3,
-    "floor": 0.01,
-    "k_sigma": 3.0,
-}
 
 
 def _result_from_report(path: str | Path) -> BeamFitResult:
@@ -360,39 +278,39 @@ def _result_from_report(path: str | Path) -> BeamFitResult:
     )
 
 
-def cmd_pair(args: argparse.Namespace, config: dict) -> int:
-    opt = _resolve(args, _PAIR_DEFAULTS, config)
-    if opt["fit_a"] is None or opt["fit_b"] is None:
+def cmd_pair(args: argparse.Namespace) -> int:
+    if args.fit_a is None or args.fit_b is None:
         raise ValueError("pair requires --fit-a and --fit-b report paths")
-    out = _out_dir(opt)
-    result_a = _result_from_report(opt["fit_a"])
-    result_b = _result_from_report(opt["fit_b"])
-    inputs = [str(opt["fit_a"]), str(opt["fit_b"])]
+    out = _out_dir(args)
+    result_a = _result_from_report(args.fit_a)
+    result_b = _result_from_report(args.fit_b)
+    inputs = [str(args.fit_a), str(args.fit_b)]
     traces: list = []
-    for key in ("trace_a", "trace_b"):
-        if opt[key] is None:
+    for path in (args.trace_a, args.trace_b):
+        if path is None:
             traces.append(None)
         else:
-            traces.append(read_scan_csv(opt[key]))
-            inputs.append(str(opt[key]))
+            traces.append(read_scan_csv(path))
+            inputs.append(str(path))
     report = pair_analysis(
         result_a,
         result_b,
         traces_at_centers=(traces[0], traces[1]),
-        observation_window_s=float(opt["window_s"]),
-        detection_floor=float(opt["floor"]),
-        k_sigma=float(opt["k_sigma"]),
+        observation_window_s=args.window_s,
+        detection_floor=args.floor,
+        k_sigma=args.k_sigma,
     )
     report_path = out / "pair_report.json"
     _write_atomic(report_path, json.dumps(pair_report_dict(report), indent=2) + "\n")
-    _write_manifest(out, "pair", opt, inputs, [report_path.name])
+    _write_manifest(out, args, inputs, [report_path.name])
     return EXIT_OK
 
 
 # === Parser =================================================================
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser, keyed by name."""
     parser = argparse.ArgumentParser(
         prog="ionoptics",
         description="Addressing-optics design, propagation, and scan analysis tools.",
@@ -401,106 +319,130 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out-dir", dest="out_dir", help="output directory (default: .)")
+    common.add_argument("--out-dir", dest="out_dir", default=".", help="output directory")
     common.add_argument("--config", dest="config", help="JSON file of option defaults")
+    # Every option has help text, so --help lists every default.
+    shared = {"parents": [common], "formatter_class": argparse.ArgumentDefaultsHelpFormatter}
 
-    p_design = sub.add_parser("design", parents=[common],
-                              help="crosstalk vs numerical-aperture tradeoff curve")
-    p_design.add_argument("--wavelength", type=float)
+    p_design = sub.add_parser("design", help="crosstalk vs numerical-aperture tradeoff curve",
+                              **shared)
+    p_design.add_argument("--wavelength", type=float, default=0.355, help="wavelength, um")
     p_design.add_argument("--neighbor-distance", dest="neighbor_distance", type=float,
-                          help="site separation in um")
-    p_design.add_argument("--na-cap", dest="na_cap", type=float)
-    p_design.add_argument("--diameter-range", dest="diameter_range", nargs=2,
-                          type=float, metavar=("LO", "HI"))
-    p_design.add_argument("--samples", type=int)
+                          default=5.0, help="site separation, um")
+    p_design.add_argument("--na-cap", dest="na_cap", type=float, default=0.24,
+                          help="largest numerical aperture the optics reach")
+    p_design.add_argument("--diameter-range", dest="diameter_range", nargs=2, type=float,
+                          default=[1.0, 10.0], metavar=("LO", "HI"),
+                          help="beam diameters swept, um")
+    p_design.add_argument("--samples", type=int, default=181, help="diameters on the curve")
     p_design.set_defaults(func=cmd_design)
 
-    p_prop = sub.add_parser("propagate", parents=[common],
-                            help="image-plane report for an optical prescription")
-    p_prop.add_argument("--prescription", help="prescription JSON (default: built-in train)")
-    p_prop.add_argument("--wavelength", type=float)
-    p_prop.add_argument("--source-diameter", dest="source_diameter", type=float)
-    p_prop.add_argument("--source-pitch", dest="source_pitch", type=float)
-    p_prop.add_argument("--channels", type=int)
-    p_prop.add_argument("--measured-pitch", dest="measured_pitch", type=float)
-    p_prop.add_argument("--measured-pitch-err", dest="measured_pitch_err", type=float)
+    p_prop = sub.add_parser("propagate", help="image-plane report for an optical prescription",
+                            **shared)
+    p_prop.add_argument("--prescription",
+                        help="prescription JSON; none means the built-in reference train")
+    p_prop.add_argument("--wavelength", type=float, default=0.355, help="wavelength, um")
+    p_prop.add_argument("--source-diameter", dest="source_diameter", type=float, default=200.0,
+                        help="beam diameter at the source plane, um")
+    p_prop.add_argument("--source-pitch", dest="source_pitch", type=float, default=450.0,
+                        help="beam pitch at the source plane, um")
+    p_prop.add_argument("--channels", type=int, default=10, help="number of beams")
+    p_prop.add_argument("--measured-pitch", dest="measured_pitch", type=float,
+                        help="measured image-plane pitch to compare against, um")
+    p_prop.add_argument("--measured-pitch-err", dest="measured_pitch_err", type=float,
+                        help="uncertainty of --measured-pitch, um")
     p_prop.set_defaults(func=cmd_propagate)
 
-    p_synth = sub.add_parser("synth", parents=[common],
-                             help="synthetic scan datasets with shot noise")
-    p_synth.add_argument("--seed", type=int, help="RNG seed")
-    p_synth.add_argument("--rabi-hz", dest="rabi_hz", nargs="+", type=float,
+    p_synth = sub.add_parser("synth", help="synthetic scan datasets with shot noise", **shared)
+    p_synth.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p_synth.add_argument("--rabi-hz", dest="rabi_hz", nargs="+", type=float, default=[2000.0],
                          help="peak Rabi frequency per beam, Hz (1 or 2 values)")
-    p_synth.add_argument("--center-um", dest="center_um", nargs="+", type=float)
-    p_synth.add_argument("--width-um", dest="width_um", nargs="+", type=float)
-    p_synth.add_argument("--shots", type=int)
-    p_synth.add_argument("--spam-prep", dest="spam_prep", type=float)
-    p_synth.add_argument("--spam-meas", dest="spam_meas", type=float)
-    p_synth.add_argument("--analytic", action="store_const", const=True,
+    p_synth.add_argument("--center-um", dest="center_um", nargs="+", type=float, default=[0.0],
+                         help="beam center per beam, um")
+    p_synth.add_argument("--width-um", dest="width_um", nargs="+", type=float, default=[2.0],
+                         help="beam waist w0 per beam, um")
+    p_synth.add_argument("--shots", type=int, default=200, help="shots per record")
+    p_synth.add_argument("--spam-prep", dest="spam_prep", type=float, default=0.01,
+                         help="state-preparation error")
+    p_synth.add_argument("--spam-meas", dest="spam_meas", type=float, default=0.01,
+                         help="measurement error")
+    p_synth.add_argument("--analytic", action="store_true",
                          help="store exact probabilities instead of binomial draws")
     p_synth.add_argument("--positions", nargs="+", type=float,
                          help="explicit position grid, um")
     p_synth.add_argument("--durations-us", dest="durations_us", nargs="+", type=float,
                          help="explicit duration grid, us")
-    p_synth.add_argument("--grid-positions", dest="grid_positions", type=int)
-    p_synth.add_argument("--grid-durations", dest="grid_durations", type=int)
+    p_synth.add_argument("--grid-positions", dest="grid_positions", type=int, default=61,
+                         help="positions on the default grid")
+    p_synth.add_argument("--grid-durations", dest="grid_durations", type=int, default=21,
+                         help="durations on the default grid")
     p_synth.add_argument("--jitter-resolution", dest="jitter_resolution", type=float,
                          help="blur recorded positions by this stage resolution, um")
-    p_synth.add_argument("--emit-traces", dest="emit_traces", action="store_const",
-                         const=True, help="also write off-beam traces (two beams)")
+    p_synth.add_argument("--emit-traces", dest="emit_traces", action="store_true",
+                         help="also write off-beam traces (two beams)")
     p_synth.set_defaults(func=cmd_synth)
 
-    p_fit = sub.add_parser("fit", parents=[common],
-                           help="fit a scan CSV, write report and frequency profile")
+    p_fit = sub.add_parser("fit", help="fit a scan CSV, write report and frequency profile",
+                           **shared)
     p_fit.add_argument("scan", nargs="?", help="scan CSV path")
-    p_fit.add_argument("--spam-prep", dest="spam_prep", type=float,
+    p_fit.add_argument("--spam-prep", dest="spam_prep", type=float, default=0.01,
                        help="starting value of the fitted eps_prep when the scan has "
-                            "no t = 0 record (default: 0.01)")
-    p_fit.add_argument("--spam-meas", dest="spam_meas", type=float,
-                       help="starting value of the fitted eps_meas (default: 0.01)")
-    p_fit.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p_fit.add_argument("--prefix", help="output name prefix (default: scan file stem)")
+                            "no t = 0 record")
+    p_fit.add_argument("--spam-meas", dest="spam_meas", type=float, default=0.01,
+                       help="starting value of the fitted eps_meas")
+    p_fit.add_argument("--max-iterations", dest="max_iterations", type=int, default=200,
+                       help="Levenberg-Marquardt iteration limit per start")
+    p_fit.add_argument("--prefix", help="output name prefix; none means the scan file stem")
     p_fit.set_defaults(func=cmd_fit)
 
-    p_pair = sub.add_parser("pair", parents=[common],
-                            help="separation and crosstalk bounds for two fitted beams")
+    p_pair = sub.add_parser("pair", help="separation and crosstalk bounds for two fitted beams",
+                            **shared)
     p_pair.add_argument("--fit-a", dest="fit_a", help="fit report JSON, first beam")
     p_pair.add_argument("--fit-b", dest="fit_b", help="fit report JSON, second beam")
     p_pair.add_argument("--trace-a", dest="trace_a",
                         help="scan CSV recorded at beam B's center while driving A")
     p_pair.add_argument("--trace-b", dest="trace_b",
                         help="scan CSV recorded at beam A's center while driving B")
-    p_pair.add_argument("--window-s", dest="window_s", type=float,
+    p_pair.add_argument("--window-s", dest="window_s", type=float, default=2.5e-3,
                         help="observation window for the crosstalk bound, s")
-    p_pair.add_argument("--floor", type=float, help="excitation detection floor")
-    p_pair.add_argument("--k-sigma", dest="k_sigma", type=float,
+    p_pair.add_argument("--floor", type=float, default=0.01, help="excitation detection floor")
+    p_pair.add_argument("--k-sigma", dest="k_sigma", type=float, default=3.0,
                         help="resolution criterion for center ambiguity")
     p_pair.set_defaults(func=cmd_pair)
-    return parser
+    return parser, {"design": p_design, "propagate": p_prop, "synth": p_synth,
+                    "fit": p_fit, "pair": p_pair}
+
+
+def _read_config(path: str, args: argparse.Namespace) -> dict:
+    """Load a config file and check its keys against the parsed options."""
+    with open(path) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    options = _options(args)
+    unknown = set(config) - set(options)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for key, value in config.items():
+        # argparse parses string defaults through the option's type, but a
+        # flag has no type: "false" would be a true value.
+        if isinstance(options[key], bool) and not isinstance(value, bool):
+            raise ValueError(f"config key {key}: expected true or false, got {value!r}")
+    return config
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, subparsers = build_parser()
     args = parser.parse_args(argv)
-    config = {}
-    config_path = getattr(args, "config", None)
     try:
-        if config_path is not None:
-            with open(config_path) as fh:
-                config = json.load(fh)
-            if not isinstance(config, dict):
-                raise ValueError(f"{config_path}: config must be a JSON object")
-        return args.func(args, config)
-    except (ScanFormatError, PrescriptionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        if args.config is not None:
+            subparsers[args.subcommand].set_defaults(**_read_config(args.config, args))
+            args = parser.parse_args(argv)
+        return args.func(args)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except SingularityError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except FitConvergenceError as exc:
+    except (SingularityError, FitConvergenceError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -14,6 +14,7 @@ integrated overlap.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
@@ -111,8 +112,8 @@ def tradeoff_curve(
     lo, hi = diameter_range_um
     if not (0 < lo < hi):
         raise ValueError(f"diameter range must satisfy 0 < min < max, got {diameter_range_um!r}")
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples!r}")
+    if not isinstance(samples, numbers.Integral) or samples < 2:
+        raise ValueError(f"samples must be an integer >= 2, got {samples!r}")
     step = (hi - lo) / (samples - 1)
     diameters = [lo + i * step for i in range(samples)]
     boundary = min_diameter_for_na(constraints.na_cap, constraints.wavelength_um)

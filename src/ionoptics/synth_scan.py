@@ -16,6 +16,7 @@ without the cost of building one per record.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
@@ -96,8 +97,9 @@ class SynthConfig:
         _strictly_increasing(self.durations_s, "durations_s")
         if self.durations_s[0] < 0:
             raise ValueError("durations_s must be >= 0")
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
+        if (isinstance(self.shots, bool) or not isinstance(self.shots, numbers.Integral)
+                or self.shots < 1):
+            raise ValueError(f"shots must be an integer >= 1, got {self.shots!r}")
         if not (isinstance(self.rng_seed, int) and 0 <= self.rng_seed < 1 << 64):
             raise ValueError("rng_seed must be an integer in [0, 2^64)")
 
@@ -166,8 +168,9 @@ def default_scan_grid(
     beams = (truth,) if isinstance(truth, BeamProfileParams) else tuple(truth)
     if not beams:
         raise ValueError("need at least one beam")
-    if n_positions < 2 or n_durations < 2:
-        raise ValueError("need at least 2 positions and 2 durations")
+    if not all(isinstance(n, numbers.Integral) and n >= 2 for n in (n_positions, n_durations)):
+        raise ValueError(f"need integer counts of at least 2 positions and 2 durations, "
+                         f"got {n_positions!r} and {n_durations!r}")
     lo = min(b.center_um - 3.0 * b.width_um for b in beams)
     hi = max(b.center_um + 3.0 * b.width_um for b in beams)
     step_cap = min(b.width_um for b in beams) / 10.0

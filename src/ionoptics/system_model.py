@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -106,8 +107,9 @@ class BeamArraySpec:
             raise ValueError(f"source diameter must be positive, got {self.source_diameter_um!r}")
         if self.source_pitch_um <= 0:
             raise ValueError(f"source pitch must be positive, got {self.source_pitch_um!r}")
-        if self.channel_count < 1:
-            raise ValueError(f"channel count must be >= 1, got {self.channel_count!r}")
+        n = self.channel_count
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"channel count must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: artifacts, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -8,7 +9,7 @@ from datetime import datetime
 
 import pytest
 
-from ionoptics.cli import main
+from ionoptics.cli import build_parser, main
 from ionoptics.scan_fit import read_fit_report, read_scan_csv
 
 TWO_PI = 2.0 * math.pi
@@ -515,3 +516,43 @@ class TestConfigFile:
         rc = main(["design", "--out-dir", str(tmp_path),
                    "--config", str(tmp_path / "nope.json")])
         assert rc == 1
+
+    @pytest.mark.parametrize("sub, key, value, message, output", [
+        ("synth", "analytic", "false", "config key analytic", "scan_A.csv"),
+        ("synth", "emit_traces", 0, "config key emit_traces", "scan_A.csv"),
+        ("design", "samples", 2.9, "samples must be an integer", "design_curve.csv"),
+        ("propagate", "channels", 2.5, "channel count must be an integer",
+         "image_report.json"),
+    ])
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys,
+                                                sub, key, value, message, output):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main([sub, "--out-dir", str(tmp_path), "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / output).exists()
+        assert not (tmp_path / f"{sub}_manifest.json").exists()
+
+    @pytest.mark.parametrize("sub", ["design", "propagate", "synth", "fit", "pair"])
+    def test_each_option_declared_once(self, pair_run, tmp_path, sub):
+        # The manifest records exactly the parser's options, and a config
+        # file may set every one of them: fed back the recorded options,
+        # a run with no flags but --config records the same options.
+        inputs = {
+            "fit": [str(pair_run / "scan_A.csv")],
+            "pair": ["--fit-a", str(pair_run / "scan_A_report.json"),
+                     "--fit-b", str(pair_run / "scan_B_report.json")],
+        }.get(sub, [])
+        _, subparsers = build_parser()
+        dests = {action.dest for action in subparsers[sub]._actions
+                 if action.default is not argparse.SUPPRESS} - {"config"}
+        first, second = tmp_path / "flags", tmp_path / "config"
+        assert main([sub, *inputs, "--out-dir", str(first)]) == 0
+        options = load_json(first / f"{sub}_manifest.json")["options"]
+        assert set(options) == dests
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**options, "out_dir": str(second)}))
+        assert main([sub, "--config", str(cfg)]) == 0
+        assert load_json(second / f"{sub}_manifest.json")["options"] == {
+            **options, "out_dir": str(second)}
