@@ -4,102 +4,61 @@ Gaussian-beam propagation through paraxial lens trains, the crosstalk /
 numerical-aperture design tradeoff, two-level Rabi dynamics under a
 Gaussian addressing envelope, scan fitting, and synthetic scan data,
 with a CLI tying the pieces together.
+
+Each public name is imported from its submodule on first use (PEP 562),
+so ``import ionoptics`` loads no submodule and the design half (beamlab,
+design_tradeoff, system_model) runs without loading numpy.
 """
 
-from .beamlab import (
-    AXES,
-    IDENTITY,
-    Axis,
-    BeamAxisState,
-    GaussianBeamState,
-    RayMatrix,
-    SingularityError,
-    compose,
-    free_space,
-    propagate,
-    spot_radius_um,
-    thin_lens,
-)
-from .design_tradeoff import (
-    DesignConstraints,
-    DesignPoint,
-    clipping_fraction,
-    crosstalk,
-    min_diameter_for_na,
-    required_na,
-    tradeoff_curve,
-)
-from .rabi_model import (
-    BeamProfileParams,
-    SpamModel,
-    apply_spam,
-    crosstalk_rabi_bound,
-    intensity_crosstalk_ratio,
-    local_rabi,
-    p_excited,
-)
-from .scan_fit import (
-    BeamFitResult,
-    DegenerateDataError,
-    FitConvergenceError,
-    FreqProfilePoint,
-    PairReport,
-    ScanDataset,
-    ScanFormatError,
-    ScanRecord,
-    d4sigma,
-    fit_beam,
-    fit_freq_profile,
-    fit_model,
-    fit_model_jacobian,
-    pair_analysis,
-    read_scan_csv,
-    write_fit_report,
-    write_scan_csv,
-)
-from .synth_scan import SynthConfig, default_scan_grid, generate, position_jitter
-from .system_model import (
-    AxisImage,
-    BeamArraySpec,
-    DiscrepancyReport,
-    ImagePlaneReport,
-    OpticalPrescription,
-    PrescriptionElement,
-    PrescriptionError,
-    compare_measured_pitch,
-    image_array,
-    image_distance_mm,
-    load_prescription,
-    magnification,
-    reference_prescription,
-    save_prescription,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # beamlab
-    "Axis", "AXES", "RayMatrix", "IDENTITY", "SingularityError",
-    "free_space", "thin_lens", "compose",
-    "BeamAxisState", "GaussianBeamState", "propagate", "spot_radius_um",
-    # design_tradeoff
-    "DesignConstraints", "DesignPoint", "crosstalk", "required_na",
-    "min_diameter_for_na", "tradeoff_curve", "clipping_fraction",
-    # rabi_model
-    "BeamProfileParams", "SpamModel", "local_rabi", "p_excited",
-    "apply_spam", "crosstalk_rabi_bound", "intensity_crosstalk_ratio",
-    # system_model
-    "PrescriptionError", "PrescriptionElement", "OpticalPrescription",
-    "BeamArraySpec", "AxisImage", "ImagePlaneReport", "DiscrepancyReport",
-    "load_prescription", "save_prescription", "reference_prescription",
-    "image_distance_mm", "magnification", "image_array", "compare_measured_pitch",
-    # scan_fit
-    "ScanRecord", "ScanDataset", "ScanFormatError", "DegenerateDataError",
-    "FitConvergenceError", "FreqProfilePoint", "BeamFitResult", "PairReport",
-    "fit_model", "fit_model_jacobian", "fit_beam", "fit_freq_profile",
-    "d4sigma", "pair_analysis", "read_scan_csv", "write_scan_csv",
-    "write_fit_report",
-    # synth_scan
-    "SynthConfig", "generate", "position_jitter", "default_scan_grid",
-]
+#: Submodule -> the public names it provides.
+_EXPORTS = {
+    "beamlab": (
+        "Axis", "AXES", "RayMatrix", "IDENTITY", "SingularityError",
+        "free_space", "thin_lens", "compose",
+        "BeamAxisState", "GaussianBeamState", "propagate", "spot_radius_um",
+    ),
+    "design_tradeoff": (
+        "DesignConstraints", "DesignPoint", "crosstalk", "required_na",
+        "min_diameter_for_na", "tradeoff_curve", "clipping_fraction",
+    ),
+    "rabi_model": (
+        "BeamProfileParams", "SpamModel", "local_rabi", "p_excited",
+        "apply_spam", "crosstalk_rabi_bound", "intensity_crosstalk_ratio",
+    ),
+    "system_model": (
+        "PrescriptionError", "PrescriptionElement", "OpticalPrescription",
+        "BeamArraySpec", "AxisImage", "ImagePlaneReport", "DiscrepancyReport",
+        "load_prescription", "save_prescription", "reference_prescription",
+        "image_distance_mm", "magnification", "image_array", "compare_measured_pitch",
+    ),
+    "scan_fit": (
+        "ScanRecord", "ScanDataset", "ScanFormatError", "DegenerateDataError",
+        "FitConvergenceError", "FreqProfilePoint", "BeamFitResult", "PairReport",
+        "fit_model", "fit_model_jacobian", "fit_beam", "fit_freq_profile",
+        "d4sigma", "pair_analysis", "read_scan_csv", "write_scan_csv",
+        "write_fit_report",
+    ),
+    "synth_scan": ("SynthConfig", "generate", "position_jitter", "default_scan_grid"),
+}
+
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_SOURCE]
+
+
+def __getattr__(name):
+    # Unknown names raise AttributeError, so ``from ionoptics import
+    # scan_fit`` falls back to importing the submodule.
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

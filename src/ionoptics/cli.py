@@ -10,14 +10,18 @@ A config file (--config, JSON object keyed by option name with dashes as
 underscores) replaces those defaults, so values resolve as command line >
 config file > built-in default. Every run writes
 ``<subcommand>_manifest.json`` into the output directory recording the
-resolved options, inputs, outputs, and a timestamp; timestamps live only
-in the manifest so data files are byte-identical across reruns. Data files
-and manifests are all written atomically (temporary file, then rename).
+resolved options, inputs, outputs, the Python and numpy versions, and a
+timestamp; timestamps live only in the manifest so data files are
+byte-identical across reruns. Data files and manifests are all written
+atomically (temporary file, then rename).
+
+Each subcommand imports the library modules it runs when it runs, so
+``--version``, ``design`` and ``propagate`` never load numpy.
 
 Exit codes: 0 success; 1 I/O failure; 2 invalid arguments, config, or
-input data; 3 numerical failure (non-convergent fit, prescription with
-no image plane). A non-convergent fit still writes its best-so-far
-report before exiting.
+input data, including numbers too large to compute with; 3 numerical
+failure (non-convergent fit, prescription with no image plane). A
+non-convergent fit still writes its best-so-far report before exiting.
 """
 
 from __future__ import annotations
@@ -29,35 +33,14 @@ import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from ._atomic import _write_atomic
 from .beamlab import SingularityError
-from .design_tradeoff import (
-    DesignConstraints, crosstalk, min_diameter_for_na, required_na, tradeoff_curve,
-)
-from .rabi_model import BeamProfileParams, SpamModel
-from .scan_fit import (
-    TWO_PI,
-    BeamFitResult,
-    FitConvergenceError,
-    fit_beam,
-    pair_analysis,
-    pair_report_dict,
-    read_fit_report,
-    read_scan_csv,
-    write_fit_report,
-    write_freq_profile_csv,
-    write_scan_csv,
-)
-from .synth_scan import SynthConfig, default_scan_grid, generate, position_jitter
-from .system_model import (
-    BeamArraySpec,
-    compare_measured_pitch,
-    image_array,
-    load_prescription,
-    reference_prescription,
-)
+
+if TYPE_CHECKING:
+    from .scan_fit import BeamFitResult
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -77,9 +60,14 @@ def _options(args: argparse.Namespace) -> dict:
 
 def _write_manifest(out_dir: Path, args: argparse.Namespace,
                     inputs: list[str], outputs: list[str]) -> Path:
+    # Read from sys, not platform: importing platform costs each step ~2 ms.
+    # numpy is recorded only if the step loaded it; looking never imports it.
+    numpy = sys.modules.get("numpy")
     manifest = {
         "subcommand": args.subcommand,
         "version": __version__,
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "numpy": getattr(numpy, "__version__", None),
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "options": _options(args),
         "inputs": inputs,
@@ -104,6 +92,10 @@ def _fmt_row(*values) -> str:
 
 
 def cmd_design(args: argparse.Namespace) -> int:
+    from .design_tradeoff import (
+        DesignConstraints, crosstalk, min_diameter_for_na, required_na, tradeoff_curve,
+    )
+
     out = _out_dir(args)
     lo, hi = args.diameter_range
     constraints = DesignConstraints(
@@ -141,6 +133,11 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 
 def cmd_propagate(args: argparse.Namespace) -> int:
+    from .system_model import (
+        BeamArraySpec, compare_measured_pitch, image_array, load_prescription,
+        reference_prescription,
+    )
+
     out = _out_dir(args)
     inputs = []
     if args.prescription is None:
@@ -172,6 +169,10 @@ def cmd_propagate(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .rabi_model import BeamProfileParams, SpamModel
+    from .scan_fit import TWO_PI, write_scan_csv
+    from .synth_scan import SynthConfig, default_scan_grid, generate, position_jitter
+
     out = _out_dir(args)
     if not (len(args.rabi_hz) == len(args.center_um) == len(args.width_um)):
         raise ValueError(
@@ -234,6 +235,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    from .rabi_model import SpamModel
+    from .scan_fit import (
+        FitConvergenceError, fit_beam, read_scan_csv, write_fit_report, write_freq_profile_csv,
+    )
+
     if args.scan is None:
         raise ValueError("fit requires a scan CSV path")
     out = _out_dir(args)
@@ -261,6 +267,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _result_from_report(path: str | Path) -> BeamFitResult:
+    from .rabi_model import SpamModel
+    from .scan_fit import BeamFitResult, read_fit_report
+
     params, cov, raw = read_fit_report(path)
     spam = raw["spam"]  # checked by read_fit_report
     return BeamFitResult(
@@ -279,6 +288,8 @@ def _result_from_report(path: str | Path) -> BeamFitResult:
 
 
 def cmd_pair(args: argparse.Namespace) -> int:
+    from .scan_fit import pair_analysis, pair_report_dict, read_scan_csv
+
     if args.fit_a is None or args.fit_b is None:
         raise ValueError("pair requires --fit-a and --fit-b report paths")
     out = _out_dir(args)
@@ -442,7 +453,11 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (SingularityError, FitConvergenceError) as exc:
+    except OverflowError as exc:
+        # Only absurd magnitudes overflow (a 1e154 um beam squared, say).
+        print(f"error: an input is out of floating-point range ({exc})", file=sys.stderr)
+        return EXIT_VALIDATION
+    except SingularityError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -991,7 +991,9 @@ def pair_analysis(
     beam's scan; absent oscillation the crosstalk at
     the neighbor is bounded by the largest Rabi frequency that stays under
     ``detection_floor`` for the whole observation window, expressed as an
-    intensity ratio against the driven beam's peak.
+    intensity ratio against the driven beam's peak. The window is
+    ``observation_window_s``, cut to the last duration of the shortest
+    supplied trace: a trace shows nothing about times it did not record.
     """
     if not (a.converged and b.converged):
         raise ValueError("pair analysis requires two converged fits")
@@ -1007,7 +1009,7 @@ def pair_analysis(
         )
         warnings.warn(notes[-1], stacklevel=2)
 
-    bound = crosstalk_rabi_bound(observation_window_s, detection_floor)
+    window = observation_window_s
     detected: list[bool | None] = []
     for result, trace in zip((a, b), traces_at_centers):
         if trace is None:
@@ -1020,6 +1022,13 @@ def pair_analysis(
                 f"off-beam trace {trace.beam_label or result.beam_label!r} shows "
                 "resolvable oscillation; the crosstalk bound does not apply"
             )
+        window = min(window, float(trace.arrays()[1].max()))
+    if window < observation_window_s:
+        notes.append(
+            f"observation window cut from {observation_window_s:.4g} s to {window:.4g} s, "
+            "the last duration the traces cover"
+        )
+    bound = crosstalk_rabi_bound(window, detection_floor)
     return PairReport(
         beam_a=a.beam_label or "A",
         beam_b=b.beam_label or "B",
@@ -1028,7 +1037,7 @@ def pair_analysis(
         separation_um=sep,
         separation_err_um=sep_err,
         ambiguous=ambiguous,
-        observation_window_s=observation_window_s,
+        observation_window_s=window,
         detection_floor=detection_floor,
         rabi_bound=bound,
         crosstalk_bound_a=intensity_crosstalk_ratio(bound, a.params.omega0),
@@ -1103,7 +1112,7 @@ def read_fit_report(path: str | Path) -> tuple[BeamProfileParams, np.ndarray, di
         spam = raw["spam"]
         SpamModel(eps_prep=spam["eps_prep"], eps_meas=spam["eps_meas"])
         float(spam["eps_prep_err"]), float(spam["eps_meas_err"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScanFormatError(f"{path}: not a fit report ({exc!r})") from exc
     if cov_hz.shape != (3, 3):
         raise ScanFormatError(f"{path}: covariance must be 3x3, got {cov_hz.shape}")

@@ -1,20 +1,31 @@
 """End-to-end command-line runs: artifacts, exit codes, determinism."""
 
 import argparse
+import contextlib
+import copy
+import functools
+import io
 import json
 import math
+import operator
+import platform
 import subprocess
 import sys
+import warnings
 from datetime import datetime
 
+import numpy
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionoptics.cli import build_parser, main
 from ionoptics.scan_fit import read_fit_report, read_scan_csv
 
 TWO_PI = 2.0 * math.pi
 
-MANIFEST_KEYS = {"subcommand", "version", "generated_at", "options", "inputs", "outputs"}
+MANIFEST_KEYS = {"subcommand", "version", "python", "numpy", "generated_at", "options",
+                 "inputs", "outputs"}
 
 
 def load_json(path):
@@ -386,13 +397,23 @@ class TestFit:
 # === pair ===================================================================
 
 
+#: The README's two beams.
+README_BEAMS = ["--rabi-hz", "1910", "2790", "--center-um", "0", "4.31",
+                "--width-um", "1.86", "1.88"]
+
+
 @pytest.fixture(scope="module")
 def pair_run(tmp_path_factory):
-    """synth two beams -> fit each -> pair with off-beam traces."""
+    """synth two beams -> fit each -> pair with off-beam traces.
+
+    The grid runs to 2.5 ms, so the traces cover pair's default window.
+    """
     root = tmp_path_factory.mktemp("pair_cli")
-    assert main(["synth", "--out-dir", str(root), "--seed", "0",
-                 "--rabi-hz", "1910", "2790", "--center-um", "0", "4.31",
-                 "--width-um", "1.86", "1.88", "--emit-traces"]) == 0
+    positions = [f"{-5.6 + 0.2 * i:.1f}" for i in range(79)]
+    durations_us = [str(100 * i) for i in range(26)]
+    assert main(["synth", "--out-dir", str(root), "--seed", "0", *README_BEAMS,
+                 "--positions", *positions, "--durations-us", *durations_us,
+                 "--emit-traces"]) == 0
     assert main(["fit", str(root / "scan_A.csv"), "--out-dir", str(root)]) == 0
     assert main(["fit", str(root / "scan_B.csv"), "--out-dir", str(root)]) == 0
     assert main(["pair",
@@ -416,6 +437,28 @@ class TestPair:
         assert rep["off_beam_oscillation_a"] is False
         assert rep["off_beam_oscillation_b"] is False
         assert 0.004 < rep["crosstalk_bound_b"] < rep["crosstalk_bound_a"] < 0.008
+
+    def test_bound_only_over_the_window_the_traces_cover(self, pair_run, tmp_path):
+        # The README synth grid ends at three periods of the slower beam,
+        # 1.57 ms, short of the 2.5 ms default window.
+        assert main(["synth", "--out-dir", str(tmp_path), "--seed", "0", *README_BEAMS,
+                     "--emit-traces"]) == 0
+        assert main(["pair",
+                     "--fit-a", str(pair_run / "scan_A_report.json"),
+                     "--fit-b", str(pair_run / "scan_B_report.json"),
+                     "--trace-a", str(tmp_path / "trace_A.csv"),
+                     "--trace-b", str(tmp_path / "trace_B.csv"),
+                     "--out-dir", str(tmp_path)]) == 0
+        rep = load_json(tmp_path / "pair_report.json")
+        assert rep["observation_window_s"] == pytest.approx(3 / 1910, rel=1e-9)
+        assert rep["rabi_bound_hz"] == pytest.approx(20.3, abs=0.05)
+        assert rep["crosstalk_bound_a"] == pytest.approx(
+            rep["rabi_bound_hz"] / load_json(pair_run / "scan_A_report.json")["params"]["peak_rabi_hz"])
+        assert [note for note in rep["notes"] if "window" in note] == [
+            "observation window cut from 0.0025 s to 0.001571 s, "
+            "the last duration the traces cover"
+        ]
+        assert load_json(pair_run / "pair_report.json")["notes"] == []
 
     def test_missing_fit_path_exits_2(self, tmp_path):
         rc = main(["pair", "--fit-a", "whatever.json", "--out-dir", str(tmp_path)])
@@ -469,6 +512,19 @@ class TestManifest:
         assert man["outputs"] == ["pair_report.json"]
         assert man["options"]["k_sigma"] == 3.0
         datetime.fromisoformat(man["generated_at"])  # parseable timestamp
+
+    def test_records_python_and_numpy_versions(self, pair_run, subprocess_env, tmp_path):
+        for sub in ("synth", "fit", "pair"):
+            man = load_json(pair_run / f"{sub}_manifest.json")
+            assert (man["python"], man["numpy"]) == (platform.python_version(),
+                                                     numpy.__version__)
+        # design and propagate never load numpy, and recording must not either
+        code = (f"from ionoptics.cli import main; out = {str(tmp_path)!r}; "
+                "main(['design', '--out-dir', out]); main(['propagate', '--out-dir', out])")
+        subprocess.run([sys.executable, "-c", code], env=subprocess_env, check=True)
+        for sub in ("design", "propagate"):
+            man = load_json(tmp_path / f"{sub}_manifest.json")
+            assert (man["python"], man["numpy"]) == (platform.python_version(), None)
 
     def test_timestamps_only_in_manifest(self, tmp_path):
         # reruns differ only in the manifest, so data files carry no clock
@@ -556,3 +612,142 @@ class TestConfigFile:
         assert main([sub, "--config", str(cfg)]) == 0
         assert load_json(second / f"{sub}_manifest.json")["options"] == {
             **options, "out_dir": str(second)}
+
+
+# === fuzzed input files =====================================================
+
+
+def _exit_code(argv):
+    """Exit code and stderr of one in-process run, argparse's SystemExit included."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # e.g. unresolved centers; not an error
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, err.getvalue()
+
+
+# JSON a malformed file may hold: wrong types, non-finite and huge numbers
+# (json reads NaN, Infinity and ints of any size), nesting.
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 50), st.just(10**400), st.floats(),
+    st.text(max_size=4),
+)
+_JSON = st.recursive(
+    _SCALAR,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+_ELEMENT = st.one_of(
+    st.fixed_dictionaries({
+        "kind": st.sampled_from(["gap", "lens"]),
+        "value_mm": st.floats(-500.0, 500.0),
+        "axis": st.sampled_from(["both", "axial", "radial"]),
+    }),
+    st.fixed_dictionaries({}, optional={
+        "kind": st.sampled_from(["gap", "lens", "mirror"]) | _SCALAR,
+        "value_mm": _SCALAR,
+        "axis": st.sampled_from(["both", "axial", "radial", "x"]) | _SCALAR,
+    }),
+    _JSON,
+)
+_PRESCRIPTION = st.one_of(
+    st.fixed_dictionaries(
+        {"name": st.just("fuzz") | _SCALAR, "elements": st.lists(_ELEMENT, max_size=6)},
+        optional={"source_plane": _SCALAR, "image_plane": _SCALAR},
+    ).map(json.dumps),
+    _JSON.map(json.dumps),
+    st.text(max_size=20),
+)
+
+#: A fit report read_fit_report accepts, for a beam at 4.31 um.
+_REPORT = {
+    "schema_version": 2, "beam_label": "B", "converged": True, "n_iterations": 5,
+    "params": {"peak_rabi_hz": 2790.0, "center_um": 4.31, "width_um": 1.88},
+    "covariance": [[1.0, 0.0, 0.0], [0.0, 1e-6, 0.0], [0.0, 0.0, 1e-6]],
+    "spam": {"eps_prep": 0.01, "eps_meas": 0.01, "eps_prep_err": 1e-3, "eps_meas_err": 1e-3},
+    "residual_rms": 1.0, "d4sigma_um": 3.7, "d4sigma_raw_um": 3.7,
+}
+_REPORT_PATHS = [
+    (key,) for key in _REPORT
+] + [("params", k) for k in _REPORT["params"]] + [("spam", k) for k in _REPORT["spam"]] + [
+    ("covariance", 0), ("covariance", 1, 1),
+]
+_DELETE = object()
+
+
+def _mutated_report(mutations):
+    report = copy.deepcopy(_REPORT)
+    for path, value in mutations:
+        try:
+            parent = functools.reduce(operator.getitem, path[:-1], report)
+            if value is _DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation replaced the container
+    return json.dumps(report)
+
+
+_FIT_REPORT = st.one_of(
+    st.lists(st.tuples(st.sampled_from(_REPORT_PATHS), _JSON | st.just(_DELETE)),
+             max_size=3).map(_mutated_report),
+    _JSON.map(json.dumps),
+    st.text(max_size=20),
+)
+
+_CONFIG_KEYS = ["wavelength", "neighbor_distance", "na_cap", "diameter_range", "samples",
+                "source_diameter", "source_pitch", "channels", "measured_pitch",
+                "measured_pitch_err", "config", "subcommand", "shotz"]
+# Counts stay small, so that a valid config runs in milliseconds.
+_CONFIG_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 50), st.floats(),
+    st.sampled_from(["", "abc", "3", "-1", "0.5", "nan", "inf", "true", "1e400"]),
+)
+_CONFIG = st.one_of(
+    st.dictionaries(st.sampled_from(_CONFIG_KEYS),
+                    _CONFIG_VALUE | st.lists(_CONFIG_VALUE, max_size=3), max_size=4),
+    _JSON,
+).map(json.dumps)
+
+
+class TestInputFileFuzz:
+    """Malformed input files exit 2 with a message, never with a traceback."""
+
+    @given(text=_PRESCRIPTION)
+    @settings(max_examples=300, deadline=None)
+    def test_prescription(self, tmp_path_factory, text):
+        from ionoptics.system_model import load_prescription
+
+        out = tmp_path_factory.mktemp("fuzz")
+        path = out / "prescription.json"
+        path.write_text(text)
+        rc, err = _exit_code(["propagate", "--prescription", str(path), "--out-dir", str(out)])
+        assert rc in (0, 2, 3), err
+        assert "Traceback" not in err
+        if rc == 3:  # only a well-formed train may lack an image plane
+            load_prescription(path)
+
+    @given(text=_FIT_REPORT)
+    @settings(max_examples=300, deadline=None)
+    def test_fit_report(self, tmp_path_factory, text):
+        out = tmp_path_factory.mktemp("fuzz")
+        (out / "a.json").write_text(text)
+        (out / "b.json").write_text(json.dumps(_REPORT))
+        rc, err = _exit_code(["pair", "--fit-a", str(out / "a.json"),
+                              "--fit-b", str(out / "b.json"), "--out-dir", str(out)])
+        assert rc in (0, 2), err
+        assert "Traceback" not in err
+
+    @given(sub=st.sampled_from(["design", "propagate"]), text=_CONFIG)
+    @settings(max_examples=300, deadline=None)
+    def test_config(self, tmp_path_factory, sub, text):
+        out = tmp_path_factory.mktemp("fuzz")
+        (out / "cfg.json").write_text(text)
+        rc, err = _exit_code([sub, "--config", str(out / "cfg.json"), "--out-dir", str(out)])
+        assert rc in (0, 2), err
+        assert "Traceback" not in err
