@@ -450,10 +450,10 @@ class TestPair:
                      "--trace-b", str(tmp_path / "trace_B.csv"),
                      "--out-dir", str(tmp_path)]) == 0
         rep = load_json(tmp_path / "pair_report.json")
+        peak_a = load_json(pair_run / "scan_A_report.json")["params"]["peak_rabi_hz"]
         assert rep["observation_window_s"] == pytest.approx(3 / 1910, rel=1e-9)
         assert rep["rabi_bound_hz"] == pytest.approx(20.3, abs=0.05)
-        assert rep["crosstalk_bound_a"] == pytest.approx(
-            rep["rabi_bound_hz"] / load_json(pair_run / "scan_A_report.json")["params"]["peak_rabi_hz"])
+        assert rep["crosstalk_bound_a"] == pytest.approx(rep["rabi_bound_hz"] / peak_a)
         assert [note for note in rep["notes"] if "window" in note] == [
             "observation window cut from 0.0025 s to 0.001571 s, "
             "the last duration the traces cover"
@@ -514,17 +514,20 @@ class TestManifest:
         datetime.fromisoformat(man["generated_at"])  # parseable timestamp
 
     def test_records_python_and_numpy_versions(self, pair_run, subprocess_env, tmp_path):
+        # "3.11.7"; a pre-release interpreter also has a suffix such as "rc1"
+        python = platform.python_version()
         for sub in ("synth", "fit", "pair"):
             man = load_json(pair_run / f"{sub}_manifest.json")
-            assert (man["python"], man["numpy"]) == (platform.python_version(),
-                                                     numpy.__version__)
+            assert python.startswith(man["python"])
+            assert man["numpy"] == numpy.__version__
         # design and propagate never load numpy, and recording must not either
         code = (f"from ionoptics.cli import main; out = {str(tmp_path)!r}; "
                 "main(['design', '--out-dir', out]); main(['propagate', '--out-dir', out])")
         subprocess.run([sys.executable, "-c", code], env=subprocess_env, check=True)
         for sub in ("design", "propagate"):
             man = load_json(tmp_path / f"{sub}_manifest.json")
-            assert (man["python"], man["numpy"]) == (platform.python_version(), None)
+            assert python.startswith(man["python"])
+            assert man["numpy"] is None
 
     def test_timestamps_only_in_manifest(self, tmp_path):
         # reruns differ only in the manifest, so data files carry no clock
