@@ -7,10 +7,14 @@ can be exercised end to end with known answers.
 Randomness is counter-based (Philox keyed per record), not sequential:
 the draw for record (beam k, position i, duration j) depends only on the
 seed and those indices, so datasets are reproducible regardless of
-generation order and beams never share draws. One Philox bit generator is
-re-keyed to [seed, tag] with its counter reset before each record, so every
-record gets exactly the stream of a fresh ``Philox(key=[seed, tag])``
-without the cost of building one per record.
+generation order and beams never share draws. Every record gets exactly
+the stream of a fresh ``Philox(key=[seed, tag])`` without the cost of
+building one: one Philox bit generator is re-keyed before each record by
+assigning it a state dict, built once, that holds only plain ints (counter
+and output buffer zeroed, the tag written into its key list in place).
+The state setter reads every element it is given, and a plain int is far
+cheaper for it to read than an element of a numpy array. A grid's tags are
+range-checked and built once, as one list, before any draw.
 """
 
 from __future__ import annotations
@@ -46,17 +50,23 @@ def _keyed_rngs(seed: int, tags: Iterable[int]) -> Iterator[np.random.Generator]
     """
     rng = _point_rng(seed, 0)
     bit_generator = rng.bit_generator
-    fresh = bit_generator.state  # counter 0, empty buffer
+    key = [seed, 0]
+    # The state of a fresh Philox: counter 0, empty output buffer.
+    fresh = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for tag in tags:
-        fresh["state"]["key"] = [seed, tag]
+        key[1] = tag
         bit_generator.state = fresh
         yield rng
 
 
-def _record_tag(beam: int, i_pos: int, j_dur: int) -> int:
-    if not (0 <= i_pos < 1 << 20 and 0 <= j_dur < 1 << 20):
-        raise ValueError("grid too large for the record keying scheme (>= 2^20 points)")
-    return (beam << 40) | (i_pos << 20) | j_dur
+def _record_tags(beam: int, n_pos: int, n_dur: int) -> list[int]:
+    """Tags of one beam's records in position-major order: ``beam << 40 | i << 20 | j``."""
+    if not (n_pos <= 1 << 20 and n_dur <= 1 << 20):
+        raise ValueError("grid too large for the record keying scheme "
+                         "(more than 2^20 positions or durations)")
+    return [(beam << 40) | (i << 20) | j for i in range(n_pos) for j in range(n_dur)]
 
 
 def _strictly_increasing(values: tuple[float, ...], name: str) -> None:
@@ -120,10 +130,10 @@ def generate(config: SynthConfig) -> list[ScanDataset]:
         if config.analytic:
             p1 = np.clip(p, 0.0, 1.0)
         else:
-            tags = (_record_tag(k, i, j) for i in range(n_pos) for j in range(n_dur))
-            counts = (rng.binomial(shots, pk)
-                      for rng, pk in zip(_keyed_rngs(config.rng_seed, tags), p.tolist()))
-            p1 = np.fromiter(counts, dtype=np.int64, count=p.size) / shots
+            tags = _record_tags(k, n_pos, n_dur)
+            counts = [rng.binomial(shots, pk)
+                      for rng, pk in zip(_keyed_rngs(config.rng_seed, tags), p.tolist())]
+            p1 = np.array(counts, dtype=np.int64) / shots
         datasets.append(ScanDataset(
             np.repeat(positions, n_dur), np.tile(durations, n_pos), p1,
             np.full(p.size, shots), beam_label=_BEAM_LABELS[k],

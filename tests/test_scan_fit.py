@@ -40,6 +40,8 @@ from ionoptics.scan_fit import (
     _beam_residual,
     _best_run,
     _binomial_weights,
+    _median,
+    _n_distinct,
     _omega_grid_table,
 )
 from ionoptics.synth_scan import SynthConfig, default_scan_grid, generate
@@ -910,6 +912,22 @@ class TestFreqProfile:
         if layout == "dark":
             assert all(pt.omega == 0.0 and pt.omega_err == math.inf for pt in expected)
         assert profile == tuple(expected)
+
+
+#: Odd and even counts, duplicates, and -0.0 next to 0.0.
+SORT_CASES = [[3.0], [0.0, -0.0], [2.0, 1.0, 2.0], [-0.0, 0.0, 1.5, 0.0],
+              [5.0, 1.0, 4.0, 1.0], [1e-4, 0.0, 2e-4, 1e-4, 3e-4, -2.5], [7.0] * 4]
+
+
+class TestSortHelpers:
+    # stand-ins for np.unique and np.median, which import numpy.ma
+    @pytest.mark.parametrize("values", [[]] + SORT_CASES)
+    def test_distinct_count_matches_unique(self, values):
+        assert _n_distinct(np.array(values, dtype=float)) == np.unique(values).size
+
+    @pytest.mark.parametrize("values", SORT_CASES)
+    def test_median_matches_numpy(self, values):
+        assert _median(values) == float(np.median(values))
 
 
 class TestD4Sigma:

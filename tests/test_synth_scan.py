@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from ionoptics import synth_scan
+from ionoptics.cli import _TRACE_SALT, main
 from ionoptics.rabi_model import BeamProfileParams, SpamModel, apply_spam, p_excited
-from ionoptics.scan_fit import ScanRecord
+from ionoptics.scan_fit import ScanRecord, read_scan_csv
 from ionoptics.synth_scan import SynthConfig, default_scan_grid, generate, position_jitter
 
 TWO_PI = 2.0 * math.pi
@@ -57,6 +59,52 @@ class TestDeterminism:
                         p1 = rng.binomial(cfg.shots, p) / cfg.shots
                     expected.append(ScanRecord(x, t, p1, cfg.shots))
             assert ds.rows() == tuple(expected)
+
+    def test_readme_run_reconstructable_from_fresh_philox(self, beam_a, beam_b, tmp_path):
+        # every record of the README two-beam synth (85 x 21 per scan) and
+        # of both off-beam traces is the draw of a fresh Philox keyed
+        # [seed, beam << 40 | i << 20 | j]; traces use seed ^ _TRACE_SALT
+        assert main(["synth", "--out-dir", str(tmp_path), "--seed", "0",
+                     "--rabi-hz", "1910", "2790", "--center-um", "0", "4.31",
+                     "--width-um", "1.86", "1.88", "--emit-traces"]) == 0
+        positions, durations = default_scan_grid((beam_a, beam_b), 61, 21)
+        assert (len(positions), len(durations)) == (85, 21)
+        spam = SpamModel(eps_prep=0.01, eps_meas=0.01)
+        files = [(f"scan_{label}.csv", beam, positions, 0, k)
+                 for k, (label, beam) in enumerate(zip("AB", (beam_a, beam_b)))]
+        files += [(f"trace_{label}.csv", driven, (other.center_um,), _TRACE_SALT, 0)
+                  for label, driven, other in (("A", beam_a, beam_b), ("B", beam_b, beam_a))]
+        for name, beam, xs, seed, k in files:
+            ds = read_scan_csv(tmp_path / name)
+            p = apply_spam(p_excited(beam, np.array(xs)[:, None], np.array(durations)),
+                           spam).ravel().tolist()
+            expected = []
+            for i in range(len(xs)):
+                for j in range(len(durations)):
+                    key = np.array([seed, (k << 40) | (i << 20) | j], dtype=np.uint64)
+                    rng = np.random.Generator(np.random.Philox(key=key))
+                    expected.append(rng.binomial(200, p[i * len(durations) + j]))
+            assert np.rint(ds.p1 * 200).astype(int).tolist() == expected, name
+
+    def test_one_generator_built_per_beam(self, beam_a, beam_b, monkeypatch):
+        built = []
+        point_rng = synth_scan._point_rng
+        monkeypatch.setattr(synth_scan, "_point_rng",
+                            lambda seed, tag: built.append(tag) or point_rng(seed, tag))
+        generate(small_config(beam_a, beam_b))
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("axis", ["positions_um", "durations_s"])
+    def test_grid_beyond_keying_range_rejected_before_any_draw(self, beam_a, monkeypatch, axis):
+        # indices are 20-bit fields of the tag: 2^20 points fit, one more does not
+        built = []
+        monkeypatch.setattr(synth_scan, "_point_rng", lambda *args: built.append(args))
+        other = "durations_s" if axis == "positions_um" else "positions_um"
+        cfg = small_config(beam_a, **{axis: np.arange((1 << 20) + 1) * 1e-6, other: (0.0,)})
+        with pytest.raises(ValueError, match="keying scheme"):
+            generate(cfg)
+        assert built == []
+        assert synth_scan._record_tags(1, 1, 1 << 20)[-1] == (1 << 40) | ((1 << 20) - 1)
 
     def test_beams_use_disjoint_streams(self, beam_a, beam_b):
         # same truth for both beams: identical probabilities must still get
