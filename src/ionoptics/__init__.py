@@ -20,6 +20,7 @@ _EXPORTS = {
         "Axis", "AXES", "RayMatrix", "IDENTITY", "SingularityError",
         "free_space", "thin_lens", "compose",
         "BeamAxisState", "GaussianBeamState", "propagate", "spot_radius_um",
+        "rayleigh_range_mm", "far_field_divergence_rad",
     ),
     "design_tradeoff": (
         "DesignConstraints", "DesignPoint", "crosstalk", "required_na",
@@ -36,11 +37,12 @@ _EXPORTS = {
         "image_distance_mm", "magnification", "image_array", "compare_measured_pitch",
     ),
     "scan_fit": (
-        "ScanRecord", "ScanDataset", "ScanFormatError", "DegenerateDataError",
+        "ScanDataset", "ScanFormatError", "DegenerateDataError",
         "FitConvergenceError", "FreqProfilePoint", "BeamFitResult", "PairReport",
         "fit_model", "fit_model_jacobian", "fit_beam", "fit_freq_profile",
         "d4sigma", "pair_analysis", "read_scan_csv", "write_scan_csv",
-        "write_fit_report",
+        "write_fit_report", "read_fit_report", "write_freq_profile_csv",
+        "fit_report_dict", "pair_report_dict",
     ),
     "synth_scan": ("SynthConfig", "generate", "position_jitter", "default_scan_grid"),
 }

@@ -25,6 +25,7 @@ __all__ = [
     "AXES",
     "SingularityError",
     "RayMatrix",
+    "IDENTITY",
     "BeamAxisState",
     "GaussianBeamState",
     "free_space",

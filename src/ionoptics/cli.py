@@ -280,7 +280,7 @@ def _result_from_report(path: str | Path) -> BeamFitResult:
         d4sigma_um=raw.get("d4sigma_um"),
         d4sigma_raw_um=raw.get("d4sigma_raw_um"),
         n_iterations=int(raw.get("n_iterations", 0)),
-        converged=bool(raw.get("converged", False)),
+        converged=raw["converged"],  # a bool, checked by read_fit_report
         spam=SpamModel(eps_prep=spam["eps_prep"], eps_meas=spam["eps_meas"]),
         spam_errors=(float(spam["eps_prep_err"]), float(spam["eps_meas_err"])),
         beam_label=str(raw.get("beam_label", "")),

@@ -47,7 +47,6 @@ from ._atomic import _write_atomic
 from .rabi_model import BeamProfileParams, SpamModel, crosstalk_rabi_bound, intensity_crosstalk_ratio
 
 __all__ = [
-    "ScanRecord",
     "ScanDataset",
     "ScanFormatError",
     "DegenerateDataError",
@@ -110,8 +109,7 @@ def _first_out_of_domain(x, t, p, shots) -> tuple[int, int] | None:
 
     Records are checked in order and, within a record, columns in the
     order of ``_COLUMNS``; the rule is unit-free, so it applies to
-    durations in seconds and in microseconds alike. ``ScanRecord`` checks
-    one record by the same rules.
+    durations in seconds and in microseconds alike.
     """
     bad = np.stack([
         ~np.isfinite(x),
@@ -125,34 +123,14 @@ def _first_out_of_domain(x, t, p, shots) -> tuple[int, int] | None:
     return int(rows[0]), int(np.argmax(bad[:, rows[0]]))
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    """One row of a scan; ``ScanDataset.rows()`` returns a dataset as these."""
-
-    position_um: float
-    duration_s: float
-    p1: float
-    shots: int
-
-    def __post_init__(self):
-        # the scalar form of _first_out_of_domain, cheap enough for rows()
-        if not math.isfinite(self.position_um):
-            raise ValueError(f"position must be finite, got {self.position_um!r}")
-        if not (math.isfinite(self.duration_s) and self.duration_s >= 0):
-            raise ValueError(f"duration must be >= 0, got {self.duration_s!r}")
-        if not (math.isfinite(self.p1) and 0.0 <= self.p1 <= 1.0):
-            raise ValueError(f"p1 must be in [0, 1], got {self.p1!r}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class ScanDataset:
     """A scan as four validated, read-only columns of equal length.
 
     ``position_um`` and ``duration_s`` (seconds) and ``p1`` are float64,
-    ``shots`` is int64; the constructor copies what it is given. Use
-    ``from_records`` and ``rows`` to go from and to ``ScanRecord`` rows.
+    ``shots`` is int64; the constructor copies what it is given. A
+    dataset is immutable: derive a variant by building a new one from
+    another's columns.
     """
 
     position_um: np.ndarray
@@ -160,7 +138,6 @@ class ScanDataset:
     p1: np.ndarray
     shots: np.ndarray
     beam_label: str = ""
-    position_resolution_um: float | None = None
 
     def __post_init__(self):
         shots = np.asarray(self.shots)
@@ -181,26 +158,9 @@ class ScanDataset:
             i, k = bad
             raise ValueError(
                 f"record {i}: {_COLUMNS[k]} {_DOMAINS[k]}, got {columns[k][i].item()!r}")
-        if self.position_resolution_um is not None and self.position_resolution_um < 0:
-            raise ValueError("position resolution must be >= 0")
         for name, column in zip(_COLUMNS, columns):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-
-    @classmethod
-    def from_records(
-        cls, records: Sequence[ScanRecord], beam_label: str = "",
-        position_resolution_um: float | None = None,
-    ) -> ScanDataset:
-        records = tuple(records)
-        return cls(
-            *(np.array([getattr(r, name) for r in records]) for name in _COLUMNS),
-            beam_label=beam_label, position_resolution_um=position_resolution_um,
-        )
-
-    def rows(self) -> tuple[ScanRecord, ...]:
-        """The records as ``ScanRecord`` objects, in column order."""
-        return tuple(ScanRecord(*row) for row in zip(*(c.tolist() for c in self.arrays())))
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(positions um, durations s, p1, shots): the dataset's read-only columns."""
@@ -213,13 +173,25 @@ class ScanDataset:
         if not isinstance(other, ScanDataset):
             return NotImplemented
         return (self.beam_label == other.beam_label
-                and self.position_resolution_um == other.position_resolution_um
                 and all(np.array_equal(a, b) for a, b in zip(self.arrays(), other.arrays())))
+
+    @cached_property
+    def _positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, starts): the stable argsort of ``position_um``, and where
+        each distinct position's run of records begins in that order.
+
+        The grid check, the amplitude profile and the frequency profile all
+        group records into positions by this, and by nothing else.
+        """
+        order = np.argsort(self.position_um, kind="stable")
+        starts = np.flatnonzero(np.diff(self.position_um[order], prepend=-math.inf))
+        order.flags.writeable = starts.flags.writeable = False
+        return order, starts
 
     @cached_property
     def _amplitude(self) -> tuple[np.ndarray, np.ndarray]:
         # shared by the grid check and the initial guess of one fit
-        return _amplitude_profile(self.position_um, self.p1)
+        return _amplitude_profile(self)
 
 
 # np.unique and np.median import numpy.ma (15-19 ms) on first use; these
@@ -238,8 +210,7 @@ def _median(values: Sequence[float]) -> float:
 
 
 def _require_fit_grid(data: ScanDataset) -> None:
-    x, t, _, _ = data.arrays()
-    n_t, n_x = _n_distinct(t), _n_distinct(x)
+    n_t, n_x = _n_distinct(data.duration_s), data._positions[1].size
     if n_t == 1:
         raise DegenerateDataError("all durations equal; the fit is rank-deficient")
     if n_x < 4:
@@ -476,14 +447,13 @@ def _levenberg_marquardt(residual, p0: np.ndarray, is_valid, max_iterations: int
 # === Initialization =========================================================
 
 
-def _amplitude_profile(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _amplitude_profile(data: ScanDataset) -> tuple[np.ndarray, np.ndarray]:
     """Distinct positions (sorted) and the max-min oscillation amplitude at each.
 
     Shot noise puts a pedestal under the profile; it is subtracted.
     """
-    order = np.argsort(x, kind="stable")
-    xs, ps = x[order], p[order]
-    starts = np.flatnonzero(np.diff(xs, prepend=-math.inf))
+    order, starts = data._positions
+    xs, ps = data.position_um[order], data.p1[order]
     amp = np.maximum.reduceat(ps, starts) - np.minimum.reduceat(ps, starts)
     amp = amp - amp.min()
     if float(amp.sum()) <= 0:
@@ -888,9 +858,8 @@ def fit_freq_profile(
     are identical to refining each position by itself.
     """
     x, t, p, shots = data.arrays()
-    order = np.argsort(x, kind="stable")
+    order, starts = data._positions
     xs, ts, ps, ns = x[order], t[order], p[order], shots[order].astype(float)
-    starts = np.flatnonzero(np.diff(xs, prepend=-math.inf))
     stops = np.append(starts[1:], xs.size)
     sequences: dict[bytes, list[int]] = {}
     for i, (lo, hi) in enumerate(zip(starts.tolist(), stops.tolist())):
@@ -1110,13 +1079,17 @@ def read_fit_report(path: str | Path) -> tuple[BeamProfileParams, np.ndarray, di
     """Reconstruct (params, covariance in rad/s & um, raw dict) from a report.
 
     Raises ScanFormatError unless the report has the current
-    ``schema_version`` and a valid ``spam`` block.
+    ``schema_version``, a JSON boolean ``converged`` and a valid ``spam``
+    block.
     """
     raw = json.loads(Path(path).read_text())
     version = raw.get("schema_version") if isinstance(raw, dict) else None
     if version != FIT_REPORT_SCHEMA:
         raise ScanFormatError(
             f"{path}: fit report schema_version must be {FIT_REPORT_SCHEMA}, got {version!r}")
+    if not isinstance(raw.get("converged"), bool):
+        raise ScanFormatError(
+            f"{path}: converged must be true or false, got {raw.get('converged')!r}")
     try:
         params = BeamProfileParams(
             omega0=raw["params"]["peak_rabi_hz"] * TWO_PI,

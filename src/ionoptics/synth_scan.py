@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -148,19 +148,18 @@ def position_jitter(data: ScanDataset, resolution_um: float, rng_seed: int = 0) 
     shifted by an independent uniform draw in [-resolution/2, +resolution/2]
     while the measured p1 stays tied to the true position. Draws are keyed
     by record index, so a given (seed, dataset shape) always jitters the
-    same way.
+    same way. A resolution of 0 returns ``data`` itself.
     """
     if resolution_um < 0 or not math.isfinite(resolution_um):
         raise ValueError(f"resolution_um must be finite and >= 0, got {resolution_um}")
     if resolution_um == 0:
-        return replace(data, position_resolution_um=0.0)
+        return data
     half = 0.5 * resolution_um
     tags = (_JITTER_TAG | idx for idx in range(len(data)))
     offsets = np.fromiter((rng.uniform(-half, half) for rng in _keyed_rngs(rng_seed, tags)),
                           dtype=float, count=len(data))
     x, t, p, shots = data.arrays()
-    return ScanDataset(x + offsets, t, p, shots, beam_label=data.beam_label,
-                       position_resolution_um=resolution_um)
+    return ScanDataset(x + offsets, t, p, shots, beam_label=data.beam_label)
 
 
 def default_scan_grid(

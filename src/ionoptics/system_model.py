@@ -260,11 +260,13 @@ def magnification(prescription: OpticalPrescription, axis: Axis) -> float:
 
 
 def _axis_image(
-    prescription: OpticalPrescription,
+    m: RayMatrix,
+    t: float,
     axis: Axis,
     source_beam: GaussianBeamState,
 ) -> AxisImage:
-    m, t = _axis_matrix_at_image(prescription, axis)
+    """The image of ``source_beam`` through ``m``, the axis's train up to its
+    image plane ``t`` mm behind the last element."""
     out = propagate(source_beam, m, axis)
     state = out.axis_state(axis)
     return AxisImage(
@@ -290,15 +292,17 @@ def image_array(
     re-evaluated at the axial plane so any waist-plane mismatch is visible.
     """
     source = GaussianBeamState.circular(wavelength_um, array.source_diameter_um / 2.0)
-    axial = _axis_image(prescription, "axial", source)
-    radial = _axis_image(prescription, "radial", source)
+    # each axis's image plane is solved once
+    m_ax, t_ax = _axis_matrix_at_image(prescription, "axial")
+    m_rad, t_rad = _axis_matrix_at_image(prescription, "radial")
+    axial = _axis_image(m_ax, t_ax, "axial", source)
+    radial = _axis_image(m_rad, t_rad, "radial", source)
 
     pitch = array.source_pitch_um * axial.magnification
     n = array.channel_count
     centers = tuple(pitch * (i - (n - 1) / 2.0) for i in range(n))
 
-    offset = axial.image_distance_mm - radial.image_distance_mm
-    m_rad, _ = _axis_matrix_at_image(prescription, "radial")
+    offset = t_ax - t_rad
     radial_at_axial = propagate(source, free_space(offset) @ m_rad, "radial")
     radial_dia_at_axial = 2.0 * spot_radius_um(radial_at_axial, "radial", 0.0)
 

@@ -174,11 +174,9 @@ class TestSynth:
         rc = main(["synth", "--out-dir", str(tmp_path), "--seed", "3"])
         assert rc == 0
         ds = read_scan_csv(tmp_path / "scan_A.csv")
-        positions = {r.position_um for r in ds.rows()}
-        durations = {r.duration_s for r in ds.rows()}
-        assert len(positions) == 61
-        assert len(durations) == 21
-        assert all(r.shots == 200 for r in ds.rows())
+        assert len(set(ds.position_um.tolist())) == 61
+        assert len(set(ds.duration_s.tolist())) == 21
+        assert (ds.shots == 200).all()
 
     def test_two_beams_with_traces(self, tmp_path):
         rc = main(["synth", "--out-dir", str(tmp_path), "--seed", "0",
@@ -189,9 +187,9 @@ class TestSynth:
             assert (tmp_path / name).exists()
         # trace_A drives beam A but records at beam B's center, and vice versa
         trace_a = read_scan_csv(tmp_path / "trace_A.csv")
-        assert {r.position_um for r in trace_a.rows()} == {4.31}
+        assert set(trace_a.position_um.tolist()) == {4.31}
         trace_b = read_scan_csv(tmp_path / "trace_B.csv")
-        assert {r.position_um for r in trace_b.rows()} == {0.0}
+        assert set(trace_b.position_um.tolist()) == {0.0}
 
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -224,9 +222,7 @@ class TestSynth:
             durations_s=durations, shots=200, rng_seed=0,
         ))[0]
         assert len(unsalted) == len(trace_a)
-        assert any(
-            u.p1 != t.p1 for u, t in zip(unsalted.rows(), trace_a.rows())
-        )
+        assert (unsalted.p1 != trace_a.p1).any()
 
     def test_explicit_grid(self, tmp_path):
         rc = main(["synth", "--out-dir", str(tmp_path), "--seed", "1",
@@ -234,7 +230,7 @@ class TestSynth:
         assert rc == 0
         ds = read_scan_csv(tmp_path / "scan_A.csv")
         assert len(ds) == 9
-        assert sorted({r.duration_s for r in ds.rows()}) == pytest.approx([1e-5, 2e-5, 3e-5])
+        assert sorted(set(ds.duration_s.tolist())) == pytest.approx([1e-5, 2e-5, 3e-5])
 
     def test_positions_without_durations_exits_2(self, tmp_path):
         rc = main(["synth", "--out-dir", str(tmp_path), "--positions", "-1", "0", "1"])
@@ -256,10 +252,8 @@ class TestSynth:
         main(["synth", "--out-dir", str(b), "--seed", "4", "--jitter-resolution", "0.05"])
         clean = read_scan_csv(a / "scan_A.csv")
         blurred = read_scan_csv(b / "scan_A.csv")
-        deltas = [
-            abs(rb.position_um - ra.position_um)
-            for ra, rb in zip(clean.rows(), blurred.rows())
-        ]
+        assert len(blurred) == len(clean)
+        deltas = numpy.abs(blurred.position_um - clean.position_um)
         assert max(deltas) <= 0.025 + 1e-12
         assert max(deltas) > 0.0
 
@@ -485,6 +479,18 @@ class TestPair:
         assert rc == 2
         assert "schema_version" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("converged", ["false", 1])
+    def test_converged_must_be_a_json_boolean(self, pair_run, tmp_path, capsys, converged):
+        report = load_json(pair_run / "scan_A_report.json")
+        report["converged"] = converged
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        rc = main(["pair", "--fit-a", str(path), "--fit-b", str(pair_run / "scan_B_report.json"),
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "converged must be true or false" in capsys.readouterr().err
+        assert not (tmp_path / "pair_report.json").exists()
+
     def test_malformed_report_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"params": {}}))
@@ -556,8 +562,8 @@ class TestConfigFile:
         assert man["options"]["grid_durations"] == 5   # config beats default
         assert man["options"]["grid_positions"] == 61  # untouched default
         ds = read_scan_csv(tmp_path / "scan_A.csv")
-        assert all(r.shots == 100 for r in ds.rows())
-        assert len({r.duration_s for r in ds.rows()}) == 5
+        assert (ds.shots == 100).all()
+        assert len(set(ds.duration_s.tolist())) == 5
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,8 +1,11 @@
 """Package-level properties of ionoptics as a whole."""
 
+import importlib
+import re
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +89,27 @@ def test_every_public_name_resolves():
     exec("from ionoptics import *", namespace)
     assert set(ionoptics.__all__) <= set(namespace)
     assert namespace["fit_beam"] is ionoptics.scan_fit.fit_beam
+
+
+def test_exports_match_each_module_all():
+    # the lazy table and each submodule's __all__ declare the same names
+    for module, names in ionoptics._EXPORTS.items():
+        assert set(names) == set(importlib.import_module(f"ionoptics.{module}").__all__), module
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    # every python block of the README, in order and in one namespace, next
+    # to the README two-beam synth output that its fit example reads
+    assert main(["synth", "--out-dir", str(tmp_path), "--seed", "0",
+                 "--rabi-hz", "1910", "2790", "--center-um", "0", "4.31",
+                 "--width-um", "1.86", "1.88", "--emit-traces"]) == 0
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
 
 
 def test_unknown_name_raises_attribute_error():

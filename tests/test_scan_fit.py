@@ -21,7 +21,6 @@ from ionoptics.scan_fit import (
     FreqProfilePoint,
     ScanDataset,
     ScanFormatError,
-    ScanRecord,
     d4sigma,
     fit_beam,
     fit_freq_profile,
@@ -178,11 +177,10 @@ class TestScanCsv:
         loaded = read_scan_csv(path)
         assert loaded.beam_label == "scan"
         assert len(loaded) == len(ds)
-        for a, b in zip(ds.rows(), loaded.rows()):
-            assert b.position_um == pytest.approx(a.position_um, rel=1e-9)
-            assert b.duration_s == pytest.approx(a.duration_s, rel=1e-9)
-            assert b.p1 == a.p1
-            assert b.shots == a.shots
+        assert loaded.position_um == pytest.approx(ds.position_um, rel=1e-9)
+        assert loaded.duration_s == pytest.approx(ds.duration_s, rel=1e-9)
+        assert loaded.p1.tolist() == ds.p1.tolist()
+        assert loaded.shots.tolist() == ds.shots.tolist()
 
     def test_write_is_deterministic(self, tmp_path, beam_a):
         ds = synth_dataset(beam_a, seed=3, n_pos=5, n_dur=5)
@@ -237,12 +235,12 @@ class TestScanCsv:
     def test_negative_positions_are_valid(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("position_um,duration_us,p1,shots\n-2.5,10,0.5,100\n")
-        assert read_scan_csv(path).rows()[0].position_um == -2.5
+        assert read_scan_csv(path).position_um[0] == -2.5
 
     def test_durations_stored_in_seconds(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("position_um,duration_us,p1,shots\n0,250,0.5,100\n")
-        assert read_scan_csv(path).rows()[0].duration_s == pytest.approx(250e-6)
+        assert read_scan_csv(path).duration_s[0] == pytest.approx(250e-6)
 
 
 # Scan CSV text mixing valid rows with NaN/inf, negative durations, p outside
@@ -307,48 +305,30 @@ class TestScanCsvFuzz:
 
 
 class TestRecordValidation:
-    def test_p1_domain(self):
-        with pytest.raises(ValueError):
-            ScanRecord(0.0, 1e-4, 1.2, 100)
-
-    def test_duration_domain(self):
-        with pytest.raises(ValueError):
-            ScanRecord(0.0, -1e-4, 0.5, 100)
-
-    def test_shots_domain(self):
-        with pytest.raises(ValueError):
-            ScanRecord(0.0, 1e-4, 0.5, 0)
-
     def test_arrays_built_once_and_read_only(self, beam_a):
         ds = synth_dataset(beam_a, seed=3, n_pos=5, n_dur=5)
         first = ds.arrays()
         assert all(a is b for a, b in zip(first, ds.arrays()))
         assert not any(column.flags.writeable for column in first)
-        np.testing.assert_array_equal(first[2], [r.p1 for r in ds.rows()])
+        assert all(a is b for a, b in zip(first, (ds.position_um, ds.duration_s, ds.p1, ds.shots)))
 
     @pytest.mark.parametrize("column,value", [
         ("position_um", math.inf), ("duration_s", -1e-4), ("duration_s", math.nan),
         ("p1", 1.2), ("p1", math.nan), ("shots", 0),
     ])
     def test_columns_checked_as_records_are(self, column, value):
-        # the dataset's vectorized checks reject what ScanRecord rejects,
-        # naming the first bad record
-        good = ScanRecord(0.5, 1e-4, 0.5, 100)
-        with pytest.raises(ValueError):
-            replace(good, **{column: value})
-        columns = {name: [value_] * 5 for name, value_ in vars(good).items()}
+        # each record is checked by its column's domain, and the error
+        # names the first bad record
+        good = {"position_um": 0.5, "duration_s": 1e-4, "p1": 0.5, "shots": 100}
+        columns = {name: [value_] * 5 for name, value_ in good.items()}
+        assert len(ScanDataset(**columns)) == 5
         columns[column][2] = columns[column][4] = value
         with pytest.raises(ValueError, match=f"record 2: {column}"):
             ScanDataset(**columns)
 
-    def test_rows_round_trip(self, beam_a):
-        ds = synth_dataset(beam_a, seed=3, n_pos=5, n_dur=5)
-        assert ScanDataset.from_records(ds.rows(), beam_label=ds.beam_label) == ds
-        assert len(ds.rows()) == len(ds)
-
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            ScanDataset.from_records(())
+            ScanDataset([], [], [], [])
 
 
 # === Model and Jacobian =====================================================
@@ -489,12 +469,7 @@ class TestFitBeam:
     def test_shift_equivariance(self, beam_a):
         base = synth_dataset(beam_a, seed=5, n_pos=21, n_dur=11)
         delta = 2.75
-        shifted = ScanDataset.from_records(
-            tuple(
-                ScanRecord(r.position_um + delta, r.duration_s, r.p1, r.shots)
-                for r in base.rows()
-            )
-        )
+        shifted = ScanDataset(base.position_um + delta, base.duration_s, base.p1, base.shots)
         fit0 = fit_beam(base)
         fit1 = fit_beam(shifted)
         assert fit1.params.center_um - fit0.params.center_um == pytest.approx(
@@ -507,12 +482,7 @@ class TestFitBeam:
         # by exactly 1/s and leave the envelope untouched
         base = synth_dataset(beam_a, seed=5, n_pos=21, n_dur=11)
         s = 2.0
-        stretched = ScanDataset.from_records(
-            tuple(
-                ScanRecord(r.position_um, r.duration_s * s, r.p1, r.shots)
-                for r in base.rows()
-            )
-        )
+        stretched = ScanDataset(base.position_um, base.duration_s * s, base.p1, base.shots)
         fit0 = fit_beam(base)
         fit1 = fit_beam(stretched)
         assert fit1.params.omega0 == pytest.approx(fit0.params.omega0 / s, rel=1e-9)
@@ -662,14 +632,10 @@ class TestFitBeam:
     def test_too_few_positions_rejected(self, beam_a):
         # built by hand: the synthetic grid helper enforces a position
         # step cap and would silently densify a 3-column request
-        durations = np.linspace(1e-5, 3 * TWO_PI / beam_a.omega0, 9)
-        records = tuple(
-            ScanRecord(x, float(t), 0.5, 100)
-            for x in (-1.0, 0.0, 1.0)
-            for t in durations
-        )
+        x, t = np.meshgrid([-1.0, 0.0, 1.0], np.linspace(1e-5, 3 * TWO_PI / beam_a.omega0, 9),
+                           indexing="ij")
         with pytest.raises(DegenerateDataError, match="positions"):
-            fit_beam(ScanDataset.from_records(records))
+            fit_beam(ScanDataset(x.ravel(), t.ravel(), np.full(x.size, 0.5), np.full(x.size, 100)))
 
     def test_too_few_durations_rejected(self, beam_a):
         ds = synth_dataset(beam_a, seed=0, n_pos=9, n_dur=3)
@@ -677,19 +643,16 @@ class TestFitBeam:
             fit_beam(ds)
 
     def test_flat_data_rejected(self):
-        records = tuple(
-            ScanRecord(float(i), j * 1e-4, 0.25, 100)
-            for i in range(5)
-            for j in range(5)
-        )
+        i, j = np.meshgrid(np.arange(5.0), np.arange(5), indexing="ij")
         with pytest.raises(DegenerateDataError):
-            fit_beam(ScanDataset.from_records(records))
+            fit_beam(ScanDataset(i.ravel(), j.ravel() * 1e-4, np.full(i.size, 0.25),
+                                 np.full(i.size, 100)))
 
     def test_amplitude_profile_matches_per_position_loop(self):
         rng = np.random.default_rng(5)
         x = rng.integers(0, 7, 60).astype(float)  # repeated, unsorted positions
         p = rng.uniform(0.0, 1.0, 60)
-        xs, amp = _amplitude_profile(x, p)
+        xs, amp = _amplitude_profile(ScanDataset(x, np.zeros(60), p, np.full(60, 100)))
         ref = np.array([p[x == v].max() - p[x == v].min() for v in np.unique(x)])
         assert np.array_equal(xs, np.unique(x))
         assert np.array_equal(amp, ref - ref.min())
@@ -697,14 +660,12 @@ class TestFitBeam:
     def test_empty_frequency_profile_rejected(self):
         # 8 distinct durations in all, but only 3 at each position: every
         # position is skipped in the profile that seeds the start point
-        records = tuple(
-            ScanRecord(float(i), (i + j) * 1e-4, 0.1 + 0.08 * i * j, 100)
-            for i in range(6)
-            for j in range(3)
-        )
+        i, j = np.meshgrid(np.arange(6), np.arange(3), indexing="ij")
+        data = ScanDataset(i.ravel().astype(float), (i + j).ravel() * 1e-4,
+                           (0.1 + 0.08 * i * j).ravel(), np.full(i.size, 100))
         with pytest.warns(UserWarning, match="skipped"):
             with pytest.raises(DegenerateDataError, match="profile has no points"):
-                fit_beam(ScanDataset.from_records(records))
+                fit_beam(data)
 
     @pytest.mark.parametrize("max_iterations", [0, -5, 2.5, True])
     def test_invalid_max_iterations_rejected(self, beam_a, max_iterations):
@@ -833,13 +794,10 @@ class TestFreqProfile:
         assert not by_pos[0.0].baseline
 
     def test_sparse_durations_skipped_with_warning(self, beam_a):
-        records = tuple(
-            ScanRecord(x, t, 0.5, 100)
-            for x, n_t in ((0.0, 6), (1.0, 2))
-            for t in np.linspace(1e-5, 1e-4, n_t)
-        )
+        t = np.concatenate([np.linspace(1e-5, 1e-4, 6), np.linspace(1e-5, 1e-4, 2)])
+        data = ScanDataset(np.repeat([0.0, 1.0], [6, 2]), t, np.full(8, 0.5), np.full(8, 100))
         with pytest.warns(UserWarning, match="distinct"):
-            profile = fit_freq_profile(ScanDataset.from_records(records))
+            profile = fit_freq_profile(data)
         assert [pt.position_um for pt in profile] == [0.0]
 
     @pytest.mark.parametrize(
@@ -852,40 +810,34 @@ class TestFreqProfile:
         n_dur = 15
         base = synth_dataset(beam_a, seed=5, n_dur=n_dur, spam=spam)
         n_pos = len(base) // n_dur
-        records = list(base.rows())
+        x, t, p, n = base.arrays()
         if layout == "ragged":
-            records = []
-            for idx, rec in enumerate(base.rows()):
-                i, j = divmod(idx, n_dur)
-                # position i keeps the durations j with j % (2 + i % 3) != 1:
-                # three duration sequences; position 7 keeps only 2
-                # distinct durations and must be skipped
-                if j % (2 + i % 3) != 1 and not (i == 7 and j >= 3):
-                    records.append(rec)
+            i, j = np.divmod(np.arange(len(base)), n_dur)
+            # position i keeps the durations j with j % (2 + i % 3) != 1:
+            # three duration sequences; position 7 keeps only 2 distinct
+            # durations and must be skipped
+            keep = (j % (2 + i % 3) != 1) & ~((i == 7) & (j >= 3))
+            x, t, p, n = x[keep], t[keep], p[keep], n[keep]
         elif layout == "shuffled":
-            order = np.random.default_rng(8).permutation(len(records))
-            records = [records[k] for k in order]
+            order = np.random.default_rng(8).permutation(len(base))
+            x, t, p, n = x[order], t[order], p[order], n[order]
         elif layout == "spam_mismatch":
             # a 121 x 41 scan made with SPAM 0.08, fitted with the default 0.01
             n_dur = 41
             scan = synth_dataset(beam_a, seed=5, n_pos=121, n_dur=n_dur,
                                  spam=SpamModel(eps_prep=0.08, eps_meas=0.08))
             n_pos = len(scan) // n_dur
-            records = list(scan.rows())
+            x, t, p, n = scan.arrays()
             spam = SpamModel()
         elif layout == "dark":
-            records = [replace(rec, p1=0.0) for rec in records]
+            p = np.zeros_like(p)
         elif layout == "capped":
             # a trace on which the refinement runs all of its 60 steps
             trace = np.random.default_rng(0).uniform(0.0, 1.0, (33, n_dur))[32]
-            records = [replace(rec, p1=float(trace[idx])) if idx < n_dur else rec
-                       for idx, rec in enumerate(records)]
-        data = ScanDataset.from_records(records)
+            p = np.concatenate([trace, p[n_dur:]])
+        data = ScanDataset(x, t, p, n)
 
-        x = np.array([r.position_um for r in records])
-        t = np.array([r.duration_s for r in records])
-        p = np.array([r.p1 for r in records])
-        n = np.array([r.shots for r in records], dtype=float)
+        n = n.astype(float)
         expected = []
         capped = []
         for pos in np.unique(x):
@@ -901,7 +853,7 @@ class TestFreqProfile:
             profile = fit_freq_profile(data, spam)
         skipped = [str(w.message) for w in caught]
         if layout == "ragged":
-            sparse = base.rows()[7 * n_dur].position_um
+            sparse = float(base.position_um[7 * n_dur])
             assert len(expected) == n_pos - 1
             assert skipped == [f"position {sparse:g} um has only 2 distinct "
                                "durations; skipped in frequency profile"]
@@ -1078,9 +1030,9 @@ class TestPairAnalysis:
 
     def test_sparse_trace_rejected(self, fits, beam_a):
         a, b = fits
-        records = tuple(ScanRecord(4.31, t, 0.02, 100) for t in (0.0, 1e-4, 2e-4))
+        trace = ScanDataset(np.full(3, 4.31), [0.0, 1e-4, 2e-4], np.full(3, 0.02), np.full(3, 100))
         with pytest.raises(DegenerateDataError, match="durations"):
-            pair_analysis(a, b, traces_at_centers=(ScanDataset.from_records(records), None))
+            pair_analysis(a, b, traces_at_centers=(trace, None))
 
 
 # === Reports ================================================================

@@ -8,7 +8,7 @@ import pytest
 from ionoptics import synth_scan
 from ionoptics.cli import _TRACE_SALT, main
 from ionoptics.rabi_model import BeamProfileParams, SpamModel, apply_spam, p_excited
-from ionoptics.scan_fit import ScanRecord, read_scan_csv
+from ionoptics.scan_fit import ScanDataset, read_scan_csv
 from ionoptics.synth_scan import SynthConfig, default_scan_grid, generate, position_jitter
 
 TWO_PI = 2.0 * math.pi
@@ -46,7 +46,7 @@ class TestDeterminism:
                            spam=SpamModel(eps_prep=0.03, eps_meas=0.05))
         datasets = generate(cfg)
         for k, (beam, ds) in enumerate(zip((beam_a, beam_b), datasets)):
-            expected = []
+            x_col, t_col, p1_col = [], [], []
             for i, x in enumerate(cfg.positions_um):
                 for j, t in enumerate(cfg.durations_s):
                     p = float(apply_spam(p_excited(beam, x, t), cfg.spam))
@@ -57,8 +57,11 @@ class TestDeterminism:
                                        dtype=np.uint64)
                         rng = np.random.Generator(np.random.Philox(key=key))
                         p1 = rng.binomial(cfg.shots, p) / cfg.shots
-                    expected.append(ScanRecord(x, t, p1, cfg.shots))
-            assert ds.rows() == tuple(expected)
+                    x_col.append(x)
+                    t_col.append(t)
+                    p1_col.append(p1)
+            assert ds == ScanDataset(x_col, t_col, p1_col, [cfg.shots] * len(p1_col),
+                                     beam_label="AB"[k])
 
     def test_readme_run_reconstructable_from_fresh_philox(self, beam_a, beam_b, tmp_path):
         # every record of the README two-beam synth (85 x 21 per scan) and
@@ -111,29 +114,29 @@ class TestDeterminism:
         # independent draws
         cfg = small_config(beam_a, beam_a)
         ds_a, ds_b = generate(cfg)
-        assert [r.p1 for r in ds_a.rows()] != [r.p1 for r in ds_b.rows()]
+        assert ds_a.p1.tolist() != ds_b.p1.tolist()
 
 
 class TestContent:
     def test_analytic_mode_is_exact_model(self, beam_a):
         cfg = small_config(beam_a, analytic=True)
         ds = generate(cfg)[0]
-        for rec in ds.rows():
-            expected = float(apply_spam(
-                p_excited(beam_a, rec.position_um, rec.duration_s), cfg.spam))
-            assert rec.p1 == pytest.approx(expected, abs=1e-15)
+        for x, t, p1 in zip(ds.position_um.tolist(), ds.duration_s.tolist(), ds.p1.tolist()):
+            expected = float(apply_spam(p_excited(beam_a, x, t), cfg.spam))
+            assert p1 == pytest.approx(expected, abs=1e-15)
 
     def test_two_beam_mode_emits_two_labeled_datasets(self, beam_a, beam_b):
         datasets = generate(small_config(beam_a, beam_b))
         assert [ds.beam_label for ds in datasets] == ["A", "B"]
-        grid = [(r.position_um, r.duration_s) for r in datasets[0].rows()]
-        assert grid == [(r.position_um, r.duration_s) for r in datasets[1].rows()]
+        assert datasets[0].position_um.tolist() == datasets[1].position_um.tolist()
+        assert datasets[0].duration_s.tolist() == datasets[1].duration_s.tolist()
 
     def test_p1_quantized_to_shots(self, beam_a):
         cfg = small_config(beam_a, shots=50)
-        for rec in generate(cfg)[0].rows():
-            assert rec.shots == 50
-            assert (rec.p1 * 50) == pytest.approx(round(rec.p1 * 50), abs=1e-9)
+        ds = generate(cfg)[0]
+        assert (ds.shots == 50).all()
+        for p1 in ds.p1.tolist():
+            assert (p1 * 50) == pytest.approx(round(p1 * 50), abs=1e-9)
 
     def test_empirical_mean_matches_model(self, beam_a):
         # across seeds, per-record means converge to the model probability
@@ -144,8 +147,7 @@ class TestContent:
             ds = generate(small_config(beam_a, rng_seed=seed))[0]
             sums += ds.p1
         means = sums / n_seeds
-        for idx, rec in enumerate(generate(small_config(beam_a, analytic=True))[0].rows()):
-            p = rec.p1
+        for idx, p in enumerate(generate(small_config(beam_a, analytic=True))[0].p1.tolist()):
             se = math.sqrt(max(p * (1 - p), 1e-6) / (200 * n_seeds))
             assert abs(means[idx] - p) < 5 * se
 
@@ -182,21 +184,21 @@ class TestJitter:
     def test_offsets_bounded_and_probabilities_untouched(self, beam_a):
         ds = generate(small_config(beam_a))[0]
         blurred = position_jitter(ds, 0.5, rng_seed=4)
-        assert blurred.position_resolution_um == 0.5
-        for before, after in zip(ds.rows(), blurred.rows()):
-            assert abs(after.position_um - before.position_um) <= 0.25
-            assert after.p1 == before.p1
-            assert after.duration_s == before.duration_s
+        assert len(blurred) == len(ds)
+        assert (np.abs(blurred.position_um - ds.position_um) <= 0.25).all()
+        assert blurred.p1.tolist() == ds.p1.tolist()
+        assert blurred.duration_s.tolist() == ds.duration_s.tolist()
 
     def test_offsets_reconstructable_from_record_index(self, beam_a):
         # record idx of the dataset is shifted by the first uniform draw of
         # a fresh Philox keyed [seed, 2^63 | idx]
         ds = generate(small_config(beam_a))[0]
         blurred = position_jitter(ds, 0.5, rng_seed=4)
-        for idx, (before, after) in enumerate(zip(ds.rows(), blurred.rows())):
+        for idx, (before, after) in enumerate(zip(ds.position_um.tolist(),
+                                                  blurred.position_um.tolist())):
             key = np.array([4, (1 << 63) | idx], dtype=np.uint64)
             rng = np.random.Generator(np.random.Philox(key=key))
-            assert after.position_um == before.position_um + rng.uniform(-0.25, 0.25)
+            assert after == before + rng.uniform(-0.25, 0.25)
 
     def test_deterministic(self, beam_a):
         ds = generate(small_config(beam_a))[0]
@@ -205,10 +207,8 @@ class TestJitter:
 
     def test_zero_resolution_identity(self, beam_a):
         ds = generate(small_config(beam_a))[0]
-        blurred = position_jitter(ds, 0.0, rng_seed=4)
-        assert [r.position_um for r in blurred.rows()] == [
-            r.position_um for r in ds.rows()]
-        assert blurred.position_resolution_um == 0.0
+        # a dataset is immutable, so the unblurred one is returned as is
+        assert position_jitter(ds, 0.0, rng_seed=4) is ds
 
     def test_negative_resolution_rejected(self, beam_a):
         ds = generate(small_config(beam_a))[0]
