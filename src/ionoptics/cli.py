@@ -9,10 +9,11 @@ Each option and its default is declared once, in the subcommand's parser.
 A config file (--config, JSON object keyed by option name with dashes as
 underscores) replaces those defaults, so values resolve as command line >
 config file > built-in default. Every run writes
-``<subcommand>_manifest.json`` into the output directory recording the
-resolved options, inputs, outputs, the Python and numpy versions, and a
-timestamp; timestamps live only in the manifest so data files are
-byte-identical across reruns. Data files and manifests are all written
+``<subcommand>_manifest.json`` into the output directory (``fit`` writes
+``<prefix>_fit_manifest.json``, so fits of several scans keep theirs)
+recording the resolved options, inputs, outputs, the Python and numpy
+versions, and a timestamp; timestamps live only in the manifest so data
+files are byte-identical across reruns. Data files and manifests are all written
 atomically (temporary file, then rename).
 
 Each subcommand imports the library modules it runs when it runs, so
@@ -59,7 +60,7 @@ def _options(args: argparse.Namespace) -> dict:
 
 
 def _write_manifest(out_dir: Path, args: argparse.Namespace,
-                    inputs: list[str], outputs: list[str]) -> Path:
+                    inputs: list[str], outputs: list[str], prefix: str = "") -> Path:
     # Read from sys, not platform: importing platform costs each step ~2 ms.
     # numpy is recorded only if the step loaded it; looking never imports it.
     numpy = sys.modules.get("numpy")
@@ -73,7 +74,7 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace,
         "inputs": inputs,
         "outputs": outputs,
     }
-    path = out_dir / f"{args.subcommand}_manifest.json"
+    path = out_dir / f"{prefix}{args.subcommand}_manifest.json"
     _write_atomic(path, json.dumps(manifest, indent=2) + "\n")
     return path
 
@@ -154,9 +155,9 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     payload = dataclasses.asdict(report)
     payload["centers_um"] = list(report.centers_um)
     payload["notes"] = list(report.notes)
+    if (args.measured_pitch is None) != (args.measured_pitch_err is None):
+        raise ValueError("--measured-pitch and --measured-pitch-err must be given together")
     if args.measured_pitch is not None:
-        if args.measured_pitch_err is None:
-            raise ValueError("--measured-pitch requires --measured-pitch-err")
         disc = compare_measured_pitch(report, args.measured_pitch, args.measured_pitch_err)
         payload["pitch_discrepancy"] = dataclasses.asdict(disc)
     report_path = out / "image_report.json"
@@ -235,7 +236,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    from .rabi_model import SpamModel
     from .scan_fit import (
         FitConvergenceError, fit_beam, read_scan_csv, write_fit_report, write_freq_profile_csv,
     )
@@ -245,21 +245,21 @@ def cmd_fit(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     scan_path = Path(args.scan)
     data = read_scan_csv(scan_path)
-    spam = SpamModel(eps_prep=args.spam_prep, eps_meas=args.spam_meas)
     prefix = args.prefix or scan_path.stem
     report_path = out / f"{prefix}_report.json"
     profile_path = out / f"{prefix}_profile.csv"
 
     status = EXIT_OK
     try:
-        result = fit_beam(data, spam, max_iterations=args.max_iterations)
+        result = fit_beam(data, max_iterations=args.max_iterations)
     except FitConvergenceError as exc:
         result = exc.result
         print(f"fit did not converge: {exc}", file=sys.stderr)
         status = EXIT_NUMERICAL
     write_fit_report(result, report_path)
     write_freq_profile_csv(result.freq_profile, profile_path)
-    _write_manifest(out, args, [str(scan_path)], [report_path.name, profile_path.name])
+    _write_manifest(out, args, [str(scan_path)], [report_path.name, profile_path.name],
+                    prefix=f"{prefix}_")
     return status
 
 
@@ -396,11 +396,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_fit = sub.add_parser("fit", help="fit a scan CSV, write report and frequency profile",
                            **shared)
     p_fit.add_argument("scan", nargs="?", help="scan CSV path")
-    p_fit.add_argument("--spam-prep", dest="spam_prep", type=float, default=0.01,
-                       help="starting value of the fitted eps_prep when the scan has "
-                            "no t = 0 record")
-    p_fit.add_argument("--spam-meas", dest="spam_meas", type=float, default=0.01,
-                       help="starting value of the fitted eps_meas")
     p_fit.add_argument("--max-iterations", dest="max_iterations", type=int, default=200,
                        help="Levenberg-Marquardt iteration limit per start")
     p_fit.add_argument("--prefix", help="output name prefix; none means the scan file stem")

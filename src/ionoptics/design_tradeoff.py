@@ -64,7 +64,11 @@ def crosstalk(beam_diameter_um: float, neighbor_distance_um: float) -> float:
     if neighbor_distance_um < 0:
         raise ValueError(f"neighbor distance must be >= 0, got {neighbor_distance_um!r}")
     w0 = beam_diameter_um / 2.0
-    return math.exp(-2.0 * neighbor_distance_um**2 / w0**2)
+    try:
+        return math.exp(-2.0 * neighbor_distance_um**2 / w0**2)
+    except ZeroDivisionError:  # w0**2 underflows to 0
+        raise ValueError(
+            f"beam diameter {beam_diameter_um!r} um is too small to compute with") from None
 
 
 def required_na(beam_diameter_um: float, wavelength_um: float = 0.355) -> float:

@@ -464,10 +464,9 @@ def _amplitude_profile(data: ScanDataset) -> tuple[np.ndarray, np.ndarray]:
 def _log_profile_refinement(x_sel, omegas, amp_sel, x_lo, x_hi):
     """Quadratic fit of ln Omega(x) over the bright region, or None.
 
-    The max-min amplitude profile saturates wherever the scan completes
-    a half cycle, so its FWHM overestimates the width; the local
-    oscillation frequency keeps the exact Gaussian shape. ln Omega is a
-    parabola in x whose coefficients give all three parameters at once.
+    The local oscillation frequency keeps the exact Gaussian shape, so
+    ln Omega is a parabola in x whose coefficients give all three
+    parameters at once.
     """
     if x_sel.size < 4:
         return None
@@ -491,57 +490,42 @@ def _log_profile_refinement(x_sel, omegas, amp_sel, x_lo, x_hi):
     return omega0, xc, w0
 
 
-def _half_crossing(xs: np.ndarray, amp: np.ndarray, i_peak: int, half: float, direction: int) -> float | None:
-    i = i_peak
-    while 0 <= i + direction < xs.size:
-        j = i + direction
-        if amp[j] < half:
-            # linear interpolation between samples i and j
-            frac = (amp[i] - half) / (amp[i] - amp[j])
-            return float(xs[i] + frac * (xs[j] - xs[i]))
-        i = j
-    return None
-
-
 def initial_guess(data: ScanDataset, profile: Sequence[FreqProfilePoint]) -> BeamProfileParams:
     """Deterministic, derivative-free starting point for fit_beam.
 
-    x_c from the amplitude-weighted centroid of per-position oscillation
-    amplitude; w0 from that profile's FWHM via FWHM/sqrt(2 ln 2); Omega0
-    from the frequency-profile point nearest the centroid (the centroid
-    trace oscillates at essentially Omega0). When the bright region
-    supports it, all three are then refined by a quadratic fit of the
-    profile's ln Omega(x), which does not suffer the saturation bias of
-    the amplitude profile.
+    When the bright region of the frequency profile supports it, a
+    quadratic fit of its ln Omega(x) gives all three parameters; it does
+    not suffer the saturation bias of the amplitude profile. Otherwise
+    x_c is the profile's Omega-weighted mean and w0 twice its standard
+    deviation (half its D4sigma), and Omega0 is the profile point nearest
+    x_c (that trace oscillates at essentially Omega0). Raises
+    DegenerateDataError when the moments cannot be taken or that point
+    has no frequency.
     """
     if not profile:
         raise DegenerateDataError("frequency profile has no points")
     xs, amp = data._amplitude
-    xc = float(amp @ xs) / float(amp.sum())
-
-    i_peak = int(np.argmax(amp))
-    half = float(amp[i_peak]) / 2.0
-    left = _half_crossing(xs, amp, i_peak, half, -1)
-    right = _half_crossing(xs, amp, i_peak, half, +1)
-    if left is None:
-        left = float(xs[0])
-    if right is None:
-        right = float(xs[-1])
-    fwhm = max(right - left, float(np.min(np.diff(xs))) if xs.size > 1 else 1e-3)
-    w0 = fwhm / math.sqrt(2.0 * math.log(2.0))
-
     px = np.array([pt.position_um for pt in profile])
     omegas = np.array([pt.omega for pt in profile])
-    omega0 = float(omegas[int(np.argmin(np.abs(px - xc)))])
-
     amp_p = amp[np.searchsorted(xs, px)]
-    bright = (amp_p >= 0.25 * amp[i_peak]) & (omegas > 0)
+    bright = (amp_p >= 0.25 * amp.max()) & (omegas > 0)
     refined = _log_profile_refinement(
         px[bright], omegas[bright], amp_p[bright], float(xs[0]), float(xs[-1])
     )
     if refined is not None:
         omega0, xc, w0 = refined
-    return BeamProfileParams(omega0=omega0, center_um=xc, width_um=w0)
+        return BeamProfileParams(omega0=omega0, center_um=xc, width_um=w0)
+    try:
+        xc, var = _profile_moments(profile, subtract_baseline=True)
+    except ValueError as exc:
+        raise DegenerateDataError(f"no starting point: {exc}") from exc
+    if not var > 0:
+        raise DegenerateDataError("no starting point: the frequency profile has no width")
+    omega0 = float(omegas[int(np.argmin(np.abs(px - xc)))])
+    if not omega0 > 0:
+        raise DegenerateDataError(
+            f"no starting point: no oscillation next to the profile's mean, {xc:.4g} um")
+    return BeamProfileParams(omega0=omega0, center_um=xc, width_um=2.0 * math.sqrt(var))
 
 
 #: Deterministic multi-start perturbation signs for (omega0, center, width).
@@ -557,20 +541,20 @@ def _perturbed_starts(guess: BeamProfileParams):
         )
 
 
-def _spam_seed(data: ScanDataset, spam: SpamModel) -> SpamModel:
+def _spam_seed(data: ScanDataset) -> SpamModel:
     """SPAM for the frequency profile and the initial guess: eps_prep is the
     shot-weighted mean p1 of the t = 0 records (an undriven ion reads bright
-    with probability eps_prep), or ``spam.eps_prep`` when the scan has none;
-    eps_meas is ``spam.eps_meas``.
+    with probability eps_prep), or 0.01 when the scan has none; eps_meas is
+    0.01.
     """
     _, t, p, shots = data.arrays()
     dark = t == 0
     if not dark.any():
-        return spam
+        return SpamModel()
     n = shots[dark].astype(float)
     eps_prep = float(p[dark] @ n) / float(n.sum())
     try:
-        return SpamModel(eps_prep=eps_prep, eps_meas=spam.eps_meas)
+        return SpamModel(eps_prep=eps_prep)
     except ValueError as exc:
         raise DegenerateDataError(f"the t = 0 records do not give a SPAM error: {exc}") from exc
 
@@ -646,22 +630,18 @@ class BeamFitResult:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
 
-def fit_beam(
-    data: ScanDataset,
-    spam: SpamModel = SpamModel(),
-    max_iterations: int = 200,
-) -> BeamFitResult:
+def fit_beam(data: ScanDataset, max_iterations: int = 200) -> BeamFitResult:
     """Fit the beam model and the SPAM errors to a scan dataset.
 
     Five parameters are fitted: Omega0, x_c, w0, eps_prep and kappa = 1 -
-    eps_prep - eps_meas. ``spam`` holds starting values only. The frequency
+    eps_prep - eps_meas, starting from the scan alone. The frequency
     profile and the initial beam guess use eps_prep from the shot-weighted
-    mean p1 of the t = 0 records (``spam.eps_prep`` when the scan has none)
-    and ``spam.eps_meas``. The LM then starts from that beam guess and the
-    least-squares SPAM at it (that starting SPAM when the solve gives none
-    in [0, 0.5)), and every run weights the records by the binomial
-    variance of the model at this start. A step that would take eps_prep
-    or eps_meas outside [0, 0.5) is rejected.
+    mean p1 of the t = 0 records (0.01 when the scan has none) and
+    eps_meas = 0.01. The LM then starts from that beam guess and the
+    least-squares SPAM at it (that seed SPAM when the solve gives none in
+    [0, 0.5)), and every run weights the records by the binomial variance
+    of the model at this start. A step that would take eps_prep or
+    eps_meas outside [0, 0.5) is rejected.
 
     If the weighted residual RMS of the first run stays above twice the
     shot-noise floor, or the run fails to converge, five deterministically
@@ -670,15 +650,16 @@ def fit_beam(
 
     Raises FitConvergenceError (carrying the best-so-far result) when no
     run converges, DegenerateDataError when the grid cannot constrain
-    the parameters or the t = 0 records read bright half the time or more,
-    and ValueError unless max_iterations is an integer >= 1.
+    the parameters, the t = 0 records read bright half the time or more,
+    or the frequency profile gives no starting point, and ValueError
+    unless max_iterations is an integer >= 1.
     """
     if (isinstance(max_iterations, bool) or not isinstance(max_iterations, numbers.Integral)
             or max_iterations < 1):
         raise ValueError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
     _require_fit_grid(data)
     x, t, p, shots = data.arrays()
-    seed = _spam_seed(data, spam)
+    seed = _spam_seed(data)
     profile = fit_freq_profile(data, seed)
     guess = initial_guess(data, profile)
     start_spam = _spam_at(data, guess, seed)
@@ -893,18 +874,11 @@ def fit_freq_profile(
 # === Second-moment width ====================================================
 
 
-def d4sigma(profile: Sequence[FreqProfilePoint], subtract_baseline: bool = True) -> float:
-    """4-sigma second-moment width of a frequency profile, in um.
-
-    Weights are the fitted Rabi frequencies (Omega is proportional to
-    intensity). With subtract_baseline, the median Omega of baseline-flagged
-    points is subtracted first and negative weights clamped to zero; second
-    moments diverge under a constant background.
-    """
+def _profile_moments(profile: Sequence[FreqProfilePoint],
+                     subtract_baseline: bool) -> tuple[float, float]:
+    """(mean, variance) of a frequency profile's positions, weighted as
+    ``d4sigma`` says; raises ValueError when no weight is positive."""
     points = list(profile)
-    live = [pt for pt in points if not pt.baseline]
-    if len(live) < 3:
-        raise ValueError(f"need >= 3 non-baseline profile points, got {len(live)}")
     xs = np.array([pt.position_um for pt in points])
     w = np.array([pt.omega for pt in points], dtype=float)
     if subtract_baseline:
@@ -915,8 +889,22 @@ def d4sigma(profile: Sequence[FreqProfilePoint], subtract_baseline: bool = True)
     if total <= 0:
         raise ValueError("all profile weights are zero")
     mean = float(w @ xs) / total
-    var = float(w @ (xs - mean) ** 2) / total
-    return 4.0 * math.sqrt(var)
+    return mean, float(w @ (xs - mean) ** 2) / total
+
+
+def d4sigma(profile: Sequence[FreqProfilePoint], subtract_baseline: bool = True) -> float:
+    """4-sigma second-moment width of a frequency profile, in um.
+
+    Weights are the fitted Rabi frequencies (Omega is proportional to
+    intensity). With subtract_baseline, the median Omega of baseline-flagged
+    points is subtracted first and negative weights clamped to zero; second
+    moments diverge under a constant background. Raises ValueError with
+    fewer than 3 non-baseline points or no positive weight.
+    """
+    live = [pt for pt in profile if not pt.baseline]
+    if len(live) < 3:
+        raise ValueError(f"need >= 3 non-baseline profile points, got {len(live)}")
+    return 4.0 * math.sqrt(_profile_moments(profile, subtract_baseline)[1])
 
 
 def _d4sigma_or_none(profile: Sequence[FreqProfilePoint], subtract_baseline: bool) -> float | None:

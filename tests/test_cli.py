@@ -132,6 +132,12 @@ class TestPropagate:
         assert rc == 2
         assert "measured-pitch-err" in capsys.readouterr().err
 
+    def test_measured_pitch_err_requires_pitch(self, tmp_path, capsys):
+        rc = main(["propagate", "--out-dir", str(tmp_path), "--measured-pitch-err", "0.05"])
+        assert rc == 2
+        assert "must be given together" in capsys.readouterr().err
+        assert not (tmp_path / "image_report.json").exists()
+
     def test_invalid_prescription_names_schema_path(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
@@ -292,22 +298,16 @@ class TestFit:
         assert report["spam"]["eps_meas"] == pytest.approx(0.05, abs=0.01)
         assert report["spam"]["eps_prep_err"] > 0 and report["spam"]["eps_meas_err"] > 0
 
-    def test_spam_options_are_starting_values(self, tmp_path):
-        main(["synth", "--out-dir", str(tmp_path), "--seed", "0"])
-        scan = str(tmp_path / "scan_A.csv")
-        main(["fit", scan, "--out-dir", str(tmp_path), "--prefix", "default"])
-        main(["fit", scan, "--out-dir", str(tmp_path), "--prefix", "started",
-              "--spam-prep", "0.2", "--spam-meas", "0.2"])
-        default = load_json(tmp_path / "default_report.json")
-        started = load_json(tmp_path / "started_report.json")
-        # the fit recovers the scan's SPAM (0.01) from a start of 0.2; the
-        # weights come from the model at the start, so the beam moves, but
-        # by less than one sigma
-        for key in ("eps_prep", "eps_meas"):
-            assert started["spam"][key] == pytest.approx(0.01, abs=0.005)
-        for i, key in enumerate(default["covariance_order"]):
-            sigma = math.sqrt(default["covariance"][i][i])
-            assert abs(started["params"][key] - default["params"][key]) < sigma
+    def test_spam_is_not_an_option(self, pair_run, tmp_path):
+        # the fit starts from the scan alone: no SPAM option, no SPAM config key
+        argv = ["fit", str(pair_run / "scan_A.csv"), "--out-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--spam-prep", "0.01"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"spam_meas": 0.01}))
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert not (tmp_path / "scan_A_report.json").exists()
 
     def test_prefix_overrides_output_names(self, tmp_path):
         main(["synth", "--out-dir", str(tmp_path), "--seed", "0"])
@@ -508,8 +508,17 @@ class TestManifest:
         main(["propagate", "--out-dir", str(tmp_path)])
         for sub in ("design", "propagate"):
             assert set(load_json(tmp_path / f"{sub}_manifest.json")) == MANIFEST_KEYS
-        for sub in ("synth", "fit", "pair"):
-            assert set(load_json(pair_run / f"{sub}_manifest.json")) == MANIFEST_KEYS
+        for name in ("synth", "scan_A_fit", "scan_B_fit", "pair"):
+            assert set(load_json(pair_run / f"{name}_manifest.json")) == MANIFEST_KEYS
+
+    def test_each_fit_keeps_its_manifest(self, pair_run):
+        # two fits into one directory: the second must not erase the first's
+        assert not (pair_run / "fit_manifest.json").exists()
+        for beam in "AB":
+            man = load_json(pair_run / f"scan_{beam}_fit_manifest.json")
+            assert man["subcommand"] == "fit"
+            assert man["inputs"] == [str(pair_run / f"scan_{beam}.csv")]
+            assert man["outputs"] == [f"scan_{beam}_report.json", f"scan_{beam}_profile.csv"]
 
     def test_contents_record_the_run(self, pair_run):
         man = load_json(pair_run / "pair_manifest.json")
@@ -522,8 +531,8 @@ class TestManifest:
     def test_records_python_and_numpy_versions(self, pair_run, subprocess_env, tmp_path):
         # "3.11.7"; a pre-release interpreter also has a suffix such as "rc1"
         python = platform.python_version()
-        for sub in ("synth", "fit", "pair"):
-            man = load_json(pair_run / f"{sub}_manifest.json")
+        for name in ("synth", "scan_A_fit", "pair"):
+            man = load_json(pair_run / f"{name}_manifest.json")
             assert python.startswith(man["python"])
             assert man["numpy"] == numpy.__version__
         # design and propagate never load numpy, and recording must not either
@@ -612,14 +621,15 @@ class TestConfigFile:
         dests = {action.dest for action in subparsers[sub]._actions
                  if action.default is not argparse.SUPPRESS} - {"config"}
         first, second = tmp_path / "flags", tmp_path / "config"
+        manifest = "scan_A_fit_manifest.json" if sub == "fit" else f"{sub}_manifest.json"
         assert main([sub, *inputs, "--out-dir", str(first)]) == 0
-        options = load_json(first / f"{sub}_manifest.json")["options"]
+        options = load_json(first / manifest)["options"]
         assert set(options) == dests
 
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**options, "out_dir": str(second)}))
         assert main([sub, "--config", str(cfg)]) == 0
-        assert load_json(second / f"{sub}_manifest.json")["options"] == {
+        assert load_json(second / manifest)["options"] == {
             **options, "out_dir": str(second)}
 
 

@@ -59,6 +59,11 @@ class TestCrosstalk:
         with pytest.raises(ValueError):
             crosstalk(10.0, -1.0)
 
+    def test_underflowing_diameter_rejected(self):
+        # w0**2 rounds to 0, so the ratio would divide by zero
+        with pytest.raises(ValueError, match="too small"):
+            crosstalk(3e-265, 5.0)
+
 
 class TestRequiredNa:
     def test_frozen_values(self):

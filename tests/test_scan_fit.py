@@ -26,6 +26,7 @@ from ionoptics.scan_fit import (
     fit_freq_profile,
     fit_model,
     fit_model_jacobian,
+    initial_guess,
     pair_analysis,
     pair_report_dict,
     read_fit_report,
@@ -589,13 +590,14 @@ class TestFitBeam:
         assert 0.0 <= fit.spam.eps_meas < 0.005
         assert abs(fit.params.width_um - beam_a.width_um) < 5 * fit.param_errors()[2]
 
-    def test_scan_without_dark_records_starts_from_given_spam(self, beam_a):
+    def test_scan_without_dark_records_starts_from_the_default_spam(self, beam_a):
+        # no t = 0 record gives eps_prep, so the fit starts from 0.01/0.01
         spam = SpamModel(eps_prep=0.02, eps_meas=0.10)
         x, t, p, shots = synth_dataset(beam_a, seed=4, n_pos=61, n_dur=21, spam=spam).arrays()
         driven = t > 0
         assert not driven.all()
         ds = ScanDataset(x[driven], t[driven], p[driven], shots[driven])
-        fit = fit_beam(ds, SpamModel(eps_prep=0.05, eps_meas=0.05))
+        fit = fit_beam(ds)
         assert fit.converged
         assert fit.spam.eps_prep == pytest.approx(0.02, abs=0.005)
         assert fit.spam.eps_meas == pytest.approx(0.10, abs=0.01)
@@ -618,6 +620,38 @@ class TestFitBeam:
         x, t, p, shots = synth_dataset(beam_a, n_pos=21, n_dur=11).arrays()
         ds = ScanDataset(x, t, np.where(t == 0, 0.6, p), shots)
         with pytest.raises(DegenerateDataError, match="t = 0 records"):
+            fit_beam(ds)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_coarse_scan_starts_from_the_profile_moments(self, beam_a, seed, monkeypatch):
+        # 9 positions over +-6 um leave too few bright points for the
+        # ln Omega parabola; the start is the profile's mean and half its
+        # D4sigma, and the fit recovers the beam
+        _, durations = default_scan_grid(beam_a, 61, 21)
+        ds = generate(SynthConfig(truth=beam_a, positions_um=tuple(np.linspace(-6.0, 6.0, 9)),
+                                  durations_s=durations, shots=200, rng_seed=seed))[0]
+        refinements = []
+        refine = scan_fit._log_profile_refinement
+        monkeypatch.setattr(scan_fit, "_log_profile_refinement",
+                            lambda *args: refinements.append(refine(*args)) or refinements[-1])
+        fit = fit_beam(ds)
+        assert refinements == [None]
+        start = initial_guess(ds, fit.freq_profile)
+        assert start.width_um == pytest.approx(d4sigma(fit.freq_profile) / 2, rel=1e-12)
+        assert fit.converged
+        assert fit.params.omega0 == pytest.approx(beam_a.omega0, rel=0.02)
+        assert fit.params.width_um == pytest.approx(beam_a.width_um, rel=0.02)
+
+    def test_no_oscillation_at_the_profile_mean_rejected(self):
+        # the profile point nearest the moments' mean fits Omega = 0: the
+        # start has no peak frequency
+        beam = BeamProfileParams(omega0=TWO_PI * 1484.716204440631,
+                                 center_um=-0.28655953452122507, width_um=3.819436660380868)
+        ds = generate(SynthConfig(
+            truth=beam, positions_um=tuple(np.linspace(-13.104793504282338, 11.30027074080746, 31)),
+            durations_s=tuple(np.linspace(0.0, 0.0034765828482869396, 6)), shots=20,
+            spam=SpamModel(0.24091962352202279, 0.11310444054525354), rng_seed=175))[0]
+        with pytest.raises(DegenerateDataError, match="no oscillation"):
             fit_beam(ds)
 
     def test_non_convergence_carries_best_result(self, beam_a):
@@ -674,9 +708,9 @@ class TestFitBeam:
                      max_iterations=max_iterations)
 
 
-def _fit_or_carried(data, spam, max_iterations):
+def _fit_or_carried(data, max_iterations):
     try:
-        return fit_beam(data, spam, max_iterations=max_iterations)
+        return fit_beam(data, max_iterations=max_iterations)
     except FitConvergenceError as exc:
         return exc.result
 
@@ -697,7 +731,7 @@ class TestAgainstReferenceLM:
     """
 
     @staticmethod
-    def reference_fit(data, spam, max_iterations, monkeypatch):
+    def reference_fit(data, max_iterations, monkeypatch):
         x, t, p, shots = data.arrays()
         runs = []
 
@@ -719,7 +753,7 @@ class TestAgainstReferenceLM:
         sqrt_w = None
         with monkeypatch.context() as patch:
             patch.setattr(scan_fit, "_levenberg_marquardt", reference_lm)
-            return _fit_or_carried(data, spam, max_iterations), runs
+            return _fit_or_carried(data, max_iterations), runs
 
     @staticmethod
     def recovery_scan(beams, seed):
@@ -730,7 +764,7 @@ class TestAgainstReferenceLM:
     @pytest.mark.parametrize("case", [
         "recovery_0", "recovery_1", "recovery_2", "spam_mismatch", "max_iterations_1"])
     def test_matches_reference(self, beam_a, beam_b, monkeypatch, case):
-        spam, max_iterations = SpamModel(), 200
+        max_iterations = 200
         if case.startswith("recovery"):
             scans = self.recovery_scan((beam_a, beam_b), int(case[-1]))
         elif case == "spam_mismatch":
@@ -741,8 +775,8 @@ class TestAgainstReferenceLM:
         else:
             scans, max_iterations = [synth_dataset(beam_a, seed=2, n_pos=15, n_dur=9)], 1
         for data in scans:
-            ref, ref_runs = self.reference_fit(data, spam, max_iterations, monkeypatch)
-            fit = _fit_or_carried(data, spam, max_iterations)
+            ref, ref_runs = self.reference_fit(data, max_iterations, monkeypatch)
+            fit = _fit_or_carried(data, max_iterations)
             sigma = np.append(ref.param_errors(), ref.spam_errors)
             got = np.array([fit.params.omega0, fit.params.center_um, fit.params.width_um,
                             fit.spam.eps_prep, fit.spam.eps_meas])
