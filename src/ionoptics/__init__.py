@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 #: Submodule -> the public names it provides.
 _EXPORTS = {
     "beamlab": (
-        "Axis", "AXES", "RayMatrix", "IDENTITY", "SingularityError",
+        "RayMatrix", "IDENTITY", "SingularityError",
         "free_space", "thin_lens", "compose",
-        "BeamAxisState", "GaussianBeamState", "propagate", "spot_radius_um",
+        "GaussianBeam", "propagate", "spot_radius_um",
         "rayleigh_range_mm", "far_field_divergence_rad",
     ),
     "design_tradeoff": (
@@ -31,7 +31,7 @@ _EXPORTS = {
         "apply_spam", "crosstalk_rabi_bound", "intensity_crosstalk_ratio",
     ),
     "system_model": (
-        "PrescriptionError", "PrescriptionElement", "OpticalPrescription",
+        "Axis", "AXES", "PrescriptionError", "PrescriptionElement", "OpticalPrescription",
         "BeamArraySpec", "AxisImage", "ImagePlaneReport", "DiscrepancyReport",
         "load_prescription", "save_prescription", "reference_prescription",
         "image_distance_mm", "magnification", "image_array", "compare_measured_pitch",

@@ -6,9 +6,9 @@ Conventions
   wavelengths in um.
 * "Diameter" anywhere in this package means twice the 1/e^2 intensity
   radius w.
-* A beam state carries two independent transverse axes, "axial" (x, along
-  the beam array) and "radial" (y). Cylindrical elements act on one axis
-  only, so the two axes propagate through different matrix chains.
+* A GaussianBeam is one transverse axis. Astigmatism lives in
+  ``system_model``, which gives each axis ("axial" along the beam array,
+  "radial" across it) its own matrix chain and propagates one beam per axis.
 * The complex beam parameter at a reference plane z = 0 is
   q = (z - z_waist) + i*z_R with z_R = pi*w0^2/lambda, and an element with
   ray matrix [[a, b], [c, d]] maps it to q' = (a*q + b)/(c*q + d).
@@ -17,17 +17,14 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Literal
+from dataclasses import dataclass
+from typing import Iterable
 
 __all__ = [
-    "Axis",
-    "AXES",
     "SingularityError",
     "RayMatrix",
     "IDENTITY",
-    "BeamAxisState",
-    "GaussianBeamState",
+    "GaussianBeam",
     "free_space",
     "thin_lens",
     "compose",
@@ -37,20 +34,12 @@ __all__ = [
     "far_field_divergence_rad",
 ]
 
-Axis = Literal["axial", "radial"]
-AXES: tuple[Axis, Axis] = ("axial", "radial")
-
 #: |det - 1| tolerance for ray matrices (same-index input/output media).
 DET_TOL = 1e-9
 
 
 class SingularityError(ArithmeticError):
     """An ABCD transform or imaging solve has no finite solution."""
-
-
-def _require_axis(axis: str) -> None:
-    if axis not in AXES:
-        raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
 
 
 # === Ray-transfer matrices ==================================================
@@ -126,49 +115,25 @@ def compose(elements: Iterable[RayMatrix]) -> RayMatrix:
     return total
 
 
-# === Gaussian beam states ===================================================
+# === Gaussian beams =========================================================
 
 
 @dataclass(frozen=True)
-class BeamAxisState:
-    """Waist radius (um) and waist position (mm, relative to the reference plane)."""
+class GaussianBeam:
+    """One transverse axis of a Gaussian beam at a reference plane: waist
+    radius (um) and waist position (mm, relative to that plane)."""
 
+    wavelength_um: float
     waist_radius_um: float
     waist_position_mm: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.wavelength_um) and self.wavelength_um > 0):
+            raise ValueError(f"wavelength must be positive, got {self.wavelength_um!r}")
         if not (math.isfinite(self.waist_radius_um) and self.waist_radius_um > 0):
             raise ValueError(f"waist radius must be positive, got {self.waist_radius_um!r}")
         if not math.isfinite(self.waist_position_mm):
             raise ValueError("waist position must be finite")
-
-
-@dataclass(frozen=True)
-class GaussianBeamState:
-    """Two-axis Gaussian beam at a reference plane."""
-
-    wavelength_um: float
-    axial: BeamAxisState
-    radial: BeamAxisState
-
-    def __post_init__(self):
-        if not (math.isfinite(self.wavelength_um) and self.wavelength_um > 0):
-            raise ValueError(f"wavelength must be positive, got {self.wavelength_um!r}")
-
-    @classmethod
-    def circular(
-        cls,
-        wavelength_um: float,
-        waist_radius_um: float,
-        waist_position_mm: float = 0.0,
-    ) -> "GaussianBeamState":
-        """Round beam: identical waist on both axes."""
-        ax = BeamAxisState(waist_radius_um, waist_position_mm)
-        return cls(wavelength_um, axial=ax, radial=ax)
-
-    def axis_state(self, axis: Axis) -> BeamAxisState:
-        _require_axis(axis)
-        return self.axial if axis == "axial" else self.radial
 
 
 def rayleigh_range_mm(wavelength_um: float, waist_radius_um: float) -> float:
@@ -181,48 +146,33 @@ def far_field_divergence_rad(wavelength_um: float, waist_radius_um: float) -> fl
     return wavelength_um / (math.pi * waist_radius_um)
 
 
-def _q_at_reference(state: BeamAxisState, wavelength_um: float) -> complex:
-    # q(z=0) = (0 - z_waist) + i*z_R
-    return complex(
-        -state.waist_position_mm,
-        rayleigh_range_mm(wavelength_um, state.waist_radius_um),
-    )
+def propagate(beam: GaussianBeam, m: RayMatrix) -> GaussianBeam:
+    """Propagate a beam through a ray matrix.
 
-
-def _state_from_q(q: complex, wavelength_um: float) -> BeamAxisState:
-    if q.imag <= 0:
-        raise SingularityError(f"transformed q has non-positive imaginary part: {q!r}")
-    w0_um = math.sqrt(wavelength_um * q.imag * 1e3 / math.pi)
-    return BeamAxisState(waist_radius_um=w0_um, waist_position_mm=-q.real)
-
-
-def propagate(beam: GaussianBeamState, m: RayMatrix, axis: Axis) -> GaussianBeamState:
-    """Propagate one axis of a beam through a ray matrix.
-
-    The returned state is referenced to the output plane of ``m``: its waist
-    radius and waist position on ``axis`` are extracted from the transformed
-    q parameter; the other axis is untouched.
+    The returned beam is referenced to the output plane of ``m``: its waist
+    radius and waist position are extracted from the transformed q parameter.
 
     Parameters
     ----------
-    beam : GaussianBeamState
+    beam : GaussianBeam
         Input beam, referenced to the input plane of ``m``.
     m : RayMatrix
-        Composed ray matrix for this axis (first element acts first).
-    axis : {"axial", "radial"}
+        Composed ray matrix (first element acts first).
     """
-    _require_axis(axis)
-    q = _q_at_reference(beam.axis_state(axis), beam.wavelength_um)
-    new_state = _state_from_q(m.transform_q(q), beam.wavelength_um)
-    return replace(beam, **{axis: new_state})
+    # q(z=0) = (0 - z_waist) + i*z_R
+    z_r = rayleigh_range_mm(beam.wavelength_um, beam.waist_radius_um)
+    q = m.transform_q(complex(-beam.waist_position_mm, z_r))
+    if q.imag <= 0:
+        raise SingularityError(f"transformed q has non-positive imaginary part: {q!r}")
+    w0_um = math.sqrt(beam.wavelength_um * q.imag * 1e3 / math.pi)
+    return GaussianBeam(beam.wavelength_um, waist_radius_um=w0_um, waist_position_mm=-q.real)
 
 
-def spot_radius_um(beam: GaussianBeamState, axis: Axis, z_mm: float = 0.0) -> float:
+def spot_radius_um(beam: GaussianBeam, z_mm: float = 0.0) -> float:
     """1/e^2 intensity radius w(z) at distance z from the reference plane.
 
     w(z) = w0*sqrt(1 + ((z - z_waist)/z_R)^2)
     """
-    state = beam.axis_state(axis)
-    z_r = rayleigh_range_mm(beam.wavelength_um, state.waist_radius_um)
-    u = (z_mm - state.waist_position_mm) / z_r
-    return state.waist_radius_um * math.sqrt(1.0 + u * u)
+    z_r = rayleigh_range_mm(beam.wavelength_um, beam.waist_radius_um)
+    u = (z_mm - beam.waist_position_mm) / z_r
+    return beam.waist_radius_um * math.sqrt(1.0 + u * u)

@@ -1067,8 +1067,8 @@ def read_fit_report(path: str | Path) -> tuple[BeamProfileParams, np.ndarray, di
     """Reconstruct (params, covariance in rad/s & um, raw dict) from a report.
 
     Raises ScanFormatError unless the report has the current
-    ``schema_version``, a JSON boolean ``converged`` and a valid ``spam``
-    block.
+    ``schema_version``, a JSON boolean ``converged``, a valid ``spam``
+    block and finite covariance entries and SPAM errors.
     """
     raw = json.loads(Path(path).read_text())
     version = raw.get("schema_version") if isinstance(raw, dict) else None
@@ -1087,11 +1087,13 @@ def read_fit_report(path: str | Path) -> tuple[BeamProfileParams, np.ndarray, di
         cov_hz = np.array(raw["covariance"], dtype=float)
         spam = raw["spam"]
         SpamModel(eps_prep=spam["eps_prep"], eps_meas=spam["eps_meas"])
-        float(spam["eps_prep_err"]), float(spam["eps_meas_err"])
+        spam_errors = (float(spam["eps_prep_err"]), float(spam["eps_meas_err"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScanFormatError(f"{path}: not a fit report ({exc!r})") from exc
     if cov_hz.shape != (3, 3):
         raise ScanFormatError(f"{path}: covariance must be 3x3, got {cov_hz.shape}")
+    if not (np.isfinite(cov_hz).all() and np.isfinite(spam_errors).all()):
+        raise ScanFormatError(f"{path}: covariance and SPAM errors must be finite")
     scale = np.diag([TWO_PI, 1.0, 1.0])
     return params, scale @ cov_hz @ scale, raw
 

@@ -26,9 +26,7 @@ from typing import Literal
 
 from ._atomic import _write_atomic
 from .beamlab import (
-    AXES,
-    Axis,
-    GaussianBeamState,
+    GaussianBeam,
     RayMatrix,
     SingularityError,
     compose,
@@ -39,6 +37,8 @@ from .beamlab import (
 )
 
 __all__ = [
+    "Axis",
+    "AXES",
     "PrescriptionError",
     "PrescriptionElement",
     "OpticalPrescription",
@@ -55,6 +55,8 @@ __all__ = [
     "compare_measured_pitch",
 ]
 
+Axis = Literal["axial", "radial"]
+AXES: tuple[Axis, Axis] = ("axial", "radial")
 ElementAxis = Literal["axial", "radial", "both"]
 _ELEMENT_KINDS = ("lens", "gap")
 _ELEMENT_AXES = ("axial", "radial", "both")
@@ -91,6 +93,8 @@ class OpticalPrescription:
 
     def matrix(self, axis: Axis) -> RayMatrix:
         """Composed source-to-last-element matrix for one axis."""
+        if axis not in AXES:
+            raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
         return compose(e.matrix() for e in self.elements if e.applies_to(axis))
 
 
@@ -259,22 +263,16 @@ def magnification(prescription: OpticalPrescription, axis: Axis) -> float:
     return abs(m.a)
 
 
-def _axis_image(
-    m: RayMatrix,
-    t: float,
-    axis: Axis,
-    source_beam: GaussianBeamState,
-) -> AxisImage:
-    """The image of ``source_beam`` through ``m``, the axis's train up to its
+def _axis_image(m: RayMatrix, t: float, source: GaussianBeam) -> AxisImage:
+    """The image of ``source`` through ``m``, one axis's train up to its
     image plane ``t`` mm behind the last element."""
-    out = propagate(source_beam, m, axis)
-    state = out.axis_state(axis)
+    out = propagate(source, m)
     return AxisImage(
         magnification=abs(m.a),
         inverted=m.a < 0,
         image_distance_mm=t,
-        diameter_um=2.0 * spot_radius_um(out, axis, 0.0),
-        waist_offset_mm=state.waist_position_mm,
+        diameter_um=2.0 * spot_radius_um(out, 0.0),
+        waist_offset_mm=out.waist_position_mm,
     )
 
 
@@ -291,20 +289,21 @@ def image_array(
     offset between the two planes is reported with the radial spot size
     re-evaluated at the axial plane so any waist-plane mismatch is visible.
     """
-    source = GaussianBeamState.circular(wavelength_um, array.source_diameter_um / 2.0)
+    # the source beams are round: one beam serves both axes
+    source = GaussianBeam(wavelength_um, array.source_diameter_um / 2.0)
     # each axis's image plane is solved once
     m_ax, t_ax = _axis_matrix_at_image(prescription, "axial")
     m_rad, t_rad = _axis_matrix_at_image(prescription, "radial")
-    axial = _axis_image(m_ax, t_ax, "axial", source)
-    radial = _axis_image(m_rad, t_rad, "radial", source)
+    axial = _axis_image(m_ax, t_ax, source)
+    radial = _axis_image(m_rad, t_rad, source)
 
     pitch = array.source_pitch_um * axial.magnification
     n = array.channel_count
     centers = tuple(pitch * (i - (n - 1) / 2.0) for i in range(n))
 
     offset = t_ax - t_rad
-    radial_at_axial = propagate(source, free_space(offset) @ m_rad, "radial")
-    radial_dia_at_axial = 2.0 * spot_radius_um(radial_at_axial, "radial", 0.0)
+    radial_at_axial = propagate(source, free_space(offset) @ m_rad)
+    radial_dia_at_axial = 2.0 * spot_radius_um(radial_at_axial, 0.0)
 
     notes = []
     if abs(offset) > 1e-6:

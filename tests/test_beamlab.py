@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from ionoptics.beamlab import (
     IDENTITY,
-    BeamAxisState,
-    GaussianBeamState,
+    GaussianBeam,
     RayMatrix,
     SingularityError,
     compose,
@@ -110,67 +109,59 @@ class TestGaussianPropagation:
         # Closed-form oracle: an afocal relay scales the waist by |m| and
         # the 100 um input waist at the front focal plane lands exactly at
         # the back focal plane (f2 = 15 mm past L2) with waist 20 um.
-        beam = GaussianBeamState.circular(0.355, 100.0)
+        beam = GaussianBeam(0.355, 100.0)
         m = compose([free_space(75.0), thin_lens(75.0), free_space(90.0),
                      thin_lens(15.0), free_space(15.0)])
-        out = propagate(beam, m, "axial")
-        assert out.axial.waist_radius_um == pytest.approx(20.0, rel=1e-12)
-        assert out.axial.waist_position_mm == pytest.approx(0.0, abs=1e-9)
-        # untouched axis keeps its state
-        assert out.radial == beam.radial
+        out = propagate(beam, m)
+        assert out.waist_radius_um == pytest.approx(20.0, rel=1e-12)
+        assert out.waist_position_mm == pytest.approx(0.0, abs=1e-9)
 
     def test_free_space_moves_waist_back(self):
-        beam = GaussianBeamState.circular(0.355, 50.0)
-        out = propagate(beam, free_space(100.0), "radial")
+        beam = GaussianBeam(0.355, 50.0)
+        out = propagate(beam, free_space(100.0))
         # after traveling 100 mm the waist sits 100 mm behind the plane
-        assert out.radial.waist_position_mm == pytest.approx(-100.0, abs=1e-12)
-        assert out.radial.waist_radius_um == pytest.approx(50.0, rel=1e-12)
+        assert out.waist_position_mm == pytest.approx(-100.0, abs=1e-12)
+        assert out.waist_radius_um == pytest.approx(50.0, rel=1e-12)
 
     def test_spot_radius_hyperbola(self):
-        beam = GaussianBeamState.circular(0.355, 50.0)
+        beam = GaussianBeam(0.355, 50.0)
         zr = rayleigh_range_mm(0.355, 50.0)
-        assert spot_radius_um(beam, "axial", zr) == pytest.approx(
+        assert spot_radius_um(beam, zr) == pytest.approx(
             50.0 * math.sqrt(2.0), rel=1e-12
         )
-        assert spot_radius_um(beam, "axial", 0.0) == pytest.approx(50.0, rel=1e-12)
+        assert spot_radius_um(beam, 0.0) == pytest.approx(50.0, rel=1e-12)
 
     @given(w0=st.floats(min_value=5.0, max_value=500.0),
            d=st.floats(min_value=0.0, max_value=500.0))
     @settings(max_examples=100, deadline=None)
     def test_free_space_round_trip_restores_beam(self, w0, d):
-        beam = GaussianBeamState.circular(0.355, w0)
-        out = propagate(propagate(beam, free_space(d), "axial"),
-                        free_space(-d), "axial")
-        assert out.axial.waist_radius_um == pytest.approx(w0, rel=1e-9)
-        assert out.axial.waist_position_mm == pytest.approx(0.0, abs=1e-9)
+        beam = GaussianBeam(0.355, w0)
+        out = propagate(propagate(beam, free_space(d)), free_space(-d))
+        assert out.waist_radius_um == pytest.approx(w0, rel=1e-9)
+        assert out.waist_position_mm == pytest.approx(0.0, abs=1e-9)
 
     @given(w0=st.floats(min_value=5.0, max_value=500.0))
     @settings(max_examples=100, deadline=None)
     def test_afocal_relay_scales_divergence_inversely(self, w0):
         # Waist radius scales by |m|, divergence by 1/|m|; their product
         # (the beam parameter product) is invariant.
-        beam = GaussianBeamState.circular(0.355, w0)
+        beam = GaussianBeam(0.355, w0)
         relay = compose([free_space(200.0), thin_lens(200.0), free_space(300.0),
                          thin_lens(100.0), free_space(50.0)])
-        out = propagate(beam, relay, "axial")
+        out = propagate(beam, relay)
         theta_in = far_field_divergence_rad(0.355, w0)
-        theta_out = far_field_divergence_rad(0.355, out.axial.waist_radius_um)
-        assert out.axial.waist_radius_um * theta_out == pytest.approx(
+        theta_out = far_field_divergence_rad(0.355, out.waist_radius_um)
+        assert out.waist_radius_um * theta_out == pytest.approx(
             w0 * theta_in, rel=1e-9
         )
-        assert out.axial.waist_radius_um == pytest.approx(0.5 * w0, rel=1e-9)
-
-    def test_axis_validation(self):
-        beam = GaussianBeamState.circular(0.355, 50.0)
-        with pytest.raises(ValueError):
-            propagate(beam, IDENTITY, "diagonal")
+        assert out.waist_radius_um == pytest.approx(0.5 * w0, rel=1e-9)
 
     def test_nonpositive_waist_rejected(self):
         with pytest.raises(ValueError):
-            BeamAxisState(waist_radius_um=-1.0)
+            GaussianBeam(0.355, waist_radius_um=-1.0)
         with pytest.raises(ValueError):
-            GaussianBeamState.circular(0.355, 0.0)
+            GaussianBeam(0.355, 0.0)
 
     def test_nonpositive_wavelength_rejected(self):
         with pytest.raises(ValueError):
-            GaussianBeamState.circular(-0.355, 50.0)
+            GaussianBeam(-0.355, 50.0)

@@ -491,6 +491,22 @@ class TestPair:
         assert "converged must be true or false" in capsys.readouterr().err
         assert not (tmp_path / "pair_report.json").exists()
 
+    @pytest.mark.parametrize("field", ["covariance", "eps_prep_err", "eps_meas_err"])
+    def test_nonfinite_error_exits_2(self, pair_run, tmp_path, capsys, field):
+        # a NaN would reach pair_report.json, which would then not be JSON
+        report = load_json(pair_run / "scan_A_report.json")
+        if field == "covariance":
+            report["covariance"][1][1] = math.nan
+        else:
+            report["spam"][field] = math.nan
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        rc = main(["pair", "--fit-a", str(path), "--fit-b", str(pair_run / "scan_B_report.json"),
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "pair_report.json").exists()
+
     def test_malformed_report_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"params": {}}))

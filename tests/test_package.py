@@ -97,7 +97,7 @@ def test_exports_match_each_module_all():
         assert set(names) == set(importlib.import_module(f"ionoptics.{module}").__all__), module
 
 
-def test_readme_examples_run(tmp_path, monkeypatch):
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
     # every python block of the README, in order and in one namespace, next
     # to the README two-beam synth output that its fit example reads
     assert main(["synth", "--out-dir", str(tmp_path), "--seed", "0",
@@ -108,8 +108,11 @@ def test_readme_examples_run(tmp_path, monkeypatch):
     assert blocks
     monkeypatch.chdir(tmp_path)
     namespace = {}
+    capsys.readouterr()
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+    # the one print: the 5:1 telescope's 20 um output waist
+    assert float(capsys.readouterr().out) == pytest.approx(20.0, rel=1e-12)
 
 
 def test_unknown_name_raises_attribute_error():

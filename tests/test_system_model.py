@@ -1,12 +1,15 @@
 """Telescope prescriptions: parsing, imaging solves, array mapping."""
 
+import dataclasses
 import json
 import math
+import re
 
 import pytest
 
-from ionoptics.beamlab import GaussianBeamState, SingularityError, propagate
+from ionoptics.beamlab import GaussianBeam, SingularityError, propagate
 from ionoptics.system_model import (
+    AXES,
     BeamArraySpec,
     OpticalPrescription,
     PrescriptionElement,
@@ -44,6 +47,24 @@ def relay_2f():
 
 ARRAY = BeamArraySpec(source_diameter_um=200.0, source_pitch_um=450.0, channel_count=10)
 
+#: Every number of image_array(reference_prescription(), ARRAY). The design
+#: half uses only + - * / and sqrt, so these hold to the last bit.
+REFERENCE_REPORT = {
+    "wavelength_um": 0.355,
+    "axial": {"magnification": 0.009523809523809523, "inverted": True,
+              "image_distance_mm": 22.732426303854876, "diameter_um": 1.9047619047619047,
+              "waist_offset_mm": 1.4808863640770774e-18},
+    "radial": {"magnification": 0.047619047619047616, "inverted": False,
+               "image_distance_mm": 22.32426303854875, "diameter_um": 9.523809523809524,
+               "waist_offset_mm": 2.200425503829238e-18},
+    "pitch_um": 4.285714285714286,
+    "centers_um": (-19.285714285714285, -15.0, -10.714285714285714, -6.428571428571429,
+                   -2.142857142857143, 2.142857142857143, 6.428571428571429,
+                   10.714285714285714, 15.0, 19.285714285714285),
+    "astigmatic_offset_mm": 0.40816326530612557,
+    "radial_diameter_at_axial_plane_um": 21.585996768087167,
+}
+
 
 class TestImagingSolves:
     def test_75_15_demagnifies_5x(self, telescope_75_15):
@@ -76,6 +97,12 @@ class TestImagingSolves:
         )
         with pytest.raises(SingularityError, match="within 1e9 mm"):
             image_distance_mm(near_focal_source, "axial")
+
+    @pytest.mark.parametrize("solve", [OpticalPrescription.matrix, image_distance_mm,
+                                       magnification])
+    def test_unknown_axis_rejected(self, solve):
+        with pytest.raises(ValueError, match=re.escape(repr(AXES))):
+            solve(reference_prescription(), "diagonal")
 
     def test_cascade_matches_elementwise_product(self, telescope_75_15):
         m = telescope_75_15.matrix("axial")
@@ -117,13 +144,13 @@ class TestImageArray:
         # oracle: propagate the q-parameter through the full matrix with the
         # solved trailing gap and compare waists
         report = image_array(telescope_75_15, ARRAY)
-        beam = GaussianBeamState.circular(0.355, 100.0)
+        beam = GaussianBeam(0.355, 100.0)
         from ionoptics.beamlab import compose, free_space
 
         m = compose([e.matrix() for e in telescope_75_15.elements] + [free_space(15.0)])
-        out = propagate(beam, m, "axial")
+        out = propagate(beam, m)
         assert report.axial.diameter_um == pytest.approx(
-            2.0 * out.axial.waist_radius_um, rel=1e-9
+            2.0 * out.waist_radius_um, rel=1e-9
         )
 
 
@@ -136,6 +163,12 @@ class TestReferencePrescription:
         assert report.axial.image_distance_mm == pytest.approx(22.732426303855, abs=1e-6)
         assert report.radial.image_distance_mm == pytest.approx(22.324263038548, abs=1e-6)
         assert report.astigmatic_offset_mm == pytest.approx(0.408163265306, abs=1e-6)
+
+    def test_report_numbers_exact(self):
+        report = dataclasses.asdict(image_array(reference_prescription(), ARRAY))
+        assert set(report) - set(REFERENCE_REPORT) == {"prescription_name", "notes"}
+        for key, expected in REFERENCE_REPORT.items():
+            assert report[key] == expected, key
 
     def test_magnifications(self):
         ref = reference_prescription()
