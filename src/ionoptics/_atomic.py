@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -21,3 +22,17 @@ def _write_atomic(path: str | Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` as indented JSON, atomically.
+
+    The encoding is strict: a NaN or infinite float raises ValueError
+    before anything is written, so no output holds ``NaN`` or ``Infinity``,
+    which are not JSON.
+    """
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path} not written: a value is not finite ({exc})") from exc
+    _write_atomic(path, text + "\n")

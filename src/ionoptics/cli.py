@@ -19,10 +19,15 @@ atomically (temporary file, then rename).
 Each subcommand imports the library modules it runs when it runs, so
 ``--version``, ``design`` and ``propagate`` never load numpy.
 
+Each subcommand computes every output, and runs every check, before it
+writes its first file, so a step that fails leaves no output behind. No
+JSON output holds NaN or Infinity: a value that is not finite is an error.
+
 Exit codes: 0 success; 1 I/O failure; 2 invalid arguments, config, or
-input data, including numbers too large to compute with; 3 numerical
-failure (non-convergent fit, prescription with no image plane). A
-non-convergent fit still writes its best-so-far report before exiting.
+input data, including non-finite option values and numbers too large to
+compute with; 3 numerical failure (non-convergent fit, prescription with
+no image plane). A non-convergent fit still writes its best-so-far report
+before exiting.
 """
 
 from __future__ import annotations
@@ -30,14 +35,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from ._atomic import _write_atomic
+from ._atomic import _write_atomic, _write_json
 from .beamlab import SingularityError
 
 if TYPE_CHECKING:
@@ -75,7 +79,7 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace,
         "outputs": outputs,
     }
     path = out_dir / f"{prefix}{args.subcommand}_manifest.json"
-    _write_atomic(path, json.dumps(manifest, indent=2) + "\n")
+    _write_json(path, manifest)
     return path
 
 
@@ -97,7 +101,6 @@ def cmd_design(args: argparse.Namespace) -> int:
         DesignConstraints, crosstalk, min_diameter_for_na, required_na, tradeoff_curve,
     )
 
-    out = _out_dir(args)
     lo, hi = args.diameter_range
     constraints = DesignConstraints(
         wavelength_um=args.wavelength,
@@ -108,8 +111,6 @@ def cmd_design(args: argparse.Namespace) -> int:
     lines = ["diameter_um,required_na,crosstalk"]
     for pt in points:
         lines.append(_fmt_row(pt.beam_diameter_um, pt.required_na, pt.crosstalk))
-    curve_path = out / "design_curve.csv"
-    _write_atomic(curve_path, "\n".join(lines) + "\n")
 
     boundary = min_diameter_for_na(constraints.na_cap, constraints.wavelength_um)
     summary = {
@@ -124,8 +125,11 @@ def cmd_design(args: argparse.Namespace) -> int:
         "boundary_in_range": lo < boundary < hi,
         "rows": len(points),
     }
-    summary_path = out / "design_summary.json"
-    _write_atomic(summary_path, json.dumps(summary, indent=2) + "\n")
+    out = _out_dir(args)
+    curve_path, summary_path = out / "design_curve.csv", out / "design_summary.json"
+    # the summary first: its strict JSON encoding is the last check
+    _write_json(summary_path, summary)
+    _write_atomic(curve_path, "\n".join(lines) + "\n")
     _write_manifest(out, args, [], [curve_path.name, summary_path.name])
     return EXIT_OK
 
@@ -139,7 +143,8 @@ def cmd_propagate(args: argparse.Namespace) -> int:
         reference_prescription,
     )
 
-    out = _out_dir(args)
+    if (args.measured_pitch is None) != (args.measured_pitch_err is None):
+        raise ValueError("--measured-pitch and --measured-pitch-err must be given together")
     inputs = []
     if args.prescription is None:
         prescription = reference_prescription()
@@ -155,13 +160,12 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     payload = dataclasses.asdict(report)
     payload["centers_um"] = list(report.centers_um)
     payload["notes"] = list(report.notes)
-    if (args.measured_pitch is None) != (args.measured_pitch_err is None):
-        raise ValueError("--measured-pitch and --measured-pitch-err must be given together")
     if args.measured_pitch is not None:
         disc = compare_measured_pitch(report, args.measured_pitch, args.measured_pitch_err)
         payload["pitch_discrepancy"] = dataclasses.asdict(disc)
+    out = _out_dir(args)
     report_path = out / "image_report.json"
-    _write_atomic(report_path, json.dumps(payload, indent=2) + "\n")
+    _write_json(report_path, payload)
     _write_manifest(out, args, inputs, [report_path.name])
     return EXIT_OK
 
@@ -174,12 +178,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     from .scan_fit import TWO_PI, write_scan_csv
     from .synth_scan import SynthConfig, default_scan_grid, generate, position_jitter
 
-    out = _out_dir(args)
     if not (len(args.rabi_hz) == len(args.center_um) == len(args.width_um)):
         raise ValueError(
             f"--rabi-hz/--center-um/--width-um must have equal counts, "
             f"got {len(args.rabi_hz)}/{len(args.center_um)}/{len(args.width_um)}"
         )
+    if args.emit_traces and len(args.rabi_hz) != 2:
+        raise ValueError("--emit-traces requires two beams")
     truth = tuple(
         BeamProfileParams(omega0=r * TWO_PI, center_um=c, width_um=w)
         for r, c, w in zip(args.rabi_hz, args.center_um, args.width_um)
@@ -204,15 +209,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     datasets = generate(synth)
     if args.jitter_resolution is not None:
         datasets = [position_jitter(ds, args.jitter_resolution, args.seed) for ds in datasets]
-    outputs = []
-    for ds in datasets:
-        path = out / f"scan_{ds.beam_label}.csv"
-        write_scan_csv(ds, path)
-        outputs.append(path.name)
+    files = {f"scan_{ds.beam_label}.csv": ds for ds in datasets}
 
     if args.emit_traces:
-        if len(truth) != 2:
-            raise ValueError("--emit-traces requires two beams")
         # Off-beam response: drive one beam, record at the neighbor's center.
         for label, (driven, other) in zip("AB", ((truth[0], truth[1]), (truth[1], truth[0]))):
             trace_cfg = SynthConfig(
@@ -224,11 +223,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
                 rng_seed=args.seed ^ _TRACE_SALT,
                 analytic=args.analytic,
             )
-            trace = generate(trace_cfg)[0]
-            path = out / f"trace_{label}.csv"
-            write_scan_csv(trace, path)
-            outputs.append(path.name)
-    _write_manifest(out, args, [], outputs)
+            files[f"trace_{label}.csv"] = generate(trace_cfg)[0]
+    out = _out_dir(args)
+    for name, ds in files.items():
+        write_scan_csv(ds, out / name)
+    _write_manifest(out, args, [], list(files))
     return EXIT_OK
 
 
@@ -242,12 +241,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     if args.scan is None:
         raise ValueError("fit requires a scan CSV path")
-    out = _out_dir(args)
     scan_path = Path(args.scan)
     data = read_scan_csv(scan_path)
     prefix = args.prefix or scan_path.stem
-    report_path = out / f"{prefix}_report.json"
-    profile_path = out / f"{prefix}_profile.csv"
 
     status = EXIT_OK
     try:
@@ -256,6 +252,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
         result = exc.result
         print(f"fit did not converge: {exc}", file=sys.stderr)
         status = EXIT_NUMERICAL
+    out = _out_dir(args)
+    report_path = out / f"{prefix}_report.json"
+    profile_path = out / f"{prefix}_profile.csv"
     write_fit_report(result, report_path)
     write_freq_profile_csv(result.freq_profile, profile_path)
     _write_manifest(out, args, [str(scan_path)], [report_path.name, profile_path.name],
@@ -271,19 +270,17 @@ def _result_from_report(path: str | Path) -> BeamFitResult:
     from .scan_fit import BeamFitResult, read_fit_report
 
     params, cov, raw = read_fit_report(path)
-    spam = raw["spam"]  # checked by read_fit_report
+    spam = raw["spam"]  # read_fit_report checks every field copied here
     return BeamFitResult(
         params=params,
         covariance=cov,
-        residual_rms=float(raw.get("residual_rms", math.nan)),
+        residual_rms=float(raw["residual_rms"]),
         freq_profile=(),
-        d4sigma_um=raw.get("d4sigma_um"),
-        d4sigma_raw_um=raw.get("d4sigma_raw_um"),
-        n_iterations=int(raw.get("n_iterations", 0)),
-        converged=raw["converged"],  # a bool, checked by read_fit_report
+        n_iterations=raw["n_iterations"],
+        converged=raw["converged"],
         spam=SpamModel(eps_prep=spam["eps_prep"], eps_meas=spam["eps_meas"]),
         spam_errors=(float(spam["eps_prep_err"]), float(spam["eps_meas_err"])),
-        beam_label=str(raw.get("beam_label", "")),
+        beam_label=raw["beam_label"],
     )
 
 
@@ -292,7 +289,6 @@ def cmd_pair(args: argparse.Namespace) -> int:
 
     if args.fit_a is None or args.fit_b is None:
         raise ValueError("pair requires --fit-a and --fit-b report paths")
-    out = _out_dir(args)
     result_a = _result_from_report(args.fit_a)
     result_b = _result_from_report(args.fit_b)
     inputs = [str(args.fit_a), str(args.fit_b)]
@@ -311,8 +307,9 @@ def cmd_pair(args: argparse.Namespace) -> int:
         detection_floor=args.floor,
         k_sigma=args.k_sigma,
     )
+    out = _out_dir(args)
     report_path = out / "pair_report.json"
-    _write_atomic(report_path, json.dumps(pair_report_dict(report), indent=2) + "\n")
+    _write_json(report_path, pair_report_dict(report))
     _write_manifest(out, args, inputs, [report_path.name])
     return EXIT_OK
 

@@ -37,9 +37,9 @@ class DesignConstraints:
     na_cap: float = 0.24
 
     def __post_init__(self):
-        if self.wavelength_um <= 0:
+        if not (math.isfinite(self.wavelength_um) and self.wavelength_um > 0):
             raise ValueError(f"wavelength must be positive, got {self.wavelength_um!r}")
-        if self.neighbor_distance_um <= 0:
+        if not (math.isfinite(self.neighbor_distance_um) and self.neighbor_distance_um > 0):
             raise ValueError(
                 f"neighbor distance must be positive, got {self.neighbor_distance_um!r}"
             )
@@ -59,10 +59,11 @@ def crosstalk(beam_diameter_um: float, neighbor_distance_um: float) -> float:
 
     I(d)/I(0) = exp(-2*d^2/w0^2) with w0 = diameter/2.
     """
-    if beam_diameter_um <= 0:
+    if not (math.isfinite(beam_diameter_um) and beam_diameter_um > 0):
         raise ValueError(f"beam diameter must be positive, got {beam_diameter_um!r}")
-    if neighbor_distance_um < 0:
-        raise ValueError(f"neighbor distance must be >= 0, got {neighbor_distance_um!r}")
+    if not (math.isfinite(neighbor_distance_um) and neighbor_distance_um >= 0):
+        raise ValueError(
+            f"neighbor distance must be finite and >= 0, got {neighbor_distance_um!r}")
     w0 = beam_diameter_um / 2.0
     try:
         return math.exp(-2.0 * neighbor_distance_um**2 / w0**2)
@@ -78,9 +79,9 @@ def required_na(beam_diameter_um: float, wavelength_um: float = 0.355) -> float:
     the divergence half-angle lambda/(pi*w0) reaches pi/2 are outside the
     paraxial-Gaussian domain and raise ValueError.
     """
-    if beam_diameter_um <= 0:
+    if not (math.isfinite(beam_diameter_um) and beam_diameter_um > 0):
         raise ValueError(f"beam diameter must be positive, got {beam_diameter_um!r}")
-    if wavelength_um <= 0:
+    if not (math.isfinite(wavelength_um) and wavelength_um > 0):
         raise ValueError(f"wavelength must be positive, got {wavelength_um!r}")
     w0 = beam_diameter_um / 2.0
     theta = wavelength_um / (math.pi * w0)
@@ -96,7 +97,7 @@ def min_diameter_for_na(na_cap: float, wavelength_um: float = 0.355) -> float:
     """Smallest focusable 1/e^2 diameter under an NA cap (inverse of required_na)."""
     if not 0 < na_cap < 2:
         raise ValueError(f"NA cap must be in (0, 2), got {na_cap!r}")
-    if wavelength_um <= 0:
+    if not (math.isfinite(wavelength_um) and wavelength_um > 0):
         raise ValueError(f"wavelength must be positive, got {wavelength_um!r}")
     return 2.0 * wavelength_um / (math.pi * math.asin(na_cap / 2.0))
 
@@ -114,8 +115,9 @@ def tradeoff_curve(
     curve and required NA strictly decreasing.
     """
     lo, hi = diameter_range_um
-    if not (0 < lo < hi):
-        raise ValueError(f"diameter range must satisfy 0 < min < max, got {diameter_range_um!r}")
+    if not (0 < lo < hi and math.isfinite(hi)):
+        raise ValueError(
+            f"diameter range must satisfy 0 < min < max < inf, got {diameter_range_um!r}")
     if not isinstance(samples, numbers.Integral) or samples < 2:
         raise ValueError(f"samples must be an integer >= 2, got {samples!r}")
     step = (hi - lo) / (samples - 1)
@@ -140,8 +142,8 @@ def clipping_fraction(spot_radius_um: float, clearance_um: float) -> float:
     For a beam of 1/e^2 radius w at an aperture whose edge clears the beam
     center by h: P_clip/P_total = erfc(sqrt(2)*h/w)/2.
     """
-    if spot_radius_um <= 0:
+    if not (math.isfinite(spot_radius_um) and spot_radius_um > 0):
         raise ValueError(f"spot radius must be positive, got {spot_radius_um!r}")
-    if clearance_um < 0:
-        raise ValueError(f"clearance must be >= 0, got {clearance_um!r}")
+    if not (math.isfinite(clearance_um) and clearance_um >= 0):
+        raise ValueError(f"clearance must be finite and >= 0, got {clearance_um!r}")
     return 0.5 * math.erfc(math.sqrt(2.0) * clearance_um / spot_radius_um)

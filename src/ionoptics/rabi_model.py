@@ -113,7 +113,7 @@ def crosstalk_rabi_bound(observation_window_s: float, detection_floor: float) ->
     pi/2, so the first oscillation maximum stays inside the window. Returns
     rad/s.
     """
-    if observation_window_s <= 0:
+    if not (math.isfinite(observation_window_s) and observation_window_s > 0):
         raise ValueError(f"observation window must be positive, got {observation_window_s!r}")
     if not 0 < detection_floor < 1:
         raise ValueError(f"detection floor must be in (0, 1), got {detection_floor!r}")
@@ -122,8 +122,8 @@ def crosstalk_rabi_bound(observation_window_s: float, detection_floor: float) ->
 
 def intensity_crosstalk_ratio(omega_bound: float, omega_peak: float) -> float:
     """Intensity crosstalk ratio from two Rabi frequencies (Omega ∝ I, so linear)."""
-    if omega_peak <= 0:
+    if not (math.isfinite(omega_peak) and omega_peak > 0):
         raise ValueError(f"peak Rabi frequency must be positive, got {omega_peak!r}")
-    if omega_bound < 0:
-        raise ValueError(f"bound must be >= 0, got {omega_bound!r}")
+    if not (math.isfinite(omega_bound) and omega_bound >= 0):
+        raise ValueError(f"bound must be finite and >= 0, got {omega_bound!r}")
     return omega_bound / omega_peak

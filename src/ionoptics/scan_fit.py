@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._atomic import _write_atomic
+from ._atomic import _write_atomic, _write_json
 from .rabi_model import BeamProfileParams, SpamModel, crosstalk_rabi_bound, intensity_crosstalk_ratio
 
 __all__ = [
@@ -516,7 +516,7 @@ def initial_guess(data: ScanDataset, profile: Sequence[FreqProfilePoint]) -> Bea
         omega0, xc, w0 = refined
         return BeamProfileParams(omega0=omega0, center_um=xc, width_um=w0)
     try:
-        xc, var = _profile_moments(profile, subtract_baseline=True)
+        xc, var = _profile_moments(profile)
     except ValueError as exc:
         raise DegenerateDataError(f"no starting point: {exc}") from exc
     if not var > 0:
@@ -611,8 +611,6 @@ class BeamFitResult:
     covariance: np.ndarray  # 3x3, order (omega0 rad/s, center um, width um)
     residual_rms: float  # weighted, per record; ~1 at the shot-noise floor
     freq_profile: tuple[FreqProfilePoint, ...]
-    d4sigma_um: float | None  # baseline-subtracted second-moment width
-    d4sigma_raw_um: float | None  # same without baseline subtraction
     n_iterations: int
     converged: bool
     spam: SpamModel  # fitted SPAM errors
@@ -621,9 +619,12 @@ class BeamFitResult:
     multi_start_used: bool = False
 
     @property
-    def gaussian_diameter_um(self) -> float:
-        """The fitted envelope width parameter w0 (a 2w0 spot has D4sigma = 2w0)."""
-        return self.params.width_um
+    def d4sigma_um(self) -> float | None:
+        """D4sigma of ``freq_profile``, or None where ``d4sigma`` has none."""
+        try:
+            return d4sigma(self.freq_profile)
+        except ValueError:
+            return None
 
     def param_errors(self) -> np.ndarray:
         """1-sigma uncertainties (omega0 rad/s, center um, width um)."""
@@ -692,8 +693,6 @@ def fit_beam(data: ScanDataset, max_iterations: int = 200) -> BeamFitResult:
         covariance=cov[:3, :3].copy(),
         residual_rms=best.rms,
         freq_profile=profile,
-        d4sigma_um=_d4sigma_or_none(profile, subtract_baseline=True),
-        d4sigma_raw_um=_d4sigma_or_none(profile, subtract_baseline=False),
         n_iterations=best.n_iter,
         converged=converged,
         spam=SpamModel(eps_prep=eps_prep, eps_meas=1.0 - eps_prep - kappa),
@@ -874,17 +873,15 @@ def fit_freq_profile(
 # === Second-moment width ====================================================
 
 
-def _profile_moments(profile: Sequence[FreqProfilePoint],
-                     subtract_baseline: bool) -> tuple[float, float]:
+def _profile_moments(profile: Sequence[FreqProfilePoint]) -> tuple[float, float]:
     """(mean, variance) of a frequency profile's positions, weighted as
     ``d4sigma`` says; raises ValueError when no weight is positive."""
     points = list(profile)
     xs = np.array([pt.position_um for pt in points])
     w = np.array([pt.omega for pt in points], dtype=float)
-    if subtract_baseline:
-        floor_vals = [pt.omega for pt in points if pt.baseline]
-        if floor_vals:
-            w = np.clip(w - _median(floor_vals), 0.0, None)
+    floor_vals = [pt.omega for pt in points if pt.baseline]
+    if floor_vals:
+        w = np.clip(w - _median(floor_vals), 0.0, None)
     total = float(w.sum())
     if total <= 0:
         raise ValueError("all profile weights are zero")
@@ -892,26 +889,19 @@ def _profile_moments(profile: Sequence[FreqProfilePoint],
     return mean, float(w @ (xs - mean) ** 2) / total
 
 
-def d4sigma(profile: Sequence[FreqProfilePoint], subtract_baseline: bool = True) -> float:
+def d4sigma(profile: Sequence[FreqProfilePoint]) -> float:
     """4-sigma second-moment width of a frequency profile, in um.
 
     Weights are the fitted Rabi frequencies (Omega is proportional to
-    intensity). With subtract_baseline, the median Omega of baseline-flagged
-    points is subtracted first and negative weights clamped to zero; second
-    moments diverge under a constant background. Raises ValueError with
-    fewer than 3 non-baseline points or no positive weight.
+    intensity), less the median Omega of the baseline-flagged points, with
+    negative weights clamped to zero: second moments diverge under a
+    constant background (ISO 11146 subtracts it too). Raises ValueError
+    with fewer than 3 non-baseline points or no positive weight.
     """
     live = [pt for pt in profile if not pt.baseline]
     if len(live) < 3:
         raise ValueError(f"need >= 3 non-baseline profile points, got {len(live)}")
-    return 4.0 * math.sqrt(_profile_moments(profile, subtract_baseline)[1])
-
-
-def _d4sigma_or_none(profile: Sequence[FreqProfilePoint], subtract_baseline: bool) -> float | None:
-    try:
-        return d4sigma(profile, subtract_baseline=subtract_baseline)
-    except ValueError:
-        return None
+    return 4.0 * math.sqrt(_profile_moments(profile)[1])
 
 
 # === Pair analysis ==========================================================
@@ -966,7 +956,12 @@ def pair_analysis(
     intensity ratio against the driven beam's peak. The window is
     ``observation_window_s``, cut to the last duration of the shortest
     supplied trace: a trace shows nothing about times it did not record.
+    Raises ValueError unless ``observation_window_s`` and ``k_sigma`` are
+    finite and positive.
     """
+    for name, value in (("observation window", observation_window_s), ("k_sigma", k_sigma)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     if not (a.converged and b.converged):
         raise ValueError("pair analysis requires two converged fits")
     sep = abs(b.params.center_um - a.params.center_um)
@@ -1024,7 +1019,7 @@ def pair_analysis(
 
 
 #: Version of the fit report layout; read_fit_report accepts only this one.
-FIT_REPORT_SCHEMA = 2
+FIT_REPORT_SCHEMA = 3
 
 
 def fit_report_dict(result: BeamFitResult) -> dict:
@@ -1051,24 +1046,25 @@ def fit_report_dict(result: BeamFitResult) -> dict:
             "eps_meas_err": result.spam_errors[1],
         },
         "residual_rms": result.residual_rms,
-        "gaussian_diameter_um": result.gaussian_diameter_um,
+        "gaussian_diameter_um": result.params.width_um,
         "d4sigma_um": result.d4sigma_um,
-        "d4sigma_raw_um": result.d4sigma_raw_um,
         "n_profile_points": len(result.freq_profile),
         "n_baseline_points": sum(pt.baseline for pt in result.freq_profile),
     }
 
 
 def write_fit_report(result: BeamFitResult, path: str | Path) -> None:
-    _write_atomic(path, json.dumps(fit_report_dict(result), indent=2) + "\n")
+    _write_json(path, fit_report_dict(result))
 
 
 def read_fit_report(path: str | Path) -> tuple[BeamProfileParams, np.ndarray, dict]:
     """Reconstruct (params, covariance in rad/s & um, raw dict) from a report.
 
     Raises ScanFormatError unless the report has the current
-    ``schema_version``, a JSON boolean ``converged``, a valid ``spam``
-    block and finite covariance entries and SPAM errors.
+    ``schema_version``, a JSON boolean ``converged``, a string
+    ``beam_label``, an integer ``n_iterations``, a finite number
+    ``residual_rms``, a valid ``spam`` block and finite covariance entries
+    and SPAM errors.
     """
     raw = json.loads(Path(path).read_text())
     version = raw.get("schema_version") if isinstance(raw, dict) else None
@@ -1078,6 +1074,13 @@ def read_fit_report(path: str | Path) -> tuple[BeamProfileParams, np.ndarray, di
     if not isinstance(raw.get("converged"), bool):
         raise ScanFormatError(
             f"{path}: converged must be true or false, got {raw.get('converged')!r}")
+    label, n_iter, rms = raw.get("beam_label"), raw.get("n_iterations"), raw.get("residual_rms")
+    if not isinstance(label, str):
+        raise ScanFormatError(f"{path}: beam_label must be a string, got {label!r}")
+    if isinstance(n_iter, bool) or not isinstance(n_iter, int):
+        raise ScanFormatError(f"{path}: n_iterations must be an integer, got {n_iter!r}")
+    if not _is_finite_number(rms):
+        raise ScanFormatError(f"{path}: residual_rms must be a finite number, got {rms!r}")
     try:
         params = BeamProfileParams(
             omega0=raw["params"]["peak_rabi_hz"] * TWO_PI,
@@ -1096,6 +1099,16 @@ def read_fit_report(path: str | Path) -> tuple[BeamProfileParams, np.ndarray, di
         raise ScanFormatError(f"{path}: covariance and SPAM errors must be finite")
     scale = np.diag([TWO_PI, 1.0, 1.0])
     return params, scale @ cov_hz @ scale, raw
+
+
+def _is_finite_number(value) -> bool:
+    """True for an int or float, not a bool, that a float holds finitely."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def write_freq_profile_csv(profile: Sequence[FreqProfilePoint], path: str | Path) -> None:

@@ -24,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Literal
 
-from ._atomic import _write_atomic
+from ._atomic import _write_json
 from .beamlab import (
     GaussianBeam,
     RayMatrix,
@@ -107,9 +107,9 @@ class BeamArraySpec:
     channel_count: int
 
     def __post_init__(self):
-        if self.source_diameter_um <= 0:
+        if not (math.isfinite(self.source_diameter_um) and self.source_diameter_um > 0):
             raise ValueError(f"source diameter must be positive, got {self.source_diameter_um!r}")
-        if self.source_pitch_um <= 0:
+        if not (math.isfinite(self.source_pitch_um) and self.source_pitch_um > 0):
             raise ValueError(f"source pitch must be positive, got {self.source_pitch_um!r}")
         n = self.channel_count
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
@@ -217,7 +217,7 @@ def save_prescription(prescription: OpticalPrescription, path: str | Path) -> No
             for e in prescription.elements
         ],
     }
-    _write_atomic(path, json.dumps(doc, indent=2) + "\n")
+    _write_json(path, doc)
 
 
 def reference_prescription() -> OpticalPrescription:
@@ -335,11 +335,11 @@ def compare_measured_pitch(
 
     ``within`` is True when |measured - predicted| <= k * measured_err.
     """
-    if measured_pitch_um <= 0:
+    if not (math.isfinite(measured_pitch_um) and measured_pitch_um > 0):
         raise ValueError(f"measured pitch must be positive, got {measured_pitch_um!r}")
-    if measured_err_um <= 0:
+    if not (math.isfinite(measured_err_um) and measured_err_um > 0):
         raise ValueError(f"measurement error must be positive, got {measured_err_um!r}")
-    if k <= 0:
+    if not (math.isfinite(k) and k > 0):
         raise ValueError(f"k must be positive, got {k!r}")
     predicted = report.pitch_um
     absolute = measured_pitch_um - predicted

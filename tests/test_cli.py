@@ -32,6 +32,18 @@ def load_json(path):
     return json.loads(path.read_text())
 
 
+def strict_json(path):
+    """Parse a JSON file, rejecting NaN and Infinity, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"{path.name} holds {constant}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def files_in(out_dir):
+    """Names of the files under ``out_dir``; empty when it does not exist."""
+    return sorted(str(f.relative_to(out_dir)) for f in out_dir.rglob("*") if f.is_file())
+
+
 # === design =================================================================
 
 
@@ -293,7 +305,7 @@ class TestFit:
               "--spam-prep", "0.03", "--spam-meas", "0.05"])
         main(["fit", str(tmp_path / "scan_A.csv"), "--out-dir", str(tmp_path)])
         report = load_json(tmp_path / "scan_A_report.json")
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["spam"]["eps_prep"] == pytest.approx(0.03, abs=0.005)
         assert report["spam"]["eps_meas"] == pytest.approx(0.05, abs=0.01)
         assert report["spam"]["eps_prep_err"] > 0 and report["spam"]["eps_meas_err"] > 0
@@ -419,6 +431,10 @@ def pair_run(tmp_path_factory):
     return root
 
 
+#: Marks a report field to delete.
+_DELETE = object()
+
+
 class TestPair:
     def test_separation_matches_truth(self, pair_run):
         rep = load_json(pair_run / "pair_report.json")
@@ -513,6 +529,90 @@ class TestPair:
         rc = main(["pair", "--fit-a", str(bad), "--fit-b", str(bad),
                    "--out-dir", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("field, value", [
+        pytest.param(field, value, id=f"{field}={label}") for field, value, label in [
+            ("schema_version", 2, "2"),
+            ("beam_label", _DELETE, "missing"), ("beam_label", 7, "7"),
+            ("beam_label", None, "null"),
+            ("n_iterations", _DELETE, "missing"), ("n_iterations", 5.9, "5.9"),
+            ("n_iterations", True, "true"), ("n_iterations", "5", "'5'"),
+            ("residual_rms", _DELETE, "missing"), ("residual_rms", "1.0", "'1.0'"),
+            ("residual_rms", True, "true"), ("residual_rms", math.nan, "NaN"),
+            ("residual_rms", 10**400, "1e400"),
+        ]
+    ])
+    def test_missing_or_mistyped_field_exits_2(self, pair_run, tmp_path, capsys, field, value):
+        # pair copies these fields into its fit results; it must not make them up
+        report = load_json(pair_run / "scan_A_report.json")
+        if value is _DELETE:
+            del report[field]
+        else:
+            report[field] = value
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        out = tmp_path / "out"
+        rc = main(["pair", "--fit-a", str(path), "--fit-b", str(pair_run / "scan_B_report.json"),
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert files_in(out) == []
+
+
+# === option values and failed steps =========================================
+
+
+#: Options that pass argparse but are not finite or not positive.
+_BAD_OPTION_VALUES = [
+    ["design", "--wavelength", "nan"],
+    ["design", "--neighbor-distance", "nan"],
+    ["design", "--neighbor-distance", "inf"],
+    ["design", "--diameter-range", "1", "inf"],
+    ["propagate", "--source-pitch", "nan"],
+    ["propagate", "--source-pitch", "inf"],
+    ["propagate", "--measured-pitch", "nan", "--measured-pitch-err", "0.05"],
+    ["propagate", "--measured-pitch", "inf", "--measured-pitch-err", "0.05"],
+    ["propagate", "--measured-pitch", "4.4", "--measured-pitch-err", "nan"],
+    ["propagate", "--measured-pitch", "4.4", "--measured-pitch-err", "inf"],
+    ["pair", "--window-s", "nan"],
+    ["pair", "--k-sigma", "inf"],
+    ["pair", "--k-sigma", "nan"],
+    ["pair", "--k-sigma", "0"],
+    ["pair", "--k-sigma", "-1"],
+]
+
+
+class TestFailedStep:
+    """A step that exits 2 leaves no file in its output directory."""
+
+    @pytest.mark.parametrize("argv", _BAD_OPTION_VALUES, ids=" ".join)
+    def test_bad_option_value_exits_2(self, pair_run, tmp_path, capsys, argv):
+        if argv[0] == "pair":
+            argv = [*argv, "--fit-a", str(pair_run / "scan_A_report.json"),
+                    "--fit-b", str(pair_run / "scan_B_report.json")]
+        out = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert files_in(out) == []
+
+    def test_value_that_overflows_after_the_checks_exits_2(self, tmp_path, capsys):
+        # both inputs pass their checks, but 0.11 um / 1e-320 um is no float
+        out = tmp_path / "out"
+        assert main(["propagate", "--out-dir", str(out), "--measured-pitch", "4.4",
+                     "--measured-pitch-err", "1e-320"]) == 2
+        assert "image_report.json not written" in capsys.readouterr().err
+        assert files_in(out) == []
+
+    @pytest.mark.parametrize("argv", [
+        # the curve computes; the boundary summary does not
+        ["design", "--wavelength", "1e-300"],
+        # the scan computes; the traces need a second beam
+        ["synth", "--emit-traces"],
+    ], ids=" ".join)
+    def test_late_failure_writes_nothing(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out)]) == 2
+        assert files_in(out) == []
 
 
 # === manifests and config ===================================================
@@ -700,18 +800,17 @@ _PRESCRIPTION = st.one_of(
 
 #: A fit report read_fit_report accepts, for a beam at 4.31 um.
 _REPORT = {
-    "schema_version": 2, "beam_label": "B", "converged": True, "n_iterations": 5,
+    "schema_version": 3, "beam_label": "B", "converged": True, "n_iterations": 5,
     "params": {"peak_rabi_hz": 2790.0, "center_um": 4.31, "width_um": 1.88},
     "covariance": [[1.0, 0.0, 0.0], [0.0, 1e-6, 0.0], [0.0, 0.0, 1e-6]],
     "spam": {"eps_prep": 0.01, "eps_meas": 0.01, "eps_prep_err": 1e-3, "eps_meas_err": 1e-3},
-    "residual_rms": 1.0, "d4sigma_um": 3.7, "d4sigma_raw_um": 3.7,
+    "residual_rms": 1.0, "d4sigma_um": 3.7,
 }
 _REPORT_PATHS = [
     (key,) for key in _REPORT
 ] + [("params", k) for k in _REPORT["params"]] + [("spam", k) for k in _REPORT["spam"]] + [
     ("covariance", 0), ("covariance", 1, 1),
 ]
-_DELETE = object()
 
 
 def _mutated_report(mutations):
@@ -777,6 +876,10 @@ class TestInputFileFuzz:
                               "--fit-b", str(out / "b.json"), "--out-dir", str(out)])
         assert rc in (0, 2), err
         assert "Traceback" not in err
+        if rc == 0:
+            for path in out.glob("*.json"):
+                if path.name not in ("a.json", "b.json"):
+                    strict_json(path)
 
     @given(sub=st.sampled_from(["design", "propagate"]), text=_CONFIG)
     @settings(max_examples=300, deadline=None)
@@ -786,3 +889,7 @@ class TestInputFileFuzz:
         rc, err = _exit_code([sub, "--config", str(out / "cfg.json"), "--out-dir", str(out)])
         assert rc in (0, 2), err
         assert "Traceback" not in err
+        if rc == 0:
+            for path in out.glob("*.json"):
+                if path.name != "cfg.json":
+                    strict_json(path)

@@ -947,10 +947,25 @@ class TestD4Sigma:
             )
             for x in xs
         ]
-        subtracted = d4sigma(profile, subtract_baseline=True)
-        raw = d4sigma(profile, subtract_baseline=False)
+        subtracted = d4sigma(profile)
+        # oracle: the same Omega-weighted second moment, pedestal kept
+        w = np.array([pt.omega for pt in profile])
+        mean = float(w @ xs) / w.sum()
+        raw = 4 * math.sqrt(float(w @ (xs - mean) ** 2) / w.sum())
         assert subtracted == pytest.approx(2 * w0, rel=0.02)
         assert raw > 1.5 * subtracted
+
+    def test_fit_result_width_is_the_profile_width(self, beam_a):
+        fit = fit_beam(synth_dataset(beam_a, seed=4))
+        assert fit.d4sigma_um == d4sigma(fit.freq_profile)
+        report = scan_fit.fit_report_dict(fit)
+        assert report["d4sigma_um"] == fit.d4sigma_um
+        assert report["gaussian_diameter_um"] == fit.params.width_um
+        assert "d4sigma_raw_um" not in report
+        # two non-baseline points: no D4sigma, and no error either
+        profile = tuple(FreqProfilePoint(x, om, 0.1, om < 0.1)
+                        for x, om in [(0.0, 1.0), (1.0, 1.0), (2.0, 0.05), (3.0, 0.05)])
+        assert replace(fit, freq_profile=profile).d4sigma_um is None
 
     def test_needs_three_live_points(self):
         profile = [
@@ -1126,7 +1141,7 @@ class TestReports:
         spam = SpamModel(eps_prep=0.04, eps_meas=0.06)
         result = fit_beam(synth_dataset(beam_a, seed=4, spam=spam))
         raw = scan_fit.fit_report_dict(result)
-        assert raw["schema_version"] == 2
+        assert raw["schema_version"] == 3
         assert raw["spam"] == {
             "eps_prep": result.spam.eps_prep, "eps_prep_err": result.spam_errors[0],
             "eps_meas": result.spam.eps_meas, "eps_meas_err": result.spam_errors[1],
@@ -1136,15 +1151,16 @@ class TestReports:
         assert result.covariance.shape == (3, 3)
 
     @pytest.mark.parametrize("edit", [
-        "no_schema", "schema_1", "no_spam", "no_eps_meas_err", "negative_eps", "eps_not_number"])
+        "no_schema", "schema_1", "schema_2", "no_spam", "no_eps_meas_err", "negative_eps",
+        "eps_not_number"])
     def test_report_without_schema_or_spam_rejected(self, tmp_path, beam_a, edit):
         path = tmp_path / "report.json"
         write_fit_report(fit_beam(synth_dataset(beam_a, seed=4)), path)
         raw = json.loads(path.read_text())
         if edit == "no_schema":
             del raw["schema_version"]
-        elif edit == "schema_1":
-            raw["schema_version"] = 1
+        elif edit in ("schema_1", "schema_2"):
+            raw["schema_version"] = int(edit[-1])
         elif edit == "no_spam":
             del raw["spam"]
         elif edit == "no_eps_meas_err":
