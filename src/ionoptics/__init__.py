@@ -5,16 +5,18 @@ numerical-aperture design tradeoff, two-level Rabi dynamics under a
 Gaussian addressing envelope, scan fitting, and synthetic scan data,
 with a CLI tying the pieces together.
 
-Each public name is imported from its submodule on first use (PEP 562),
-so ``import ionoptics`` loads no submodule and the design half (beamlab,
-design_tradeoff, system_model) runs without loading numpy.
+Each public name is listed once, in ``_EXPORTS`` below, and each
+submodule reads its ``__all__`` from its row there. A name is imported
+from its submodule on first use (PEP 562), so ``import ionoptics`` loads
+no submodule and the design half (beamlab, design_tradeoff, system_model)
+runs without loading numpy.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-#: Submodule -> the public names it provides.
+#: Submodule -> the public names it provides; each submodule's ``__all__``.
 _EXPORTS = {
     "beamlab": (
         "RayMatrix", "IDENTITY", "SingularityError",

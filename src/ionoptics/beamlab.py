@@ -20,19 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-__all__ = [
-    "SingularityError",
-    "RayMatrix",
-    "IDENTITY",
-    "GaussianBeam",
-    "free_space",
-    "thin_lens",
-    "compose",
-    "propagate",
-    "spot_radius_um",
-    "rayleigh_range_mm",
-    "far_field_divergence_rad",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["beamlab"])
 
 #: |det - 1| tolerance for ray matrices (same-index input/output media).
 DET_TOL = 1e-9

@@ -158,8 +158,6 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     )
     report = image_array(prescription, array, wavelength_um=args.wavelength)
     payload = dataclasses.asdict(report)
-    payload["centers_um"] = list(report.centers_um)
-    payload["notes"] = list(report.notes)
     if args.measured_pitch is not None:
         disc = compare_measured_pitch(report, args.measured_pitch, args.measured_pitch_err)
         payload["pitch_discrepancy"] = dataclasses.asdict(disc)
@@ -428,9 +426,14 @@ def _read_config(path: str, args: argparse.Namespace) -> dict:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     for key, value in config.items():
         # argparse parses string defaults through the option's type, but a
-        # flag has no type: "false" would be a true value.
-        if isinstance(options[key], bool) and not isinstance(value, bool):
-            raise ValueError(f"config key {key}: expected true or false, got {value!r}")
+        # flag has no type: "false" would be a true value. Nor does it check
+        # other JSON values, where true would pass as the number 1.
+        values = value if isinstance(value, list) else [value]
+        if isinstance(options[key], bool):
+            if not isinstance(value, bool):
+                raise ValueError(f"config key {key}: expected true or false, got {value!r}")
+        elif any(isinstance(v, bool) for v in values):
+            raise ValueError(f"config key {key}: only a flag takes true or false, got {value!r}")
     return config
 
 

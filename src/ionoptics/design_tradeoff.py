@@ -17,15 +17,9 @@ import math
 import numbers
 from dataclasses import dataclass
 
-__all__ = [
-    "DesignConstraints",
-    "DesignPoint",
-    "crosstalk",
-    "required_na",
-    "min_diameter_for_na",
-    "tradeoff_curve",
-    "clipping_fraction",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["design_tradeoff"])
 
 
 @dataclass(frozen=True)

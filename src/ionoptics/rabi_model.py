@@ -24,15 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "BeamProfileParams",
-    "SpamModel",
-    "local_rabi",
-    "p_excited",
-    "apply_spam",
-    "crosstalk_rabi_bound",
-    "intensity_crosstalk_ratio",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["rabi_model"])
 
 
 @dataclass(frozen=True)

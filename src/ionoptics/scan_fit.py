@@ -43,31 +43,11 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from ._atomic import _write_atomic, _write_json
 from .rabi_model import BeamProfileParams, SpamModel, crosstalk_rabi_bound, intensity_crosstalk_ratio
 
-__all__ = [
-    "ScanDataset",
-    "ScanFormatError",
-    "DegenerateDataError",
-    "FitConvergenceError",
-    "FreqProfilePoint",
-    "BeamFitResult",
-    "PairReport",
-    "fit_model",
-    "fit_model_jacobian",
-    "fit_beam",
-    "fit_freq_profile",
-    "d4sigma",
-    "pair_analysis",
-    "read_scan_csv",
-    "write_scan_csv",
-    "write_fit_report",
-    "read_fit_report",
-    "write_freq_profile_csv",
-    "pair_report_dict",
-    "fit_report_dict",
-]
+__all__ = list(_EXPORTS["scan_fit"])
 
 TWO_PI = 2.0 * math.pi
 
@@ -1062,9 +1042,9 @@ def read_fit_report(path: str | Path) -> tuple[BeamProfileParams, np.ndarray, di
 
     Raises ScanFormatError unless the report has the current
     ``schema_version``, a JSON boolean ``converged``, a string
-    ``beam_label``, an integer ``n_iterations``, a finite number
-    ``residual_rms``, a valid ``spam`` block and finite covariance entries
-    and SPAM errors.
+    ``beam_label``, an integer ``n_iterations``, a 3x3 ``covariance``, and
+    a finite JSON number (not a boolean or a string) for ``residual_rms``
+    and for each ``params``, ``spam`` and covariance entry.
     """
     raw = json.loads(Path(path).read_text())
     version = raw.get("schema_version") if isinstance(raw, dict) else None
@@ -1074,29 +1054,34 @@ def read_fit_report(path: str | Path) -> tuple[BeamProfileParams, np.ndarray, di
     if not isinstance(raw.get("converged"), bool):
         raise ScanFormatError(
             f"{path}: converged must be true or false, got {raw.get('converged')!r}")
-    label, n_iter, rms = raw.get("beam_label"), raw.get("n_iterations"), raw.get("residual_rms")
+    label, n_iter = raw.get("beam_label"), raw.get("n_iterations")
     if not isinstance(label, str):
         raise ScanFormatError(f"{path}: beam_label must be a string, got {label!r}")
     if isinstance(n_iter, bool) or not isinstance(n_iter, int):
         raise ScanFormatError(f"{path}: n_iterations must be an integer, got {n_iter!r}")
-    if not _is_finite_number(rms):
-        raise ScanFormatError(f"{path}: residual_rms must be a finite number, got {rms!r}")
+
+    def number(name, value):
+        if not _is_finite_number(value):
+            raise ScanFormatError(f"{path}: {name} must be a finite number, got {value!r}")
+        return value
+
+    number("residual_rms", raw.get("residual_rms"))
     try:
-        params = BeamProfileParams(
-            omega0=raw["params"]["peak_rabi_hz"] * TWO_PI,
-            center_um=raw["params"]["center_um"],
-            width_um=raw["params"]["width_um"],
-        )
-        cov_hz = np.array(raw["covariance"], dtype=float)
-        spam = raw["spam"]
-        SpamModel(eps_prep=spam["eps_prep"], eps_meas=spam["eps_meas"])
-        spam_errors = (float(spam["eps_prep_err"]), float(spam["eps_meas_err"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        fitted, spam, cov = raw["params"], raw["spam"], raw["covariance"]
+        hz, center, width = (number(f"params.{key}", fitted[key])
+                             for key in ("peak_rabi_hz", "center_um", "width_um"))
+        eps_prep, eps_meas, _, _ = (number(f"spam.{key}", spam[key]) for key in
+                                    ("eps_prep", "eps_meas", "eps_prep_err", "eps_meas_err"))
+        cov_hz = np.array([[number(f"covariance[{i}][{j}]", entry) for j, entry in enumerate(row)]
+                           for i, row in enumerate(cov)], dtype=float)
+        params = BeamProfileParams(omega0=hz * TWO_PI, center_um=center, width_um=width)
+        SpamModel(eps_prep=eps_prep, eps_meas=eps_meas)
+    except ScanFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ScanFormatError(f"{path}: not a fit report ({exc!r})") from exc
     if cov_hz.shape != (3, 3):
         raise ScanFormatError(f"{path}: covariance must be 3x3, got {cov_hz.shape}")
-    if not (np.isfinite(cov_hz).all() and np.isfinite(spam_errors).all()):
-        raise ScanFormatError(f"{path}: covariance and SPAM errors must be finite")
     scale = np.diag([TWO_PI, 1.0, 1.0])
     return params, scale @ cov_hz @ scale, raw
 

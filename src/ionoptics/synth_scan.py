@@ -26,10 +26,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .rabi_model import BeamProfileParams, SpamModel, apply_spam, p_excited
 from .scan_fit import ScanDataset
 
-__all__ = ["SynthConfig", "generate", "position_jitter", "default_scan_grid"]
+__all__ = list(_EXPORTS["synth_scan"])
 
 #: High bit tags the jitter stream so it never collides with record draws.
 _JITTER_TAG = 1 << 63
@@ -63,9 +64,6 @@ def _keyed_rngs(seed: int, tags: Iterable[int]) -> Iterator[np.random.Generator]
 
 def _record_tags(beam: int, n_pos: int, n_dur: int) -> list[int]:
     """Tags of one beam's records in position-major order: ``beam << 40 | i << 20 | j``."""
-    if not (n_pos <= 1 << 20 and n_dur <= 1 << 20):
-        raise ValueError("grid too large for the record keying scheme "
-                         "(more than 2^20 positions or durations)")
     return [(beam << 40) | (i << 20) | j for i in range(n_pos) for j in range(n_dur)]
 
 
@@ -107,6 +105,10 @@ class SynthConfig:
         _strictly_increasing(self.durations_s, "durations_s")
         if self.durations_s[0] < 0:
             raise ValueError("durations_s must be >= 0")
+        # before generate runs the model on a grid it cannot key
+        if not self.analytic and max(len(self.positions_um), len(self.durations_s)) > 1 << 20:
+            raise ValueError("grid too large for the record keying scheme "
+                             "(more than 2^20 positions or durations)")
         if (isinstance(self.shots, bool) or not isinstance(self.shots, numbers.Integral)
                 or self.shots < 1):
             raise ValueError(f"shots must be an integer >= 1, got {self.shots!r}")

@@ -24,6 +24,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Literal
 
+from . import _EXPORTS
 from ._atomic import _write_json
 from .beamlab import (
     GaussianBeam,
@@ -36,24 +37,7 @@ from .beamlab import (
     propagate,
 )
 
-__all__ = [
-    "Axis",
-    "AXES",
-    "PrescriptionError",
-    "PrescriptionElement",
-    "OpticalPrescription",
-    "BeamArraySpec",
-    "AxisImage",
-    "ImagePlaneReport",
-    "DiscrepancyReport",
-    "load_prescription",
-    "save_prescription",
-    "reference_prescription",
-    "image_distance_mm",
-    "magnification",
-    "image_array",
-    "compare_measured_pitch",
-]
+__all__ = list(_EXPORTS["system_model"])
 
 Axis = Literal["axial", "radial"]
 AXES: tuple[Axis, Axis] = ("axial", "radial")

@@ -435,6 +435,12 @@ def pair_run(tmp_path_factory):
 _DELETE = object()
 
 
+def _field_name(path):
+    """A report field as read_fit_report names it: ``params.width_um``, ``covariance[1][1]``."""
+    return path[0] + "".join(f".{key}" if isinstance(key, str) else f"[{key}]"
+                             for key in path[1:])
+
+
 class TestPair:
     def test_separation_matches_truth(self, pair_run):
         rep = load_json(pair_run / "pair_report.json")
@@ -520,7 +526,7 @@ class TestPair:
         rc = main(["pair", "--fit-a", str(path), "--fit-b", str(pair_run / "scan_B_report.json"),
                    "--out-dir", str(tmp_path)])
         assert rc == 2
-        assert "must be finite" in capsys.readouterr().err
+        assert "must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "pair_report.json").exists()
 
     def test_malformed_report_exits_2(self, tmp_path):
@@ -530,32 +536,40 @@ class TestPair:
                    "--out-dir", str(tmp_path)])
         assert rc == 2
 
-    @pytest.mark.parametrize("field, value", [
-        pytest.param(field, value, id=f"{field}={label}") for field, value, label in [
-            ("schema_version", 2, "2"),
-            ("beam_label", _DELETE, "missing"), ("beam_label", 7, "7"),
-            ("beam_label", None, "null"),
-            ("n_iterations", _DELETE, "missing"), ("n_iterations", 5.9, "5.9"),
-            ("n_iterations", True, "true"), ("n_iterations", "5", "'5'"),
-            ("residual_rms", _DELETE, "missing"), ("residual_rms", "1.0", "'1.0'"),
-            ("residual_rms", True, "true"), ("residual_rms", math.nan, "NaN"),
-            ("residual_rms", 10**400, "1e400"),
+    @pytest.mark.parametrize("path, value", [
+        pytest.param(path, value, id=f"{_field_name(path)}={label}") for path, value, label in [
+            (("schema_version",), 2, "2"),
+            (("beam_label",), _DELETE, "missing"), (("beam_label",), 7, "7"),
+            (("beam_label",), None, "null"),
+            (("n_iterations",), _DELETE, "missing"), (("n_iterations",), 5.9, "5.9"),
+            (("n_iterations",), True, "true"), (("n_iterations",), "5", "'5'"),
+            (("residual_rms",), _DELETE, "missing"), (("residual_rms",), "1.0", "'1.0'"),
+            (("residual_rms",), True, "true"), (("residual_rms",), math.nan, "NaN"),
+            (("residual_rms",), 10**400, "1e400"),
+            (("params", "center_um"), True, "true"),
+            (("params", "peak_rabi_hz"), True, "true"),
+            (("params", "width_um"), True, "true"),
+            (("spam", "eps_prep"), False, "false"),
+            (("spam", "eps_prep_err"), "0.001", "'0.001'"),
+            (("covariance", 1, 1), True, "true"),
+            (("covariance", 0, 0), "1.0", "'1.0'"),
         ]
     ])
-    def test_missing_or_mistyped_field_exits_2(self, pair_run, tmp_path, capsys, field, value):
+    def test_missing_or_mistyped_field_exits_2(self, pair_run, tmp_path, capsys, path, value):
         # pair copies these fields into its fit results; it must not make them up
         report = load_json(pair_run / "scan_A_report.json")
+        parent = functools.reduce(operator.getitem, path[:-1], report)
         if value is _DELETE:
-            del report[field]
+            del parent[path[-1]]
         else:
-            report[field] = value
-        path = tmp_path / "report.json"
-        path.write_text(json.dumps(report))
+            parent[path[-1]] = value
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(report))
         out = tmp_path / "out"
-        rc = main(["pair", "--fit-a", str(path), "--fit-b", str(pair_run / "scan_B_report.json"),
-                   "--out-dir", str(out)])
+        rc = main(["pair", "--fit-a", str(report_path),
+                   "--fit-b", str(pair_run / "scan_B_report.json"), "--out-dir", str(out)])
         assert rc == 2
-        assert field in capsys.readouterr().err
+        assert _field_name(path) in capsys.readouterr().err
         assert files_in(out) == []
 
 
@@ -722,6 +736,23 @@ class TestConfigFile:
         assert message in capsys.readouterr().err
         assert not (tmp_path / output).exists()
         assert not (tmp_path / f"{sub}_manifest.json").exists()
+
+    @pytest.mark.parametrize("sub, key, value", [
+        ("design", "wavelength", True), ("synth", "seed", True), ("pair", "k_sigma", True),
+        ("synth", "rabi_hz", [1910, True]),
+    ], ids=["design-wavelength", "synth-seed", "pair-k_sigma", "synth-rabi_hz-list"])
+    def test_boolean_for_a_number_exits_2(self, pair_run, tmp_path, capsys, sub, key, value):
+        # Python reads JSON true as the number 1; only a flag takes a boolean
+        inputs = {
+            "pair": ["--fit-a", str(pair_run / "scan_A_report.json"),
+                     "--fit-b", str(pair_run / "scan_B_report.json")],
+        }.get(sub, [])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        assert main([sub, *inputs, "--out-dir", str(out), "--config", str(cfg)]) == 2
+        assert f"config key {key}" in capsys.readouterr().err
+        assert files_in(out) == []
 
     @pytest.mark.parametrize("sub", ["design", "propagate", "synth", "fit", "pair"])
     def test_each_option_declared_once(self, pair_run, tmp_path, sub):

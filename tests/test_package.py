@@ -1,6 +1,7 @@
 """Package-level properties of ionoptics as a whole."""
 
 import importlib
+import inspect
 import re
 import subprocess
 import sys
@@ -91,10 +92,20 @@ def test_every_public_name_resolves():
     assert namespace["fit_beam"] is ionoptics.scan_fit.fit_beam
 
 
-def test_exports_match_each_module_all():
-    # the lazy table and each submodule's __all__ declare the same names
+def test_each_module_all_is_its_exports_row():
+    # _EXPORTS is the one list of public names: each submodule's __all__ is
+    # its row, a star import brings in exactly that row, and every function
+    # or class in it is defined there, not imported from another module
     for module, names in ionoptics._EXPORTS.items():
-        assert set(names) == set(importlib.import_module(f"ionoptics.{module}").__all__), module
+        mod = importlib.import_module(f"ionoptics.{module}")
+        assert mod.__all__ == list(names), module
+        namespace = {}
+        exec(f"from ionoptics.{module} import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(names), module
+        for name in names:
+            value = getattr(mod, name)
+            if inspect.isfunction(value) or inspect.isclass(value):
+                assert value.__module__ == mod.__name__, f"{module}.{name}"
 
 
 def test_readme_examples_run(tmp_path, monkeypatch, capsys):

@@ -99,14 +99,17 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("axis", ["positions_um", "durations_s"])
     def test_grid_beyond_keying_range_rejected_before_any_draw(self, beam_a, monkeypatch, axis):
-        # indices are 20-bit fields of the tag: 2^20 points fit, one more does not
-        built = []
-        monkeypatch.setattr(synth_scan, "_point_rng", lambda *args: built.append(args))
+        # indices are 20-bit fields of the tag: 2^20 points fit, one more does
+        # not, and the config says so before the model runs on the grid
+        called = []
+        monkeypatch.setattr(synth_scan, "p_excited", lambda *args: called.append(args))
+        monkeypatch.setattr(synth_scan, "_point_rng", lambda *args: called.append(args))
         other = "durations_s" if axis == "positions_um" else "positions_um"
-        cfg = small_config(beam_a, **{axis: np.arange((1 << 20) + 1) * 1e-6, other: (0.0,)})
+        grid = {axis: np.arange((1 << 20) + 1) * 1e-6, other: (0.0,)}
         with pytest.raises(ValueError, match="keying scheme"):
-            generate(cfg)
-        assert built == []
+            small_config(beam_a, **grid)
+        assert called == []
+        small_config(beam_a, analytic=True, **grid)  # draws nothing, keys nothing
         assert synth_scan._record_tags(1, 1, 1 << 20)[-1] == (1 << 40) | ((1 << 20) - 1)
 
     def test_beams_use_disjoint_streams(self, beam_a, beam_b):
