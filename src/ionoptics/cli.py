@@ -414,27 +414,64 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                     "fit": p_fit, "pair": p_pair}
 
 
-def _read_config(path: str, args: argparse.Namespace) -> dict:
-    """Load a config file and check its keys against the parsed options."""
+def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
+    """Load a config file and parse each value as the command line parses the option."""
     with open(path) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    options = _options(args)
+    options = {action.dest: action for action in parser._actions
+               if action.default is not argparse.SUPPRESS and action.dest not in _NOT_OPTIONS}
     unknown = set(config) - set(options)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for key, value in config.items():
-        # argparse parses string defaults through the option's type, but a
-        # flag has no type: "false" would be a true value. Nor does it check
-        # other JSON values, where true would pass as the number 1.
-        values = value if isinstance(value, list) else [value]
-        if isinstance(options[key], bool):
-            if not isinstance(value, bool):
-                raise ValueError(f"config key {key}: expected true or false, got {value!r}")
-        elif any(isinstance(v, bool) for v in values):
-            raise ValueError(f"config key {key}: only a flag takes true or false, got {value!r}")
-    return config
+    return {key: _config_value(options[key], value) for key, value in config.items()}
+
+
+def _config_value(action: argparse.Action, value):
+    """A config value checked against the option's nargs and parsed by its type.
+
+    A flag takes only true or false, and no other option takes either. A
+    null leaves an option unset only where its default is unset.
+    """
+    key = action.dest
+    if action.nargs == 0:  # a flag
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key}: expected true or false, got {value!r}")
+        return value
+    if value is None and action.default is None:
+        return None
+    if action.nargs in (None, "?"):
+        return _config_element(key, action.type, value)
+    if not isinstance(value, list) or not value or (
+            isinstance(action.nargs, int) and len(value) != action.nargs):
+        count = "one or more" if action.nargs == "+" else action.nargs
+        raise ValueError(f"config key {key}: expected a list of {count} values, got {value!r}")
+    return [_config_element(key, action.type, v) for v in value]
+
+
+def _config_element(key: str, type_, value):
+    """One config value parsed as its command-line text would be.
+
+    A number is parsed from ``str(value)``, except that an integer option
+    keeps a number that is not an integer, so the step rejects it in its
+    own words.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"config key {key}: only a flag takes true or false, got {value!r}")
+    if not isinstance(value, (str, int, float)):
+        raise ValueError(f"config key {key}: expected a string or a number, got {value!r}")
+    if not isinstance(value, str):
+        if type_ is int and not isinstance(value, int):
+            return value
+        value = str(value)
+    if type_ is None:
+        return value
+    try:
+        return type_(value)
+    except ValueError:
+        raise ValueError(
+            f"config key {key}: invalid {type_.__name__} value: {value!r}") from None
 
 
 def main(argv=None) -> int:
@@ -442,7 +479,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config is not None:
-            subparsers[args.subcommand].set_defaults(**_read_config(args.config, args))
+            subparser = subparsers[args.subcommand]
+            subparser.set_defaults(**_read_config(args.config, subparser))
+            # argparse sets defaults before it reads the command line, so a
+            # second parse is what lets the command line override the config
             args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, TypeError) as exc:

@@ -32,14 +32,17 @@ Hz, lengths in um) plus a frequency-profile CSV.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 import math
 import numbers
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -212,52 +215,93 @@ def read_scan_csv(path: str | Path) -> ScanDataset:
 
     Rejects malformed rows, NaN values, and out-of-domain fields with the
     offending line number in the message; the first offending line is
-    reported, whether its fault is the format or a value's range. The
-    beam label defaults to the file stem.
+    reported, whether its fault is the format, a value's range, a field
+    longer than the csv module's limit or a byte the file's encoding
+    cannot decode. Lines count CSV records, as ``csv.reader`` reads them.
+    The beam label defaults to the file stem.
     """
     path = Path(path)
-    rows: list[tuple[float, float, float, int]] = []
-    linenos: list[int] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ScanFormatError("line 1: file is empty, expected header "
-                                  + ",".join(_CSV_FIELDS))
-        if [h.strip() for h in header] != list(_CSV_FIELDS):
-            raise ScanFormatError(
-                f"line 1: expected header {','.join(_CSV_FIELDS)}, got {','.join(header)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                if len(row) != 4:
-                    raise ValueError(f"expected 4 fields, got {len(row)}")
-                values = (float(row[0]), float(row[1]), float(row[2]), int(row[3]))
-                if not -(1 << 63) <= values[3] < 1 << 63:
-                    raise ValueError(f"shots {row[3]} does not fit a 64-bit integer")
-                rows.append(values)
-            except ValueError as exc:
-                if rows:
-                    _check_csv_ranges(rows, linenos)  # an earlier line comes first
-                raise ScanFormatError(f"line {lineno}: {exc}") from exc
-            linenos.append(lineno)
-    if not rows:
-        raise ScanFormatError("line 2: no data rows")
-    x, t_us, p, shots = _check_csv_ranges(rows, linenos)
+    # Undecodable bytes become lone surrogates, which no number parses.
+    with path.open(newline="", errors="surrogateescape") as fh:
+        text = fh.read()
+    columns = _scan_columns(text)
+    if columns is None:
+        _raise_first_bad_line(text, fh.encoding)
+    x, t_us, p, shots = columns
     return ScanDataset(x, t_us * 1e-6, p, shots, beam_label=path.stem)
 
 
-def _check_csv_ranges(rows, linenos) -> tuple[np.ndarray, ...]:
-    """Columns of the parsed CSV rows; ScanFormatError at the first out-of-range line."""
-    x, t_us, p, shots = (np.array(c) for c in zip(*rows))
-    bad = _first_out_of_domain(x, t_us, p, shots)
-    if bad is not None:
-        i, k = bad
-        raise ScanFormatError(
-            f"line {linenos[i]}: {_CSV_FIELDS[k]} {_DOMAINS[k]}, got {rows[i][k]!r}")
-    return x, t_us, p, shots
+def _scan_columns(text: str) -> tuple[np.ndarray, ...] | None:
+    """The four columns of a scan CSV's text, or None if any line is at fault.
+
+    One parse into a flat list of fields, so no record's list outlives its
+    record, then one conversion per column, by the ``float`` and ``int``
+    the record-by-record walk uses.
+    """
+    records = csv.reader(io.StringIO(text, newline=""))
+    fields: list[str] = []
+    widths = set()
+    try:
+        header = next(records, None)
+        for row in records:
+            fields.extend(row)
+            widths.add(len(row))
+        if (header is None or [h.strip() for h in header] != list(_CSV_FIELDS)
+                or not widths <= {0, 4} or not fields):
+            return None
+        n = len(fields) // 4
+        columns = (*(np.fromiter(map(float, fields[k::4]), float, n) for k in range(3)),
+                   np.fromiter(map(int, fields[3::4]), np.int64, n))
+    except (ValueError, OverflowError, csv.Error):  # OverflowError: shots beyond int64
+        return None
+    return None if _first_out_of_domain(*columns) is not None else columns
+
+
+#: The lone surrogates that ``errors="surrogateescape"`` reads bytes 0x80-0xff
+#: as; a pattern string, compiled on first use, so a clean read never pays for it.
+_UNDECODABLE = "[\udc80-\udcff]"
+
+
+def _raise_first_bad_line(text: str, encoding: str) -> NoReturn:
+    """Raise the ScanFormatError naming the first offending line of a scan CSV.
+
+    A record-by-record walk of the text, run only once ``_scan_columns``
+    has found a fault. Each line is checked in full, its format and then
+    its values' ranges, before the next line is read.
+    """
+    records = csv.reader(io.StringIO(text, newline=""))
+    for lineno in itertools.count(1):
+        try:
+            row = next(records, None)
+            if row is None:
+                break
+            undecodable = re.search(_UNDECODABLE, ",".join(row))
+            if undecodable:
+                byte = ord(undecodable.group()) - 0xDC00
+                raise ValueError(f"byte 0x{byte:02x} is not valid {encoding}")
+            if lineno == 1:
+                if [h.strip() for h in row] != list(_CSV_FIELDS):
+                    raise ValueError(
+                        f"expected header {','.join(_CSV_FIELDS)}, got {','.join(row)}")
+                continue
+            if not row:
+                continue
+            if len(row) != 4:
+                raise ValueError(f"expected 4 fields, got {len(row)}")
+            values = (float(row[0]), float(row[1]), float(row[2]), int(row[3]))
+            if not -(1 << 63) <= values[3] < 1 << 63:
+                raise ValueError(f"shots {row[3]} does not fit a 64-bit integer")
+        except (ValueError, csv.Error) as exc:
+            raise ScanFormatError(f"line {lineno}: {exc}") from exc
+        bad = _first_out_of_domain(*(np.array([v]) for v in values))
+        if bad is not None:
+            k = bad[1]
+            raise ScanFormatError(
+                f"line {lineno}: {_CSV_FIELDS[k]} {_DOMAINS[k]}, got {values[k]!r}")
+    if lineno == 1:
+        raise ScanFormatError("line 1: file is empty, expected header " + ",".join(_CSV_FIELDS))
+    # every line is well-formed, so the fault _scan_columns found is this
+    raise ScanFormatError("line 2: no data rows")
 
 
 def write_scan_csv(data: ScanDataset, path: str | Path) -> None:

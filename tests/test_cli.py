@@ -373,6 +373,18 @@ class TestFit:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body, message", [
+        (b"0," + b"1" * 200_000 + b",0.5,100\n", "line 2: field larger than field limit"),
+        (b"0,1,0.5,100\n0,1,0.\xff5,100\n", "line 3: byte 0xff is not valid"),
+    ], ids=["oversized-field", "undecodable-byte"])
+    def test_unreadable_line_exits_2(self, tmp_path, capsys, body, message):
+        scan = tmp_path / "scan.csv"
+        scan.write_bytes(b"position_um,duration_us,p1,shots\n" + body)
+        out = tmp_path / "out"
+        assert main(["fit", str(scan), "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert files_in(out) == []
+
     def test_no_scan_argument_exits_2(self, tmp_path):
         assert main(["fit", "--out-dir", str(tmp_path)]) == 2
 
@@ -752,6 +764,22 @@ class TestConfigFile:
         out = tmp_path / "out"
         assert main([sub, *inputs, "--out-dir", str(out), "--config", str(cfg)]) == 2
         assert f"config key {key}" in capsys.readouterr().err
+        assert files_in(out) == []
+
+    @pytest.mark.parametrize("sub, key, value", [
+        ("fit", "prefix", ["x"]), ("fit", "prefix", {}), ("design", "diameter_range", 5),
+        ("design", "diameter_range", [1, [10]]), ("design", "wavelength", "abc"),
+    ], ids=["list-for-a-scalar", "object", "scalar-for-two-values", "nested-list",
+            "text-for-a-float"])
+    def test_value_the_command_line_would_reject_exits_2(self, pair_run, tmp_path, sub, key,
+                                                         value):
+        inputs = {"fit": [str(pair_run / "scan_A.csv")]}.get(sub, [])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        rc, err = _exit_code([sub, *inputs, "--out-dir", str(out), "--config", str(cfg)])
+        assert rc == 2
+        assert f"config key {key}" in err
         assert files_in(out) == []
 
     @pytest.mark.parametrize("sub", ["design", "propagate", "synth", "fit", "pair"])

@@ -1,7 +1,9 @@
 """Scan fitting: CSV I/O, the optimizer, profiles, widths, pair reports."""
 
+import codecs
 import csv
 import io
+import itertools
 import json
 import math
 import warnings
@@ -204,22 +206,60 @@ class TestScanCsv:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv"]
 
     @pytest.mark.parametrize(
-        "body,lineno",
+        "body,message",
         [
-            ("position,duration_us,p1,shots\n0,1,0.5,100\n", 1),  # bad header
-            ("position_um,duration_us,p1,shots\n0,1,0.5\n", 2),  # missing field
-            ("position_um,duration_us,p1,shots\n0,1,0.5,100\n0,nan,0.5,100\n", 3),
-            ("position_um,duration_us,p1,shots\n0,1,1.5,100\n", 2),  # p1 > 1
-            ("position_um,duration_us,p1,shots\n0,-1,0.5,100\n", 2),  # t < 0
-            ("position_um,duration_us,p1,shots\n0,1,0.5,0\n", 2),  # shots < 1
-            ("position_um,duration_us,p1,shots\n0,1,abc,100\n", 2),  # not a number
+            ("position,duration_us,p1,shots\n0,1,0.5,100\n",  # bad header
+             "line 1: expected header position_um,duration_us,p1,shots, "
+             "got position,duration_us,p1,shots"),
+            ("position_um,duration_us,p1,shots\n0,1,0.5\n",  # missing field
+             "line 2: expected 4 fields, got 3"),
+            ("position_um,duration_us,p1,shots\n0,1,0.5,100\n0,nan,0.5,100\n",
+             "line 3: duration_us must be finite and >= 0, got nan"),
+            ("position_um,duration_us,p1,shots\n0,1,1.5,100\n",  # p1 > 1
+             "line 2: p1 must be in [0, 1], got 1.5"),
+            ("position_um,duration_us,p1,shots\n0,-1,0.5,100\n",  # t < 0
+             "line 2: duration_us must be finite and >= 0, got -1.0"),
+            ("position_um,duration_us,p1,shots\n0,1,0.5,0\n",  # shots < 1
+             "line 2: shots must be >= 1, got 0"),
+            ("position_um,duration_us,p1,shots\n0,1,abc,100\n",  # not a number
+             "line 2: could not convert string to float: 'abc'"),
         ],
     )
-    def test_malformed_rows_name_their_line(self, tmp_path, body, lineno):
+    def test_malformed_rows_name_their_line(self, tmp_path, body, message):
         path = tmp_path / "bad.csv"
         path.write_text(body)
-        with pytest.raises(ScanFormatError, match=f"line {lineno}"):
+        with pytest.raises(ScanFormatError) as err:
             read_scan_csv(path)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("bad_first", [False, True])
+    def test_oversized_field_names_its_line(self, tmp_path, bad_first):
+        # csv refuses a field over its size limit; an earlier bad line still comes first
+        limit = csv.field_size_limit()
+        big = "1" * (limit + 1)
+        path = tmp_path / "big.csv"
+        path.write_text("position_um,duration_us,p1,shots\n"
+                        + ("0,1,1.5,100\n" if bad_first else "0,1,0.5,100\n")
+                        + f"0,{big},0.5,100\n")
+        with pytest.raises(ScanFormatError) as err:
+            read_scan_csv(path)
+        assert str(err.value) == ("line 2: p1 must be in [0, 1], got 1.5" if bad_first else
+                                  f"line 3: field larger than field limit ({limit})")
+
+    @pytest.mark.parametrize("bad_first", [False, True])
+    def test_undecodable_byte_names_its_line(self, tmp_path, bad_first):
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(b"position_um,duration_us,p1,shots\n"
+                         + (b"0,1,0.5\n" if bad_first else b"0,1,0.5,100\n")
+                         + b"0,1,0.\xff5,100\n")
+        with path.open() as fh:
+            encoding = fh.encoding
+        if codecs.lookup(encoding).name != "utf-8":
+            pytest.skip(f"0xff may decode in {encoding}")
+        with pytest.raises(ScanFormatError) as err:
+            read_scan_csv(path)
+        assert str(err.value) == ("line 2: expected 4 fields, got 3" if bad_first else
+                                  f"line 3: byte 0xff is not valid {encoding}")
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -245,11 +285,17 @@ class TestScanCsv:
 
 
 # Scan CSV text mixing valid rows with NaN/inf, negative durations, p outside
-# [0, 1], shots < 1, non-numeric fields, wrong field counts and blank lines.
+# [0, 1], shots < 1 or beyond 64 bits, non-numeric and 1_000-style fields,
+# quoted fields (some holding a comma, a newline or an unclosed quote), fields
+# over the csv module's size limit, wrong field counts, blank and
+# whitespace-only lines, with LF or CRLF line ends.
 _FIELD = st.one_of(
     st.floats().map(repr),  # includes nan, inf, -inf, negatives
     st.integers(-3, 300).map(str),
-    st.sampled_from(["abc", "", "1.5.2", " 7", "1e400", str(1 << 63)]),
+    st.sampled_from(["abc", "", "1.5.2", " 7", "1e400", str(1 << 63), str(-(1 << 63) - 1),
+                     "1_000", "0.2_5", "1__0", "_1"]),
+    st.sampled_from(['"0.5"', '"1,5"', '"1\n5"', '"1\r\n"', '"a""b"', '"7', 'x"y']),
+    st.just("9" * (csv.field_size_limit() + 1)),
 )
 _VALID_ROW = st.tuples(
     st.floats(-50.0, 50.0), st.floats(0.0, 500.0), st.floats(0.0, 1.0), st.integers(1, 1000),
@@ -262,43 +308,57 @@ _OUT_OF_RANGE_ROW = st.sampled_from(
 _ROW = st.one_of(
     _VALID_ROW, _VALID_ROW, _VALID_ROW, _OUT_OF_RANGE_ROW,
     st.lists(_FIELD, min_size=1, max_size=6).map(",".join),
-    st.just(""),
+    st.sampled_from(["", " ", " \t"]),
 )
 
 
 def _reference_scan_rows(text):
-    """A plain loop over the data lines: the first offending 1-based line
-    number, or the parsed rows (position um, duration s, p1, shots)."""
+    """A plain loop over the records after the header: the message naming
+    the first offending one, or the parsed rows (position um, duration s,
+    p1, shots)."""
     rows = []
-    for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
-        if lineno == 1 or not row:
+    records = csv.reader(io.StringIO(text, newline=""))
+    next(records)
+    for lineno in itertools.count(2):
+        try:
+            row = next(records, None)
+        except csv.Error as exc:
+            return f"line {lineno}: {exc}"
+        if row is None:
+            return rows or "line 2: no data rows"
+        if not row:
             continue
         if len(row) != 4:
-            return lineno
+            return f"line {lineno}: expected 4 fields, got {len(row)}"
         try:
             x, t_us, p1, shots = float(row[0]), float(row[1]), float(row[2]), int(row[3])
-        except ValueError:
-            return lineno
-        if not (math.isfinite(x) and math.isfinite(t_us) and t_us >= 0
-                and 0.0 <= p1 <= 1.0 and 1 <= shots < 1 << 63):
-            return lineno
+        except ValueError as exc:
+            return f"line {lineno}: {exc}"
+        if not -(1 << 63) <= shots < 1 << 63:
+            return f"line {lineno}: shots {row[3]} does not fit a 64-bit integer"
+        for name, value, ok in [
+            ("position_um must be finite", x, math.isfinite(x)),
+            ("duration_us must be finite and >= 0", t_us, math.isfinite(t_us) and t_us >= 0),
+            ("p1 must be in [0, 1]", p1, 0.0 <= p1 <= 1.0),
+            ("shots must be >= 1", shots, shots >= 1),
+        ]:
+            if not ok:
+                return f"line {lineno}: {name}, got {value!r}"
         rows.append((x, t_us * 1e-6, p1, shots))
-    return rows
 
 
 class TestScanCsvFuzz:
-    @given(lines=st.lists(_ROW, max_size=12))
+    @given(lines=st.lists(_ROW, max_size=12), eol=st.sampled_from(["\n", "\r\n"]))
     @settings(max_examples=300, deadline=None)
-    def test_rejects_first_bad_line_or_returns_the_rows(self, tmp_path_factory, lines):
-        text = "position_um,duration_us,p1,shots\n" + "\n".join(lines) + "\n"
+    def test_rejects_first_bad_line_or_returns_the_rows(self, tmp_path_factory, lines, eol):
+        text = eol.join(["position_um,duration_us,p1,shots", *lines]) + eol
         path = tmp_path_factory.mktemp("fuzz") / "scan.csv"
-        path.write_text(text)
+        path.write_bytes(text.encode())
         expected = _reference_scan_rows(text)
-        if isinstance(expected, int) or not expected:
+        if isinstance(expected, str):
             with pytest.raises(ScanFormatError) as err:
                 read_scan_csv(path)
-            line = expected if expected else 2
-            assert str(err.value).startswith(f"line {line}: ")
+            assert str(err.value) == expected
         else:
             data = read_scan_csv(path)
             for column, values in zip(data.arrays(), zip(*expected)):
