@@ -35,7 +35,7 @@ class SingularityError(ArithmeticError):
 # === Ray-transfer matrices ==================================================
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RayMatrix:
     """2x2 ray-transfer matrix [[a, b], [c, d]], unit determinant."""
 
@@ -108,7 +108,7 @@ def compose(elements: Iterable[RayMatrix]) -> RayMatrix:
 # === Gaussian beams =========================================================
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaussianBeam:
     """One transverse axis of a Gaussian beam at a reference plane: waist
     radius (um) and waist position (mm, relative to that plane)."""

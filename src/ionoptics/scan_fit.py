@@ -218,12 +218,14 @@ def read_scan_csv(path: str | Path) -> ScanDataset:
     reported, whether its fault is the format, a value's range, a field
     longer than the csv module's limit or a byte the file's encoding
     cannot decode. Lines count CSV records, as ``csv.reader`` reads them.
-    The beam label defaults to the file stem.
+    One leading byte-order mark is dropped. The beam label defaults to the
+    file stem.
     """
     path = Path(path)
     # Undecodable bytes become lone surrogates, which no number parses.
     with path.open(newline="", errors="surrogateescape") as fh:
-        text = fh.read()
+        # a spreadsheet's UTF-8 byte-order mark is not part of the header
+        text = fh.read().removeprefix("\ufeff")
     columns = _scan_columns(text)
     if columns is None:
         _raise_first_bad_line(text, fh.encoding)

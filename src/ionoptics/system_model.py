@@ -50,20 +50,28 @@ class PrescriptionError(ValueError):
     """A prescription file or structure violates the schema."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrescriptionElement:
     kind: Literal["lens", "gap"]
     value_mm: float
     axis: ElementAxis = "both"
 
     def applies_to(self, axis: Axis) -> bool:
-        return self.axis == "both" or self.axis == axis
+        if self.axis == "both" or self.axis == axis:
+            return True
+        if self.axis not in _ELEMENT_AXES:
+            raise ValueError(f"element axis must be one of {_ELEMENT_AXES}, got {self.axis!r}")
+        return False
 
     def matrix(self) -> RayMatrix:
-        return thin_lens(self.value_mm) if self.kind == "lens" else free_space(self.value_mm)
+        if self.kind == "lens":
+            return thin_lens(self.value_mm)
+        if self.kind == "gap":
+            return free_space(self.value_mm)
+        raise ValueError(f"element kind must be one of {_ELEMENT_KINDS}, got {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpticalPrescription:
     name: str
     elements: tuple[PrescriptionElement, ...]
@@ -82,7 +90,7 @@ class OpticalPrescription:
         return compose(e.matrix() for e in self.elements if e.applies_to(axis))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeamArraySpec:
     """Beam array at the source plane: round beams on a uniform pitch."""
 
@@ -100,7 +108,7 @@ class BeamArraySpec:
             raise ValueError(f"channel count must be an integer >= 1, got {n!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AxisImage:
     magnification: float  # |a| at this axis's image plane
     inverted: bool
@@ -109,7 +117,7 @@ class AxisImage:
     waist_offset_mm: float  # waist position relative to that plane
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImagePlaneReport:
     prescription_name: str
     wavelength_um: float
@@ -122,7 +130,7 @@ class ImagePlaneReport:
     notes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscrepancyReport:
     predicted_um: float
     measured_um: float
@@ -213,8 +221,8 @@ def reference_prescription() -> OpticalPrescription:
 # === Imaging solves =========================================================
 
 
-def image_distance_mm(prescription: OpticalPrescription, axis: Axis) -> float:
-    """Trailing gap placing the image plane for one axis.
+def _image_plane(prescription: OpticalPrescription, axis: Axis) -> tuple[RayMatrix, float]:
+    """One axis's composed train and the trailing gap t that images it.
 
     The composed matrix free_space(t) @ M has b entry b + t*d, which
     vanishes at t = -b/d.
@@ -229,12 +237,19 @@ def image_distance_mm(prescription: OpticalPrescription, axis: Axis) -> float:
         raise SingularityError(
             f"prescription {prescription.name!r}: no {axis} image plane within 1e9 mm"
         )
-    return t
+    return m, t
+
+
+def image_distance_mm(prescription: OpticalPrescription, axis: Axis) -> float:
+    """Trailing gap placing the image plane for one axis."""
+    return _image_plane(prescription, axis)[1]
 
 
 def _axis_matrix_at_image(prescription: OpticalPrescription, axis: Axis) -> tuple[RayMatrix, float]:
-    t = image_distance_mm(prescription, axis)
-    return free_space(t) @ prescription.matrix(axis), t
+    """One axis's train up to its image plane, and that plane's trailing gap;
+    the train is composed once."""
+    m, t = _image_plane(prescription, axis)
+    return free_space(t) @ m, t
 
 
 def magnification(prescription: OpticalPrescription, axis: Axis) -> float:

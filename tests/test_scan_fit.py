@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionoptics import scan_fit
+from ionoptics.cli import main
 from ionoptics.rabi_model import BeamProfileParams, SpamModel, apply_spam, local_rabi, p_excited
 from ionoptics.scan_fit import (
     BeamFitResult,
@@ -260,6 +261,24 @@ class TestScanCsv:
             read_scan_csv(path)
         assert str(err.value) == ("line 2: expected 4 fields, got 3" if bad_first else
                                   f"line 3: byte 0xff is not valid {encoding}")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet exports start a UTF-8 file with U+FEFF; the copy keeps
+        # the stem, which is the beam label
+        assert main(["synth", "--out-dir", str(tmp_path), "--seed", "0", "--rabi-hz", "1910",
+                     "2790", "--center-um", "0", "4.31", "--width-um", "1.86", "1.88"]) == 0
+        plain = tmp_path / "scan_A.csv"
+        with plain.open() as fh:
+            if codecs.lookup(fh.encoding).name != "utf-8":
+                pytest.skip(f"a UTF-8 byte-order mark does not read as U+FEFF in {fh.encoding}")
+        (tmp_path / "bom").mkdir()
+        bom = tmp_path / "bom" / "scan_A.csv"
+        bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert read_scan_csv(bom) == read_scan_csv(plain)
+        # only one mark is a byte-order mark
+        bom.write_bytes(codecs.BOM_UTF8 * 2 + plain.read_bytes())
+        with pytest.raises(ScanFormatError, match="^line 1: expected header"):
+            read_scan_csv(bom)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

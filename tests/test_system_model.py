@@ -1,15 +1,27 @@
 """Telescope prescriptions: parsing, imaging solves, array mapping."""
 
+import copy
 import dataclasses
 import json
 import math
+import pickle
+import random
 import re
 
 import pytest
 
-from ionoptics.beamlab import GaussianBeam, SingularityError, propagate
+from ionoptics import system_model
+from ionoptics.beamlab import (
+    GaussianBeam,
+    RayMatrix,
+    SingularityError,
+    free_space,
+    propagate,
+    spot_radius_um,
+)
 from ionoptics.system_model import (
     AXES,
+    AxisImage,
     BeamArraySpec,
     OpticalPrescription,
     PrescriptionElement,
@@ -243,6 +255,114 @@ class TestPrescriptionIO:
         with pytest.raises(PrescriptionError, match="radial"):
             OpticalPrescription(name="axial-only",
                                 elements=(gap(10.0), lens(10.0, axis="axial")))
+
+
+class TestElementChecks:
+    """An element built in code is checked where a train uses it."""
+
+    @pytest.mark.parametrize("solve", [image_distance_mm, magnification])
+    def test_unknown_kind_rejected(self, solve):
+        # a mistyped "lens" used to act as a 40 mm gap (image at -25 mm)
+        typo = OpticalPrescription(name="typo", elements=(
+            gap(75.0), lens(75.0), gap(90.0), lens(15.0), PrescriptionElement("lense", 40.0)))
+        with pytest.raises(ValueError, match=re.escape(repr(("lens", "gap")))):
+            solve(typo, "axial")
+        with pytest.raises(ValueError, match="got 'lense'"):
+            image_array(typo, ARRAY)
+
+    @pytest.mark.parametrize("axis", AXES)
+    def test_unknown_element_axis_rejected(self, axis):
+        # a lens on an unknown axis used to drop out of both trains
+        skew = OpticalPrescription(name="skew", elements=(
+            gap(75.0), lens(75.0), gap(90.0), lens(15.0), lens(40.0, axis="diagonal")))
+        with pytest.raises(ValueError, match=re.escape(repr(("axial", "radial", "both")))):
+            skew.matrix(axis)
+        with pytest.raises(ValueError, match="got 'diagonal'"):
+            image_array(skew, ARRAY)
+
+
+def _variants(n, seed=0):
+    """n copies of the reference train with every element off by a 1% draw."""
+    rng = random.Random(seed)
+    ref = reference_prescription()
+    return [dataclasses.replace(ref, name=f"{ref.name}-v{v}", elements=tuple(
+        dataclasses.replace(e, value_mm=e.value_mm * (1.0 + rng.gauss(0.0, 0.01)))
+        for e in ref.elements)) for v in range(n)]
+
+
+def _two_solve_fields(prescription, array, wavelength_um=0.355):
+    """image_array's numbers the way it once took them: the image distance
+    from one composition, the matrix at the image from a second."""
+    source = GaussianBeam(wavelength_um, array.source_diameter_um / 2.0)
+    fields, at_image = {}, {}
+    for axis in AXES:
+        t = image_distance_mm(prescription, axis)
+        m = free_space(t) @ prescription.matrix(axis)
+        out = propagate(source, m)
+        at_image[axis] = m, t
+        fields[axis] = {"magnification": abs(m.a), "inverted": m.a < 0, "image_distance_mm": t,
+                        "diameter_um": 2.0 * spot_radius_um(out, 0.0),
+                        "waist_offset_mm": out.waist_position_mm}
+    pitch = array.source_pitch_um * fields["axial"]["magnification"]
+    n = array.channel_count
+    offset = at_image["axial"][1] - at_image["radial"][1]
+    radial_at_axial = propagate(source, free_space(offset) @ at_image["radial"][0])
+    fields.update(
+        prescription_name=prescription.name, wavelength_um=wavelength_um, pitch_um=pitch,
+        centers_um=tuple(pitch * (i - (n - 1) / 2.0) for i in range(n)),
+        astigmatic_offset_mm=offset,
+        radial_diameter_at_axial_plane_um=2.0 * spot_radius_um(radial_at_axial, 0.0))
+    return fields
+
+
+class TestOneSolvePerAxis:
+    def test_matches_two_solves_exactly(self):
+        for variant in _variants(256):
+            report = dataclasses.asdict(image_array(variant, ARRAY))
+            notes = report.pop("notes")
+            assert report == _two_solve_fields(variant, ARRAY), variant.name
+            assert len(notes) == (abs(report["astigmatic_offset_mm"]) > 1e-6)
+
+    def test_each_axis_composed_once(self, monkeypatch):
+        calls, real_compose = [], system_model.compose
+
+        def counting_compose(elements):
+            calls.append(1)
+            return real_compose(elements)
+
+        monkeypatch.setattr(system_model, "compose", counting_compose)
+        ref = reference_prescription()
+        image_array(ref, ARRAY)
+        assert len(calls) == 2
+        for solve in (magnification, image_distance_mm):
+            calls.clear()
+            solve(ref, "axial")
+            assert len(calls) == 1, solve.__name__
+
+
+def _design_instances():
+    ref = reference_prescription()
+    report = image_array(ref, ARRAY)
+    return [RayMatrix(1.0, 2.0, 0.0, 1.0), GaussianBeam(0.355, 1.0), ref.elements[1], ref,
+            ARRAY, report.axial, report, compare_measured_pitch(report, 4.31, 0.05)]
+
+
+class TestSlottedTypes:
+    @pytest.mark.parametrize("instance", _design_instances(), ids=lambda x: type(x).__name__)
+    def test_no_instance_dict(self, instance):
+        assert not hasattr(instance, "__dict__")
+        assert type(instance).__slots__
+
+    @pytest.mark.parametrize("instance", _design_instances(), ids=lambda x: type(x).__name__)
+    def test_dataclass_helpers_still_work(self, instance):
+        first = dataclasses.fields(instance)[0].name
+        value = getattr(instance, first)
+        assert dataclasses.replace(instance, **{first: value}) == instance
+        assert list(dataclasses.asdict(instance)) == [f.name for f in dataclasses.fields(instance)]
+        assert pickle.loads(pickle.dumps(instance)) == instance
+        assert copy.deepcopy(instance) == instance
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(instance, first, value)
 
 
 class TestDiscrepancy:
