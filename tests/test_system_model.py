@@ -21,7 +21,6 @@ from ionoptics.beamlab import (
 )
 from ionoptics.system_model import (
     AXES,
-    AxisImage,
     BeamArraySpec,
     OpticalPrescription,
     PrescriptionElement,
