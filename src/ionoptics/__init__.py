@@ -26,7 +26,7 @@ _EXPORTS = {
     ),
     "design_tradeoff": (
         "DesignConstraints", "DesignPoint", "crosstalk", "required_na",
-        "min_diameter_for_na", "tradeoff_curve", "clipping_fraction",
+        "min_diameter_for_na", "tradeoff_curve",
     ),
     "rabi_model": (
         "BeamProfileParams", "SpamModel", "local_rabi", "p_excited",
@@ -35,7 +35,7 @@ _EXPORTS = {
     "system_model": (
         "Axis", "AXES", "PrescriptionError", "PrescriptionElement", "OpticalPrescription",
         "BeamArraySpec", "AxisImage", "ImagePlaneReport", "DiscrepancyReport",
-        "load_prescription", "save_prescription", "reference_prescription",
+        "load_prescription", "reference_prescription",
         "image_distance_mm", "magnification", "image_array", "compare_measured_pitch",
     ),
     "scan_fit": (
@@ -44,7 +44,7 @@ _EXPORTS = {
         "fit_model", "fit_model_jacobian", "fit_beam", "fit_freq_profile",
         "d4sigma", "pair_analysis", "read_scan_csv", "write_scan_csv",
         "write_fit_report", "read_fit_report", "write_freq_profile_csv",
-        "fit_report_dict", "pair_report_dict",
+        "fit_report_dict",
     ),
     "synth_scan": ("SynthConfig", "generate", "position_jitter", "default_scan_grid"),
 }

@@ -1,8 +1,16 @@
-"""Atomic text-file writes shared by the library writers and the CLI."""
+"""JSON and text-file I/O shared by the library readers, writers and the CLI.
+
+Writes are atomic: a sibling ``.tmp`` file, then a rename. Reads of a JSON
+file raise the caller's own error type naming the file when its text is
+not JSON, and ``_is_finite_number`` is the one check of a JSON number. The
+module needs only the standard library, so the design half stays
+numpy-free.
+"""
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -36,3 +44,26 @@ def _write_json(path: str | Path, obj) -> None:
     except ValueError as exc:
         raise ValueError(f"{path} not written: a value is not finite ({exc})") from exc
     _write_atomic(path, text + "\n")
+
+
+def _read_json(path: str | Path, error: type[ValueError]):
+    """Parse the JSON file at ``path``.
+
+    Any ValueError while reading or parsing (bad JSON, bytes that do not
+    decode, an integer past Python's digit limit) is raised as ``error``
+    naming the file. An OSError, a missing file say, propagates as it is.
+    """
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from exc
+
+
+def _is_finite_number(value) -> bool:
+    """True for an int or float, not a bool, that a float holds finitely."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False

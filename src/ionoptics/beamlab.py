@@ -64,10 +64,6 @@ class RayMatrix:
             d=self.c * other.b + self.d * other.d,
         )
 
-    def inverse(self) -> "RayMatrix":
-        # unit determinant: inverse is [[d, -b], [-c, a]]
-        return RayMatrix(self.d, -self.b, -self.c, self.a)
-
     def transform_q(self, q: complex) -> complex:
         """Map a complex beam parameter, q' = (a*q + b)/(c*q + d)."""
         den = self.c * q + self.d

@@ -283,7 +283,7 @@ def _result_from_report(path: str | Path) -> BeamFitResult:
 
 
 def cmd_pair(args: argparse.Namespace) -> int:
-    from .scan_fit import pair_analysis, pair_report_dict, read_scan_csv
+    from .scan_fit import pair_analysis, read_scan_csv
 
     if args.fit_a is None or args.fit_b is None:
         raise ValueError("pair requires --fit-a and --fit-b report paths")
@@ -307,7 +307,7 @@ def cmd_pair(args: argparse.Namespace) -> int:
     )
     out = _out_dir(args)
     report_path = out / "pair_report.json"
-    _write_json(report_path, pair_report_dict(report))
+    _write_json(report_path, dataclasses.asdict(report))
     _write_manifest(out, args, inputs, [report_path.name])
     return EXIT_OK
 

@@ -18,6 +18,7 @@ import numbers
 from dataclasses import dataclass
 
 from . import _EXPORTS
+from .beamlab import far_field_divergence_rad
 
 __all__ = list(_EXPORTS["design_tradeoff"])
 
@@ -77,8 +78,7 @@ def required_na(beam_diameter_um: float, wavelength_um: float = 0.355) -> float:
         raise ValueError(f"beam diameter must be positive, got {beam_diameter_um!r}")
     if not (math.isfinite(wavelength_um) and wavelength_um > 0):
         raise ValueError(f"wavelength must be positive, got {wavelength_um!r}")
-    w0 = beam_diameter_um / 2.0
-    theta = wavelength_um / (math.pi * w0)
+    theta = far_field_divergence_rad(wavelength_um, beam_diameter_um / 2.0)
     if theta >= math.pi / 2:
         raise ValueError(
             f"diameter {beam_diameter_um} um is below the focusing limit "
@@ -128,16 +128,3 @@ def tradeoff_curve(
         )
         for d in diameters
     ]
-
-
-def clipping_fraction(spot_radius_um: float, clearance_um: float) -> float:
-    """Fraction of Gaussian beam power clipped by a half-plane at distance h.
-
-    For a beam of 1/e^2 radius w at an aperture whose edge clears the beam
-    center by h: P_clip/P_total = erfc(sqrt(2)*h/w)/2.
-    """
-    if not (math.isfinite(spot_radius_um) and spot_radius_um > 0):
-        raise ValueError(f"spot radius must be positive, got {spot_radius_um!r}")
-    if not (math.isfinite(clearance_um) and clearance_um >= 0):
-        raise ValueError(f"clearance must be finite and >= 0, got {clearance_um!r}")
-    return 0.5 * math.erfc(math.sqrt(2.0) * clearance_um / spot_radius_um)

@@ -34,7 +34,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import math
 import numbers
 import re
@@ -47,7 +46,7 @@ from typing import NoReturn, Sequence
 import numpy as np
 
 from . import _EXPORTS
-from ._atomic import _write_atomic, _write_json
+from ._atomic import _is_finite_number, _read_json, _write_atomic, _write_json
 from .rabi_model import BeamProfileParams, SpamModel, crosstalk_rabi_bound, intensity_crosstalk_ratio
 
 __all__ = list(_EXPORTS["scan_fit"])
@@ -944,7 +943,7 @@ class PairReport:
     ambiguous: bool  # centers overlap within k_sigma * separation_err
     observation_window_s: float
     detection_floor: float
-    rabi_bound: float  # rad/s hiding below the floor over the window
+    rabi_bound_hz: float  # largest Rabi frequency hiding below the floor over the window
     crosstalk_bound_a: float  # intensity ratio bound, beam A's peak
     crosstalk_bound_b: float
     off_beam_oscillation_a: bool | None  # None: no trace supplied
@@ -1032,7 +1031,7 @@ def pair_analysis(
         ambiguous=ambiguous,
         observation_window_s=window,
         detection_floor=detection_floor,
-        rabi_bound=bound,
+        rabi_bound_hz=bound / TWO_PI,
         crosstalk_bound_a=intensity_crosstalk_ratio(bound, a.params.omega0),
         crosstalk_bound_b=intensity_crosstalk_ratio(bound, b.params.omega0),
         off_beam_oscillation_a=detected[0],
@@ -1092,7 +1091,7 @@ def read_fit_report(path: str | Path) -> tuple[BeamProfileParams, np.ndarray, di
     a finite JSON number (not a boolean or a string) for ``residual_rms``
     and for each ``params``, ``spam`` and covariance entry.
     """
-    raw = json.loads(Path(path).read_text())
+    raw = _read_json(path, ScanFormatError)
     version = raw.get("schema_version") if isinstance(raw, dict) else None
     if version != FIT_REPORT_SCHEMA:
         raise ScanFormatError(
@@ -1132,16 +1131,6 @@ def read_fit_report(path: str | Path) -> tuple[BeamProfileParams, np.ndarray, di
     return params, scale @ cov_hz @ scale, raw
 
 
-def _is_finite_number(value) -> bool:
-    """True for an int or float, not a bool, that a float holds finitely."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
 def write_freq_profile_csv(profile: Sequence[FreqProfilePoint], path: str | Path) -> None:
     lines = ["position_um,rabi_hz,rabi_err_hz,baseline"]
     for pt in profile:
@@ -1150,23 +1139,3 @@ def write_freq_profile_csv(profile: Sequence[FreqProfilePoint], path: str | Path
             f"{pt.omega_err / TWO_PI:.10g},{int(pt.baseline)}"
         )
     _write_atomic(path, "\n".join(lines) + "\n")
-
-
-def pair_report_dict(report: PairReport) -> dict:
-    return {
-        "beam_a": report.beam_a,
-        "beam_b": report.beam_b,
-        "center_a_um": report.center_a_um,
-        "center_b_um": report.center_b_um,
-        "separation_um": report.separation_um,
-        "separation_err_um": report.separation_err_um,
-        "ambiguous": report.ambiguous,
-        "observation_window_s": report.observation_window_s,
-        "detection_floor": report.detection_floor,
-        "rabi_bound_hz": report.rabi_bound / TWO_PI,
-        "crosstalk_bound_a": report.crosstalk_bound_a,
-        "crosstalk_bound_b": report.crosstalk_bound_b,
-        "off_beam_oscillation_a": report.off_beam_oscillation_a,
-        "off_beam_oscillation_b": report.off_beam_oscillation_b,
-        "notes": list(report.notes),
-    }

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Literal
 
 from . import _EXPORTS
-from ._atomic import _write_json
+from ._atomic import _is_finite_number, _read_json
 from .beamlab import (
     GaussianBeam,
     RayMatrix,
@@ -152,7 +152,7 @@ def _element_from_dict(raw: dict, path: str) -> PrescriptionElement:
     if kind not in _ELEMENT_KINDS:
         raise PrescriptionError(f"{path}.kind: expected one of {_ELEMENT_KINDS}, got {kind!r}")
     value = raw.get("value_mm")
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+    if not _is_finite_number(value):
         raise PrescriptionError(f"{path}.value_mm: expected a finite number, got {value!r}")
     if kind == "lens" and value == 0:
         raise PrescriptionError(f"{path}.value_mm: lens focal length must be nonzero")
@@ -191,25 +191,7 @@ def _prescription_from_dict(raw: dict) -> OpticalPrescription:
 
 def load_prescription(path: str | Path) -> OpticalPrescription:
     """Load a prescription JSON file; schema errors name the offending field."""
-    text = Path(path).read_text()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PrescriptionError(f"{path}: not valid JSON ({exc})") from exc
-    return _prescription_from_dict(raw)
-
-
-def save_prescription(prescription: OpticalPrescription, path: str | Path) -> None:
-    doc = {
-        "name": prescription.name,
-        "source_plane": prescription.source_label,
-        "image_plane": prescription.image_label,
-        "elements": [
-            {"kind": e.kind, "value_mm": e.value_mm, "axis": e.axis}
-            for e in prescription.elements
-        ],
-    }
-    _write_json(path, doc)
+    return _prescription_from_dict(_read_json(path, PrescriptionError))
 
 
 def reference_prescription() -> OpticalPrescription:
@@ -222,10 +204,11 @@ def reference_prescription() -> OpticalPrescription:
 
 
 def _image_plane(prescription: OpticalPrescription, axis: Axis) -> tuple[RayMatrix, float]:
-    """One axis's composed train and the trailing gap t that images it.
+    """One axis's train up to its image plane, and the trailing gap t that
+    places that plane behind the last element; the train is composed once.
 
-    The composed matrix free_space(t) @ M has b entry b + t*d, which
-    vanishes at t = -b/d.
+    With M the composed train, free_space(t) @ M has b entry b + t*d,
+    which vanishes at t = -b/d.
     """
     m = prescription.matrix(axis)
     t = -m.b / m.d if m.d != 0 else math.inf
@@ -237,19 +220,12 @@ def _image_plane(prescription: OpticalPrescription, axis: Axis) -> tuple[RayMatr
         raise SingularityError(
             f"prescription {prescription.name!r}: no {axis} image plane within 1e9 mm"
         )
-    return m, t
+    return free_space(t) @ m, t
 
 
 def image_distance_mm(prescription: OpticalPrescription, axis: Axis) -> float:
     """Trailing gap placing the image plane for one axis."""
     return _image_plane(prescription, axis)[1]
-
-
-def _axis_matrix_at_image(prescription: OpticalPrescription, axis: Axis) -> tuple[RayMatrix, float]:
-    """One axis's train up to its image plane, and that plane's trailing gap;
-    the train is composed once."""
-    m, t = _image_plane(prescription, axis)
-    return free_space(t) @ m, t
 
 
 def magnification(prescription: OpticalPrescription, axis: Axis) -> float:
@@ -258,8 +234,7 @@ def magnification(prescription: OpticalPrescription, axis: Axis) -> float:
     Values below 1 are demagnifying. The image inversion sign is reported
     separately (AxisImage.inverted).
     """
-    m, _ = _axis_matrix_at_image(prescription, axis)
-    return abs(m.a)
+    return abs(_image_plane(prescription, axis)[0].a)
 
 
 def _axis_image(m: RayMatrix, t: float, source: GaussianBeam) -> AxisImage:
@@ -291,8 +266,8 @@ def image_array(
     # the source beams are round: one beam serves both axes
     source = GaussianBeam(wavelength_um, array.source_diameter_um / 2.0)
     # each axis's image plane is solved once
-    m_ax, t_ax = _axis_matrix_at_image(prescription, "axial")
-    m_rad, t_rad = _axis_matrix_at_image(prescription, "radial")
+    m_ax, t_ax = _image_plane(prescription, "axial")
+    m_rad, t_rad = _image_plane(prescription, "radial")
     axial = _axis_image(m_ax, t_ax, source)
     radial = _axis_image(m_rad, t_rad, source)
 

@@ -163,6 +163,16 @@ class TestPropagate:
         assert rc == 2
         assert "elements[1]" in capsys.readouterr().err
 
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys):
+        big = tmp_path / "big.json"
+        big.write_text('{"name": "big", "elements": [{"kind": "gap", "value_mm": 1'
+                       + "0" * 400 + "}]}")
+        out = tmp_path / "out"
+        rc = main(["propagate", "--out-dir", str(out), "--prescription", str(big)])
+        assert rc == 2
+        assert "error: elements[0].value_mm: expected a finite number" in capsys.readouterr().err
+        assert files_in(out) == []
+
     def test_missing_prescription_file_exits_1(self, tmp_path):
         rc = main(["propagate", "--out-dir", str(tmp_path),
                    "--prescription", str(tmp_path / "nope.json")])
@@ -540,6 +550,23 @@ class TestPair:
         assert rc == 2
         assert "must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "pair_report.json").exists()
+
+    def test_report_that_is_not_json_names_its_path(self, pair_run, tmp_path, capsys):
+        bad = tmp_path / "report.json"
+        bad.write_text("not json")
+        out = tmp_path / "out"
+        rc = main(["pair", "--fit-a", str(bad), "--fit-b", str(pair_run / "scan_B_report.json"),
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert f"error: {bad}: not valid JSON" in capsys.readouterr().err
+        assert files_in(out) == []
+
+    def test_missing_report_exits_1(self, pair_run, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["pair", "--fit-a", str(tmp_path / "nope.json"),
+                   "--fit-b", str(pair_run / "scan_B_report.json"), "--out-dir", str(out)])
+        assert rc == 1
+        assert files_in(out) == []
 
     def test_malformed_report_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,15 +1,13 @@
-"""Crosstalk / numerical-aperture tradeoff and clipping estimates."""
+"""Crosstalk / numerical-aperture tradeoff."""
 
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from ionoptics.design_tradeoff import (
     DesignConstraints,
-    clipping_fraction,
     crosstalk,
     min_diameter_for_na,
     required_na,
@@ -129,25 +127,3 @@ class TestTradeoffCurve:
         with pytest.raises(ValueError):
             tradeoff_curve(DesignConstraints(), (2.0, 4.0), 1)
 
-
-class TestClipping:
-    def test_frozen_value(self):
-        # 0.5*erfc(sqrt(2)*10/5), power past an aperture two waists out
-        assert clipping_fraction(5.0, 10.0) == pytest.approx(3.167124183311986e-5,
-                                                             rel=1e-9)
-
-    def test_quadrature_oracle(self):
-        # Fraction of a radially symmetric Gaussian's 1D marginal power
-        # beyond the clearance: integral of the normal tail.
-        w, h = 4.0, 6.0
-        density = lambda x: math.sqrt(2.0 / math.pi) / w * math.exp(-2 * x**2 / w**2)
-        expected, _ = quad(density, h, math.inf)
-        assert clipping_fraction(w, h) == pytest.approx(expected, rel=1e-9)
-
-    @given(w=st.floats(min_value=0.5, max_value=20.0),
-           h1=st.floats(min_value=0.0, max_value=50.0),
-           h2=st.floats(min_value=0.0, max_value=50.0))
-    @settings(max_examples=200, deadline=None)
-    def test_monotone_in_clearance(self, w, h1, h2):
-        lo, hi = sorted([h1, h2])
-        assert clipping_fraction(w, hi) <= clipping_fraction(w, lo) <= 0.5

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -31,7 +32,6 @@ from ionoptics.scan_fit import (
     fit_model_jacobian,
     initial_guess,
     pair_analysis,
-    pair_report_dict,
     read_fit_report,
     read_scan_csv,
     write_fit_report,
@@ -1100,9 +1100,9 @@ class TestPairAnalysis:
     def test_crosstalk_bounds(self, fits):
         a, b = fits
         report = pair_analysis(a, b, observation_window_s=2.5e-3, detection_floor=0.01)
-        assert report.rabi_bound == pytest.approx(80.13393692924784, rel=1e-12)
+        assert report.rabi_bound_hz == pytest.approx(80.13393692924784 / TWO_PI, rel=1e-12)
         assert report.crosstalk_bound_a == pytest.approx(
-            report.rabi_bound / a.params.omega0, rel=1e-12
+            report.rabi_bound_hz * TWO_PI / a.params.omega0, rel=1e-12
         )
         assert report.crosstalk_bound_b < report.crosstalk_bound_a
 
@@ -1207,14 +1207,23 @@ class TestReports:
         )
         assert first[3] in {"0", "1"}
 
-    def test_pair_report_dict_keys(self, beam_a, beam_b):
-        a = fit_beam(synth_dataset(beam_a, seed=1))
-        b = fit_beam(synth_dataset(beam_b, seed=2))
-        payload = pair_report_dict(pair_analysis(a, b))
+    def test_pair_report_dict_keys(self, tmp_path, beam_a, beam_b):
+        # pair writes the PairReport fields as they are, in order
+        for name, beam, seed in (("a", beam_a, 1), ("b", beam_b, 2)):
+            write_fit_report(fit_beam(synth_dataset(beam, seed=seed)), tmp_path / f"{name}.json")
+        assert main(["pair", "--fit-a", str(tmp_path / "a.json"),
+                     "--fit-b", str(tmp_path / "b.json"), "--out-dir", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "pair_report.json").read_text())
+        assert list(payload) == [
+            "beam_a", "beam_b", "center_a_um", "center_b_um", "separation_um",
+            "separation_err_um", "ambiguous", "observation_window_s", "detection_floor",
+            "rabi_bound_hz", "crosstalk_bound_a", "crosstalk_bound_b",
+            "off_beam_oscillation_a", "off_beam_oscillation_b", "notes",
+        ]
         assert payload["separation_um"] == pytest.approx(4.31, abs=0.05)
         assert payload["rabi_bound_hz"] == pytest.approx(12.75371217170397, rel=1e-9)
         assert payload["off_beam_oscillation_a"] is None
-        assert isinstance(payload["notes"], list)
+        assert payload["notes"] == []
 
     def test_report_carries_schema_and_fitted_spam(self, beam_a):
         spam = SpamModel(eps_prep=0.04, eps_meas=0.06)
@@ -1256,4 +1265,15 @@ class TestReports:
         path = tmp_path / "bad.json"
         path.write_text("{\"params\": {}}")
         with pytest.raises(ScanFormatError):
+            read_fit_report(path)
+
+    @pytest.mark.parametrize("content", [
+        pytest.param(b"not json", id="text"),
+        pytest.param(b'{"beam_label": "\xff"}', id="undecodable"),
+        pytest.param(b'{"residual_rms": ' + b"1" * 5000 + b"}", id="digit-limit"),
+    ])
+    def test_report_that_is_not_json_names_its_path(self, tmp_path, content):
+        path = tmp_path / "report.json"
+        path.write_bytes(content)
+        with pytest.raises(ScanFormatError, match=re.escape(f"{path}: not valid JSON")):
             read_fit_report(path)

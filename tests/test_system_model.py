@@ -31,7 +31,6 @@ from ionoptics.system_model import (
     load_prescription,
     magnification,
     reference_prescription,
-    save_prescription,
 )
 
 
@@ -201,11 +200,42 @@ class TestReferencePrescription:
 
 
 class TestPrescriptionIO:
-    def test_round_trip(self, tmp_path, telescope_75_15):
+    def test_round_trip(self, tmp_path):
+        expected = OpticalPrescription(
+            name="cylindrical", source_label="aom", image_label="ions",
+            elements=(gap(75.0), lens(75.0), gap(90.0, axis="radial"),
+                      lens(15.0, axis="axial"), lens(20.0, axis="radial")),
+        )
         path = tmp_path / "p.json"
-        save_prescription(telescope_75_15, path)
+        path.write_text(json.dumps({
+            "name": expected.name,
+            "source_plane": expected.source_label,
+            "image_plane": expected.image_label,
+            "elements": [{"kind": e.kind, "value_mm": e.value_mm, "axis": e.axis}
+                         for e in expected.elements],
+        }))
         loaded = load_prescription(path)
-        assert loaded == telescope_75_15
+        assert loaded == expected
+        assert (loaded.source_label, loaded.image_label) == ("aom", "ions")
+        assert [e.axis for e in loaded.elements] == ["both", "both", "radial", "axial", "radial"]
+
+    def test_integer_beyond_float_range_names_field(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"name": "big", "elements": [{"kind": "gap", "value_mm": 1'
+                        + "0" * 400 + "}]}")
+        with pytest.raises(PrescriptionError, match=r"elements\[0\]\.value_mm: expected a finite"):
+            load_prescription(path)
+
+    @pytest.mark.parametrize("content", [
+        pytest.param(b'{"name": "\xff"}', id="undecodable"),
+        pytest.param(b'{"name": "x", "elements": [{"kind": "gap", "value_mm": '
+                     + b"1" * 5000 + b"}]}", id="digit-limit"),
+    ])
+    def test_unparsable_file_names_its_path(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(PrescriptionError, match=re.escape(f"{path}: not valid JSON")):
+            load_prescription(path)
 
     def test_unknown_kind_names_path(self, tmp_path):
         path = tmp_path / "bad.json"
