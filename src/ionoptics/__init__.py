@@ -36,7 +36,7 @@ _EXPORTS = {
         "Axis", "AXES", "PrescriptionError", "PrescriptionElement", "OpticalPrescription",
         "BeamArraySpec", "AxisImage", "ImagePlaneReport", "DiscrepancyReport",
         "load_prescription", "reference_prescription",
-        "image_distance_mm", "magnification", "image_array", "compare_measured_pitch",
+        "image_distance_mm", "image_array", "compare_measured_pitch",
     ),
     "scan_fit": (
         "ScanDataset", "ScanFormatError", "DegenerateDataError",

@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from ._atomic import _write_atomic, _write_json
+from ._atomic import _read_json, _write_atomic, _write_json
 from .beamlab import SingularityError
 
 if TYPE_CHECKING:
@@ -194,13 +193,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
         positions, durations = default_scan_grid(truth, args.grid_positions, args.grid_durations)
     else:
         raise ValueError("--positions and --durations-us must be given together")
-    spam = SpamModel(eps_prep=args.spam_prep, eps_meas=args.spam_meas)
     synth = SynthConfig(
         truth=truth,
         positions_um=positions,
         durations_s=durations,
         shots=args.shots,
-        spam=spam,
+        spam=SpamModel(eps_prep=args.spam_prep, eps_meas=args.spam_meas),
         rng_seed=args.seed,
         analytic=args.analytic,
     )
@@ -212,15 +210,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.emit_traces:
         # Off-beam response: drive one beam, record at the neighbor's center.
         for label, (driven, other) in zip("AB", ((truth[0], truth[1]), (truth[1], truth[0]))):
-            trace_cfg = SynthConfig(
-                truth=(driven,),
-                positions_um=(other.center_um,),
-                durations_s=durations,
-                shots=args.shots,
-                spam=spam,
-                rng_seed=args.seed ^ _TRACE_SALT,
-                analytic=args.analytic,
-            )
+            trace_cfg = dataclasses.replace(synth, truth=(driven,),
+                                            positions_um=(other.center_um,),
+                                            rng_seed=args.seed ^ _TRACE_SALT)
             files[f"trace_{label}.csv"] = generate(trace_cfg)[0]
     out = _out_dir(args)
     for name, ds in files.items():
@@ -325,21 +317,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out-dir", dest="out_dir", default=".", help="output directory")
-    common.add_argument("--config", dest="config", help="JSON file of option defaults")
+    common.add_argument("--out-dir", default=".", help="output directory")
+    common.add_argument("--config", help="JSON file of option defaults")
     # Every option has help text, so --help lists every default.
     shared = {"parents": [common], "formatter_class": argparse.ArgumentDefaultsHelpFormatter}
 
     p_design = sub.add_parser("design", help="crosstalk vs numerical-aperture tradeoff curve",
                               **shared)
     p_design.add_argument("--wavelength", type=float, default=0.355, help="wavelength, um")
-    p_design.add_argument("--neighbor-distance", dest="neighbor_distance", type=float,
-                          default=5.0, help="site separation, um")
-    p_design.add_argument("--na-cap", dest="na_cap", type=float, default=0.24,
+    p_design.add_argument("--neighbor-distance", type=float, default=5.0,
+                          help="site separation, um")
+    p_design.add_argument("--na-cap", type=float, default=0.24,
                           help="largest numerical aperture the optics reach")
-    p_design.add_argument("--diameter-range", dest="diameter_range", nargs=2, type=float,
-                          default=[1.0, 10.0], metavar=("LO", "HI"),
-                          help="beam diameters swept, um")
+    p_design.add_argument("--diameter-range", nargs=2, type=float, default=[1.0, 10.0],
+                          metavar=("LO", "HI"), help="beam diameters swept, um")
     p_design.add_argument("--samples", type=int, default=181, help="diameters on the curve")
     p_design.set_defaults(func=cmd_design)
 
@@ -348,66 +339,61 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_prop.add_argument("--prescription",
                         help="prescription JSON; none means the built-in reference train")
     p_prop.add_argument("--wavelength", type=float, default=0.355, help="wavelength, um")
-    p_prop.add_argument("--source-diameter", dest="source_diameter", type=float, default=200.0,
+    p_prop.add_argument("--source-diameter", type=float, default=200.0,
                         help="beam diameter at the source plane, um")
-    p_prop.add_argument("--source-pitch", dest="source_pitch", type=float, default=450.0,
+    p_prop.add_argument("--source-pitch", type=float, default=450.0,
                         help="beam pitch at the source plane, um")
     p_prop.add_argument("--channels", type=int, default=10, help="number of beams")
-    p_prop.add_argument("--measured-pitch", dest="measured_pitch", type=float,
+    p_prop.add_argument("--measured-pitch", type=float,
                         help="measured image-plane pitch to compare against, um")
-    p_prop.add_argument("--measured-pitch-err", dest="measured_pitch_err", type=float,
+    p_prop.add_argument("--measured-pitch-err", type=float,
                         help="uncertainty of --measured-pitch, um")
     p_prop.set_defaults(func=cmd_propagate)
 
     p_synth = sub.add_parser("synth", help="synthetic scan datasets with shot noise", **shared)
     p_synth.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p_synth.add_argument("--rabi-hz", dest="rabi_hz", nargs="+", type=float, default=[2000.0],
+    p_synth.add_argument("--rabi-hz", nargs="+", type=float, default=[2000.0],
                          help="peak Rabi frequency per beam, Hz (1 or 2 values)")
-    p_synth.add_argument("--center-um", dest="center_um", nargs="+", type=float, default=[0.0],
+    p_synth.add_argument("--center-um", nargs="+", type=float, default=[0.0],
                          help="beam center per beam, um")
-    p_synth.add_argument("--width-um", dest="width_um", nargs="+", type=float, default=[2.0],
+    p_synth.add_argument("--width-um", nargs="+", type=float, default=[2.0],
                          help="beam waist w0 per beam, um")
     p_synth.add_argument("--shots", type=int, default=200, help="shots per record")
-    p_synth.add_argument("--spam-prep", dest="spam_prep", type=float, default=0.01,
-                         help="state-preparation error")
-    p_synth.add_argument("--spam-meas", dest="spam_meas", type=float, default=0.01,
-                         help="measurement error")
+    p_synth.add_argument("--spam-prep", type=float, default=0.01, help="state-preparation error")
+    p_synth.add_argument("--spam-meas", type=float, default=0.01, help="measurement error")
     p_synth.add_argument("--analytic", action="store_true",
                          help="store exact probabilities instead of binomial draws")
-    p_synth.add_argument("--positions", nargs="+", type=float,
-                         help="explicit position grid, um")
-    p_synth.add_argument("--durations-us", dest="durations_us", nargs="+", type=float,
+    p_synth.add_argument("--positions", nargs="+", type=float, help="explicit position grid, um")
+    p_synth.add_argument("--durations-us", nargs="+", type=float,
                          help="explicit duration grid, us")
-    p_synth.add_argument("--grid-positions", dest="grid_positions", type=int, default=61,
+    p_synth.add_argument("--grid-positions", type=int, default=61,
                          help="positions on the default grid")
-    p_synth.add_argument("--grid-durations", dest="grid_durations", type=int, default=21,
+    p_synth.add_argument("--grid-durations", type=int, default=21,
                          help="durations on the default grid")
-    p_synth.add_argument("--jitter-resolution", dest="jitter_resolution", type=float,
+    p_synth.add_argument("--jitter-resolution", type=float,
                          help="blur recorded positions by this stage resolution, um")
-    p_synth.add_argument("--emit-traces", dest="emit_traces", action="store_true",
+    p_synth.add_argument("--emit-traces", action="store_true",
                          help="also write off-beam traces (two beams)")
     p_synth.set_defaults(func=cmd_synth)
 
     p_fit = sub.add_parser("fit", help="fit a scan CSV, write report and frequency profile",
                            **shared)
     p_fit.add_argument("scan", nargs="?", help="scan CSV path")
-    p_fit.add_argument("--max-iterations", dest="max_iterations", type=int, default=200,
+    p_fit.add_argument("--max-iterations", type=int, default=200,
                        help="Levenberg-Marquardt iteration limit per start")
     p_fit.add_argument("--prefix", help="output name prefix; none means the scan file stem")
     p_fit.set_defaults(func=cmd_fit)
 
     p_pair = sub.add_parser("pair", help="separation and crosstalk bounds for two fitted beams",
                             **shared)
-    p_pair.add_argument("--fit-a", dest="fit_a", help="fit report JSON, first beam")
-    p_pair.add_argument("--fit-b", dest="fit_b", help="fit report JSON, second beam")
-    p_pair.add_argument("--trace-a", dest="trace_a",
-                        help="scan CSV recorded at beam B's center while driving A")
-    p_pair.add_argument("--trace-b", dest="trace_b",
-                        help="scan CSV recorded at beam A's center while driving B")
-    p_pair.add_argument("--window-s", dest="window_s", type=float, default=2.5e-3,
+    p_pair.add_argument("--fit-a", help="fit report JSON, first beam")
+    p_pair.add_argument("--fit-b", help="fit report JSON, second beam")
+    p_pair.add_argument("--trace-a", help="scan CSV recorded at beam B's center while driving A")
+    p_pair.add_argument("--trace-b", help="scan CSV recorded at beam A's center while driving B")
+    p_pair.add_argument("--window-s", type=float, default=2.5e-3,
                         help="observation window for the crosstalk bound, s")
     p_pair.add_argument("--floor", type=float, default=0.01, help="excitation detection floor")
-    p_pair.add_argument("--k-sigma", dest="k_sigma", type=float, default=3.0,
+    p_pair.add_argument("--k-sigma", type=float, default=3.0,
                         help="resolution criterion for center ambiguity")
     p_pair.set_defaults(func=cmd_pair)
     return parser, {"design": p_design, "propagate": p_prop, "synth": p_synth,
@@ -416,8 +402,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 def _read_config(path: str, parser: argparse.ArgumentParser) -> dict:
     """Load a config file and parse each value as the command line parses the option."""
-    with open(path) as fh:
-        config = json.load(fh)
+    config = _read_json(path, ValueError)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     options = {action.dest: action for action in parser._actions

@@ -708,8 +708,7 @@ def fit_beam(data: ScanDataset, max_iterations: int = 200) -> BeamFitResult:
         for beam in _perturbed_starts(guess):
             runs.append(_levenberg_marquardt(
                 residual, np.array(_param_vector(beam, start_spam)), is_valid, max_iterations))
-    best = _best_run(runs)
-    converged = any(run.converged for run in runs)
+    best = _best_run(runs)  # a converged run whenever one exists
 
     eps_prep, kappa = (float(v) for v in best.params[3:])
     cov = best.cov
@@ -719,7 +718,7 @@ def fit_beam(data: ScanDataset, max_iterations: int = 200) -> BeamFitResult:
         residual_rms=best.rms,
         freq_profile=profile,
         n_iterations=best.n_iter,
-        converged=converged,
+        converged=best.converged,
         spam=SpamModel(eps_prep=eps_prep, eps_meas=1.0 - eps_prep - kappa),
         # var(eps_meas) = var(eps_prep) + var(kappa) + 2 cov(eps_prep, kappa)
         spam_errors=(math.sqrt(max(cov[3, 3], 0.0)),
@@ -727,7 +726,7 @@ def fit_beam(data: ScanDataset, max_iterations: int = 200) -> BeamFitResult:
         beam_label=data.beam_label,
         multi_start_used=multi_start,
     )
-    if not converged:
+    if not best.converged:
         raise FitConvergenceError(
             f"no optimizer run converged within {max_iterations} iterations "
             f"(best residual RMS {best.rms:.3g})",

@@ -179,6 +179,9 @@ def _prescription_from_dict(raw: dict) -> OpticalPrescription:
     parsed = tuple(
         _element_from_dict(e, f"elements[{i}]") for i, e in enumerate(elements)
     )
+    unknown = set(raw) - {"name", "source_plane", "image_plane", "elements"}
+    if unknown:
+        raise PrescriptionError(f"{sorted(unknown)[0]}: unknown field")
     source = raw.get("source_plane", "source")
     image = raw.get("image_plane", "image")
     for field, value in (("source_plane", source), ("image_plane", image)):
@@ -226,15 +229,6 @@ def _image_plane(prescription: OpticalPrescription, axis: Axis) -> tuple[RayMatr
 def image_distance_mm(prescription: OpticalPrescription, axis: Axis) -> float:
     """Trailing gap placing the image plane for one axis."""
     return _image_plane(prescription, axis)[1]
-
-
-def magnification(prescription: OpticalPrescription, axis: Axis) -> float:
-    """Transverse magnification |a| at this axis's image plane.
-
-    Values below 1 are demagnifying. The image inversion sign is reported
-    separately (AxisImage.inverted).
-    """
-    return abs(_image_plane(prescription, axis)[0].a)
 
 
 def _axis_image(m: RayMatrix, t: float, source: GaussianBeam) -> AxisImage:

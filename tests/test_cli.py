@@ -173,6 +173,18 @@ class TestPropagate:
         assert "error: elements[0].value_mm: expected a finite number" in capsys.readouterr().err
         assert files_in(out) == []
 
+    def test_unknown_top_level_key_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "name": "x", "extra": 1,
+            "elements": [{"kind": "gap", "value_mm": 100.0}, {"kind": "lens", "value_mm": 50.0}],
+        }))
+        out = tmp_path / "out"
+        rc = main(["propagate", "--out-dir", str(out), "--prescription", str(bad)])
+        assert rc == 2
+        assert "error: extra: unknown field" in capsys.readouterr().err
+        assert files_in(out) == []
+
     def test_missing_prescription_file_exits_1(self, tmp_path):
         rc = main(["propagate", "--out-dir", str(tmp_path),
                    "--prescription", str(tmp_path / "nope.json")])
@@ -251,6 +263,46 @@ class TestSynth:
         ))[0]
         assert len(unsalted) == len(trace_a)
         assert (unsalted.p1 != trace_a.p1).any()
+
+    @pytest.mark.parametrize("options, durations_us", [
+        (["--analytic"], None),
+        (["--shots", "50", "--spam-prep", "0.05", "--spam-meas", "0.02"], None),
+        (["--positions", "-1", "2", "5"], [0.0, 150.0, 300.0, 450.0]),
+    ], ids=["analytic", "shots-and-spam", "explicit-grid"])
+    def test_traces_match_a_config_built_field_by_field(self, tmp_path, options, durations_us):
+        # the reference is the trace recipe that restated every field
+        from ionoptics.cli import _TRACE_SALT
+        from ionoptics.rabi_model import BeamProfileParams, SpamModel
+        from ionoptics.scan_fit import write_scan_csv
+        from ionoptics.synth_scan import SynthConfig, default_scan_grid, generate
+
+        if durations_us is not None:
+            options = [*options, "--durations-us", *(str(v) for v in durations_us)]
+        out = tmp_path / "out"
+        rc = main(["synth", "--out-dir", str(out), "--seed", "5",
+                   "--rabi-hz", "1910", "2790", "--center-um", "0", "4.31",
+                   "--width-um", "1.86", "1.88", "--emit-traces", *options])
+        assert rc == 0
+        args = build_parser()[0].parse_args(["synth", *options])
+        truth = (BeamProfileParams(omega0=TWO_PI * 1910.0, center_um=0.0, width_um=1.86),
+                 BeamProfileParams(omega0=TWO_PI * 2790.0, center_um=4.31, width_um=1.88))
+        if durations_us is None:
+            _, durations = default_scan_grid(truth, 61, 21)
+        else:
+            durations = tuple(v * 1e-6 for v in durations_us)
+        for label, (driven, other) in zip("AB", (truth, truth[::-1])):
+            reference = generate(SynthConfig(
+                truth=(driven,),
+                positions_um=(other.center_um,),
+                durations_s=durations,
+                shots=args.shots,
+                spam=SpamModel(eps_prep=args.spam_prep, eps_meas=args.spam_meas),
+                rng_seed=5 ^ _TRACE_SALT,
+                analytic=args.analytic,
+            ))[0]
+            write_scan_csv(reference, tmp_path / f"reference_{label}.csv")
+            assert ((out / f"trace_{label}.csv").read_bytes()
+                    == (tmp_path / f"reference_{label}.csv").read_bytes()), label
 
     def test_explicit_grid(self, tmp_path):
         rc = main(["synth", "--out-dir", str(tmp_path), "--seed", "1",
@@ -759,6 +811,19 @@ class TestConfigFile:
         rc = main(["design", "--out-dir", str(tmp_path),
                    "--config", str(tmp_path / "nope.json")])
         assert rc == 1
+
+    @pytest.mark.parametrize("content", [
+        pytest.param(b"not json", id="text"),
+        pytest.param(b'{"wavelength": "\xff"}', id="undecodable"),
+        pytest.param(b'{"samples": ' + b"1" * 5000 + b"}", id="digit-limit"),
+    ])
+    def test_config_that_is_not_json_names_its_path(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(["design", "--out-dir", str(out), "--config", str(cfg)]) == 2
+        assert f"error: {cfg}: not valid JSON" in capsys.readouterr().err
+        assert files_in(out) == []
 
     @pytest.mark.parametrize("sub, key, value, message, output", [
         ("synth", "analytic", "false", "config key analytic", "scan_A.csv"),
