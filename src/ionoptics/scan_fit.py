@@ -47,7 +47,9 @@ import numpy as np
 
 from . import _EXPORTS
 from ._atomic import _is_finite_number, _read_json, _write_atomic, _write_json
-from .rabi_model import BeamProfileParams, SpamModel, crosstalk_rabi_bound, intensity_crosstalk_ratio
+from .rabi_model import (
+    BeamProfileParams, SpamModel, apply_spam, crosstalk_rabi_bound, intensity_crosstalk_ratio,
+)
 
 __all__ = list(_EXPORTS["scan_fit"])
 
@@ -739,21 +741,13 @@ def fit_beam(data: ScanDataset, max_iterations: int = 200) -> BeamFitResult:
 
 
 def _omega_grid_table(t: np.ndarray, spam: SpamModel) -> tuple[np.ndarray, np.ndarray]:
-    """Search grid of 512 omegas up to the Nyquist limit of ``t``, and the
-    model eps0 + kappa*sin^2(omega*t/2) at every (grid omega, duration)."""
-    kappa = 1.0 - spam.eps_prep - spam.eps_meas
+    """Search grid of 512 omegas up to the Nyquist limit of ``t`` (>= 4
+    distinct durations), and the model at every (grid omega, duration)."""
     spacing = np.diff(np.sort(t))
-    spacing = spacing[spacing > 0]
-    if spacing.size == 0:
-        raise DegenerateDataError("all durations equal at this position")
-    omega_max = math.pi / float(spacing.min())
+    omega_max = math.pi / float(spacing[spacing > 0].min())
     grid = np.linspace(0.0, omega_max, 512)
-    return grid, spam.eps_prep + kappa * np.sin(0.5 * np.outer(grid, t)) ** 2
+    return grid, apply_spam(np.sin(0.5 * np.outer(grid, t)) ** 2, spam)
 
-
-#: Element budget of one chunk of step-halving trials; larger chunks buy
-#: little speed and raise the peak memory.
-_TRIAL_CHUNK_ELEMENTS = 1 << 14
 
 #: Fractions 1/2, 1/4, ... 1/2^19 of a Gauss-Newton step, tried in this
 #: order once the full step is rejected.
@@ -791,18 +785,13 @@ def _fit_omegas(
     carries no frequency information (flat trace, omega pinned at zero).
     """
     grid, model = _omega_grid_table(t, spam)
-    eps, kappa = spam.eps_prep, 1.0 - spam.eps_prep - spam.eps_meas
+    kappa = 1.0 - spam.eps_prep - spam.eps_meas
     w = _binomial_weights(p, shots)
 
     def weighted_sse(omegas: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # w @ r^2 of trace rows[i] at omegas[i]
-        out = np.empty(omegas.size)
-        size = max(1, _TRIAL_CHUNK_ELEMENTS // t.size)
-        for lo in range(0, omegas.size, size):
-            at = slice(lo, lo + size)
-            r = eps + kappa * np.sin((0.5 * omegas[at])[:, None] * t) ** 2 - p[rows[at]]
-            out[at] = _rowdot(w[rows[at]], r * r)
-        return out
+        r = apply_spam(np.sin((0.5 * omegas)[:, None] * t) ** 2, spam) - p[rows]
+        return _rowdot(w[rows], r * r)
 
     # weighted SSE of every (row, grid omega) less the row constant
     sse = w @ (model * model).T
@@ -819,7 +808,7 @@ def _fit_omegas(
         if active.size == 0:
             break
         om, w_a = omega[active], w[active]
-        r = eps + kappa * np.sin(theta) ** 2 - p[active]
+        r = apply_spam(np.sin(theta) ** 2, spam) - p[active]
         step = -_rowdot(w_a, jac * r) / jtj
         cost = _rowdot(w_a, r * r)
         trial = om + step
@@ -1043,7 +1032,7 @@ def pair_analysis(
 
 
 #: Version of the fit report layout; read_fit_report accepts only this one.
-FIT_REPORT_SCHEMA = 3
+FIT_REPORT_SCHEMA = 4
 
 
 def fit_report_dict(result: BeamFitResult) -> dict:
@@ -1070,7 +1059,7 @@ def fit_report_dict(result: BeamFitResult) -> dict:
             "eps_meas_err": result.spam_errors[1],
         },
         "residual_rms": result.residual_rms,
-        "gaussian_diameter_um": result.params.width_um,
+        "gaussian_diameter_um": 2.0 * result.params.width_um,
         "d4sigma_um": result.d4sigma_um,
         "n_profile_points": len(result.freq_profile),
         "n_baseline_points": sum(pt.baseline for pt in result.freq_profile),

@@ -45,6 +45,9 @@ ElementAxis = Literal["axial", "radial", "both"]
 _ELEMENT_KINDS = ("lens", "gap")
 _ELEMENT_AXES = ("axial", "radial", "both")
 
+#: A measured pitch agrees with the model within this many measurement errors.
+_PITCH_K = 3.0
+
 
 class PrescriptionError(ValueError):
     """A prescription file or structure violates the schema."""
@@ -297,18 +300,15 @@ def compare_measured_pitch(
     report: ImagePlaneReport,
     measured_pitch_um: float,
     measured_err_um: float,
-    k: float = 3.0,
 ) -> DiscrepancyReport:
     """Compare a measured pitch against the model prediction.
 
-    ``within`` is True when |measured - predicted| <= k * measured_err.
+    ``within`` is True when |measured - predicted| <= _PITCH_K * measured_err.
     """
     if not (math.isfinite(measured_pitch_um) and measured_pitch_um > 0):
         raise ValueError(f"measured pitch must be positive, got {measured_pitch_um!r}")
     if not (math.isfinite(measured_err_um) and measured_err_um > 0):
         raise ValueError(f"measurement error must be positive, got {measured_err_um!r}")
-    if not (math.isfinite(k) and k > 0):
-        raise ValueError(f"k must be positive, got {k!r}")
     predicted = report.pitch_um
     absolute = measured_pitch_um - predicted
     return DiscrepancyReport(
@@ -318,6 +318,6 @@ def compare_measured_pitch(
         absolute_um=absolute,
         relative=absolute / predicted,
         n_sigma=abs(absolute) / measured_err_um,
-        k=k,
-        within=abs(absolute) <= k * measured_err_um,
+        k=_PITCH_K,
+        within=abs(absolute) <= _PITCH_K * measured_err_um,
     )

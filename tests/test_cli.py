@@ -69,6 +69,15 @@ class TestDesign:
             for d in diameters
         )
 
+    def test_neighbor_distance_beyond_float_range_exits_2(self, tmp_path, capsys):
+        # the crosstalk's d^2 overflows; main reports it and nothing is written
+        out = tmp_path / "out"
+        rc = main(["design", "--out-dir", str(out), "--neighbor-distance", "1e200"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: an input is out of floating-point range")
+        assert files_in(out) == []
+
     def test_two_sample_curve(self, tmp_path):
         rc = main(["design", "--out-dir", str(tmp_path),
                    "--diameter-range", "2", "4", "--samples", "2"])
@@ -183,6 +192,28 @@ class TestPropagate:
         rc = main(["propagate", "--out-dir", str(out), "--prescription", str(bad)])
         assert rc == 2
         assert "error: extra: unknown field" in capsys.readouterr().err
+        assert files_in(out) == []
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"elements": [{"kind": "lens", "value_mm": 0}]},
+         "elements[0].value_mm: lens focal length must be nonzero"),
+        ({"elements": [{"kind": "gap", "value_mm": -1.0}]},
+         "elements[0].value_mm: gap length must be >= 0"),
+        ({"elements": [{"kind": "gap", "value_mm": 1.0, "axis": "diag"}]},
+         "elements[0].axis: expected one of ('axial', 'radial', 'both'), got 'diag'"),
+        ({"source_plane": 7}, "source_plane: expected a string, got 7"),
+    ], ids=["zero-lens", "negative-gap", "unknown-axis", "source-plane-not-string"])
+    def test_invalid_element_or_label_exits_2(self, tmp_path, capsys, edit, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "name": "x",
+            "elements": [{"kind": "gap", "value_mm": 100.0}, {"kind": "lens", "value_mm": 50.0}],
+            **edit,
+        }))
+        out = tmp_path / "out"
+        rc = main(["propagate", "--out-dir", str(out), "--prescription", str(bad)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert files_in(out) == []
 
     def test_missing_prescription_file_exits_1(self, tmp_path):
@@ -362,12 +393,20 @@ class TestFit:
         assert params.omega0 == pytest.approx(TWO_PI * raw["params"]["peak_rabi_hz"])
         assert cov.shape == (3, 3)
 
+    def test_gaussian_diameter_is_the_1_over_e2_diameter(self, tmp_path):
+        # with Omega proportional to I, 2 w0 and D4sigma are one diameter
+        main(["synth", "--out-dir", str(tmp_path), "--seed", "0", "--analytic"])
+        main(["fit", str(tmp_path / "scan_A.csv"), "--out-dir", str(tmp_path)])
+        report = load_json(tmp_path / "scan_A_report.json")
+        assert report["gaussian_diameter_um"] == 2 * report["params"]["width_um"]
+        assert report["gaussian_diameter_um"] == pytest.approx(report["d4sigma_um"], rel=0.01)
+
     def test_report_carries_fitted_spam(self, tmp_path):
         main(["synth", "--out-dir", str(tmp_path), "--seed", "0",
               "--spam-prep", "0.03", "--spam-meas", "0.05"])
         main(["fit", str(tmp_path / "scan_A.csv"), "--out-dir", str(tmp_path)])
         report = load_json(tmp_path / "scan_A_report.json")
-        assert report["schema_version"] == 3
+        assert report["schema_version"] == 4
         assert report["spam"]["eps_prep"] == pytest.approx(0.03, abs=0.005)
         assert report["spam"]["eps_meas"] == pytest.approx(0.05, abs=0.01)
         assert report["spam"]["eps_prep_err"] > 0 and report["spam"]["eps_meas_err"] > 0
@@ -629,7 +668,7 @@ class TestPair:
 
     @pytest.mark.parametrize("path, value", [
         pytest.param(path, value, id=f"{_field_name(path)}={label}") for path, value, label in [
-            (("schema_version",), 2, "2"),
+            (("schema_version",), 2, "2"), (("schema_version",), 3, "3"),
             (("beam_label",), _DELETE, "missing"), (("beam_label",), 7, "7"),
             (("beam_label",), None, "null"),
             (("n_iterations",), _DELETE, "missing"), (("n_iterations",), 5.9, "5.9"),
@@ -951,7 +990,7 @@ _PRESCRIPTION = st.one_of(
 
 #: A fit report read_fit_report accepts, for a beam at 4.31 um.
 _REPORT = {
-    "schema_version": 3, "beam_label": "B", "converged": True, "n_iterations": 5,
+    "schema_version": 4, "beam_label": "B", "converged": True, "n_iterations": 5,
     "params": {"peak_rabi_hz": 2790.0, "center_um": 4.31, "width_um": 1.88},
     "covariance": [[1.0, 0.0, 0.0], [0.0, 1e-6, 0.0], [0.0, 0.0, 1e-6]],
     "spam": {"eps_prep": 0.01, "eps_meas": 0.01, "eps_prep_err": 1e-3, "eps_meas_err": 1e-3},

@@ -701,6 +701,15 @@ class TestFitBeam:
         with pytest.raises(DegenerateDataError, match="t = 0 records"):
             fit_beam(ds)
 
+    @pytest.mark.parametrize("profile", [
+        lambda x: np.exp(5.0 + x * x),  # ln Omega convex: not a Gaussian
+        lambda x: local_rabi(BeamProfileParams(1e4, 3.0, 1.0), x),  # center beyond x_hi + w0
+        lambda x: local_rabi(BeamProfileParams(1e4, 0.0, 5.0), x),  # w0 beyond twice the span
+    ], ids=["not-concave", "center-off-span", "too-wide"])
+    def test_unsupported_log_parabola_rejected(self, profile):
+        x = np.linspace(-1.0, 1.0, 9)
+        assert scan_fit._log_profile_refinement(x, profile(x), np.ones_like(x), -1.0, 1.0) is None
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_coarse_scan_starts_from_the_profile_moments(self, beam_a, seed, monkeypatch):
         # 9 positions over +-6 um leave too few bright points for the
@@ -754,6 +763,17 @@ class TestFitBeam:
         ds = synth_dataset(beam_a, seed=0, n_pos=9, n_dur=3)
         with pytest.raises(DegenerateDataError, match="durations"):
             fit_beam(ds)
+
+    def test_single_duration_rejected(self, beam_a):
+        x, _, p, shots = synth_dataset(beam_a, seed=0, n_pos=9, n_dur=5).arrays()
+        with pytest.raises(DegenerateDataError, match="all durations equal"):
+            fit_beam(ScanDataset(x, np.full(x.size, 1e-4), p, shots))
+
+    def test_too_few_records_rejected(self):
+        # 4 distinct positions and 4 distinct durations, one record each
+        i = np.arange(4.0)
+        with pytest.raises(DegenerateDataError, match="need >= 12 records, got 4"):
+            fit_beam(ScanDataset(i, i * 1e-4, np.full(4, 0.5), np.full(4, 100)))
 
     def test_flat_data_rejected(self):
         i, j = np.meshgrid(np.arange(5.0), np.arange(5), indexing="ij")
@@ -1039,7 +1059,7 @@ class TestD4Sigma:
         assert fit.d4sigma_um == d4sigma(fit.freq_profile)
         report = scan_fit.fit_report_dict(fit)
         assert report["d4sigma_um"] == fit.d4sigma_um
-        assert report["gaussian_diameter_um"] == fit.params.width_um
+        assert report["gaussian_diameter_um"] == 2 * fit.params.width_um
         assert "d4sigma_raw_um" not in report
         # two non-baseline points: no D4sigma, and no error either
         profile = tuple(FreqProfilePoint(x, om, 0.1, om < 0.1)
@@ -1229,7 +1249,7 @@ class TestReports:
         spam = SpamModel(eps_prep=0.04, eps_meas=0.06)
         result = fit_beam(synth_dataset(beam_a, seed=4, spam=spam))
         raw = scan_fit.fit_report_dict(result)
-        assert raw["schema_version"] == 3
+        assert raw["schema_version"] == 4
         assert raw["spam"] == {
             "eps_prep": result.spam.eps_prep, "eps_prep_err": result.spam_errors[0],
             "eps_meas": result.spam.eps_meas, "eps_meas_err": result.spam_errors[1],
@@ -1239,15 +1259,15 @@ class TestReports:
         assert result.covariance.shape == (3, 3)
 
     @pytest.mark.parametrize("edit", [
-        "no_schema", "schema_1", "schema_2", "no_spam", "no_eps_meas_err", "negative_eps",
-        "eps_not_number"])
+        "no_schema", "schema_1", "schema_2", "schema_3", "no_spam", "no_eps_meas_err",
+        "negative_eps", "eps_not_number"])
     def test_report_without_schema_or_spam_rejected(self, tmp_path, beam_a, edit):
         path = tmp_path / "report.json"
         write_fit_report(fit_beam(synth_dataset(beam_a, seed=4)), path)
         raw = json.loads(path.read_text())
         if edit == "no_schema":
             del raw["schema_version"]
-        elif edit in ("schema_1", "schema_2"):
+        elif edit in ("schema_1", "schema_2", "schema_3"):
             raw["schema_version"] = int(edit[-1])
         elif edit == "no_spam":
             del raw["spam"]

@@ -415,7 +415,7 @@ class TestDiscrepancy:
 
     def test_disagreeing_measurement_flagged(self, telescope_75_15):
         report = image_array(telescope_75_15, ARRAY)
-        disc = compare_measured_pitch(report, 97.0, 0.1, k=3.0)
+        disc = compare_measured_pitch(report, 97.0, 0.1)
         assert not disc.within
         assert disc.relative == pytest.approx(7.0 / 90.0, rel=1e-9)
 
