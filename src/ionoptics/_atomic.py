@@ -1,16 +1,19 @@
-"""JSON and text-file I/O shared by the library readers, writers and the CLI.
+"""JSON and text-file I/O and the input-number rules shared by the library and the CLI.
 
 Writes are atomic: a sibling ``.tmp`` file, then a rename. Reads of a JSON
 file raise the caller's own error type naming the file when its text is
-not JSON, and ``_is_finite_number`` is the one check of a JSON number. The
-module needs only the standard library, so the design half stays
-numpy-free.
+not JSON, and ``_is_finite_number`` is the one check of a JSON number.
+Beside it sit the one rule each for an input that must be positive
+(``_positive``), finite and non-negative (``_nonnegative``) or a count
+(``_count``), each raising ValueError with its one message. The module
+needs only the standard library, so the design half stays numpy-free.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from pathlib import Path
 
@@ -67,3 +70,21 @@ def _is_finite_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
+
+
+def _positive(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive, got {value!r}")
+
+
+def _nonnegative(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def _count(name: str, value, least: int = 1) -> None:
+    """Raise ValueError unless ``value`` is an integral number, not a bool, >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")

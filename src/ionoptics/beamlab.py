@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import _EXPORTS
+from ._atomic import _positive
 
 __all__ = list(_EXPORTS["beamlab"])
 
@@ -114,10 +115,8 @@ class GaussianBeam:
     waist_position_mm: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.wavelength_um) and self.wavelength_um > 0):
-            raise ValueError(f"wavelength must be positive, got {self.wavelength_um!r}")
-        if not (math.isfinite(self.waist_radius_um) and self.waist_radius_um > 0):
-            raise ValueError(f"waist radius must be positive, got {self.waist_radius_um!r}")
+        _positive("wavelength", self.wavelength_um)
+        _positive("waist radius", self.waist_radius_um)
         if not math.isfinite(self.waist_position_mm):
             raise ValueError("waist position must be finite")
 

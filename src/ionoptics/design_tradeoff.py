@@ -14,10 +14,10 @@ integrated overlap.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 from . import _EXPORTS
+from ._atomic import _count, _nonnegative, _positive
 from .beamlab import far_field_divergence_rad
 
 __all__ = list(_EXPORTS["design_tradeoff"])
@@ -32,12 +32,8 @@ class DesignConstraints:
     na_cap: float = 0.24
 
     def __post_init__(self):
-        if not (math.isfinite(self.wavelength_um) and self.wavelength_um > 0):
-            raise ValueError(f"wavelength must be positive, got {self.wavelength_um!r}")
-        if not (math.isfinite(self.neighbor_distance_um) and self.neighbor_distance_um > 0):
-            raise ValueError(
-                f"neighbor distance must be positive, got {self.neighbor_distance_um!r}"
-            )
+        _positive("wavelength", self.wavelength_um)
+        _positive("neighbor distance", self.neighbor_distance_um)
         if not 0 < self.na_cap < 2:
             raise ValueError(f"NA cap must be in (0, 2), got {self.na_cap!r}")
 
@@ -54,11 +50,8 @@ def crosstalk(beam_diameter_um: float, neighbor_distance_um: float) -> float:
 
     I(d)/I(0) = exp(-2*d^2/w0^2) with w0 = diameter/2.
     """
-    if not (math.isfinite(beam_diameter_um) and beam_diameter_um > 0):
-        raise ValueError(f"beam diameter must be positive, got {beam_diameter_um!r}")
-    if not (math.isfinite(neighbor_distance_um) and neighbor_distance_um >= 0):
-        raise ValueError(
-            f"neighbor distance must be finite and >= 0, got {neighbor_distance_um!r}")
+    _positive("beam diameter", beam_diameter_um)
+    _nonnegative("neighbor distance", neighbor_distance_um)
     w0 = beam_diameter_um / 2.0
     try:
         return math.exp(-2.0 * neighbor_distance_um**2 / w0**2)
@@ -74,10 +67,8 @@ def required_na(beam_diameter_um: float, wavelength_um: float = 0.355) -> float:
     the divergence half-angle lambda/(pi*w0) reaches pi/2 are outside the
     paraxial-Gaussian domain and raise ValueError.
     """
-    if not (math.isfinite(beam_diameter_um) and beam_diameter_um > 0):
-        raise ValueError(f"beam diameter must be positive, got {beam_diameter_um!r}")
-    if not (math.isfinite(wavelength_um) and wavelength_um > 0):
-        raise ValueError(f"wavelength must be positive, got {wavelength_um!r}")
+    _positive("beam diameter", beam_diameter_um)
+    _positive("wavelength", wavelength_um)
     theta = far_field_divergence_rad(wavelength_um, beam_diameter_um / 2.0)
     if theta >= math.pi / 2:
         raise ValueError(
@@ -91,8 +82,7 @@ def min_diameter_for_na(na_cap: float, wavelength_um: float = 0.355) -> float:
     """Smallest focusable 1/e^2 diameter under an NA cap (inverse of required_na)."""
     if not 0 < na_cap < 2:
         raise ValueError(f"NA cap must be in (0, 2), got {na_cap!r}")
-    if not (math.isfinite(wavelength_um) and wavelength_um > 0):
-        raise ValueError(f"wavelength must be positive, got {wavelength_um!r}")
+    _positive("wavelength", wavelength_um)
     return 2.0 * wavelength_um / (math.pi * math.asin(na_cap / 2.0))
 
 
@@ -112,8 +102,7 @@ def tradeoff_curve(
     if not (0 < lo < hi and math.isfinite(hi)):
         raise ValueError(
             f"diameter range must satisfy 0 < min < max < inf, got {diameter_range_um!r}")
-    if not isinstance(samples, numbers.Integral) or samples < 2:
-        raise ValueError(f"samples must be an integer >= 2, got {samples!r}")
+    _count("samples", samples, least=2)
     step = (hi - lo) / (samples - 1)
     diameters = [lo + i * step for i in range(samples)]
     boundary = min_diameter_for_na(constraints.na_cap, constraints.wavelength_um)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
+from ._atomic import _nonnegative, _positive
 
 __all__ = list(_EXPORTS["rabi_model"])
 
@@ -43,12 +44,10 @@ class BeamProfileParams:
     width_um: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega0) and self.omega0 > 0):
-            raise ValueError(f"omega0 must be positive, got {self.omega0!r}")
+        _positive("omega0", self.omega0)
         if not math.isfinite(self.center_um):
             raise ValueError("center must be finite")
-        if not (math.isfinite(self.width_um) and self.width_um > 0):
-            raise ValueError(f"width must be positive, got {self.width_um!r}")
+        _positive("width", self.width_um)
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,7 @@ def crosstalk_rabi_bound(observation_window_s: float, detection_floor: float) ->
     pi/2, so the first oscillation maximum stays inside the window. Returns
     rad/s.
     """
-    if not (math.isfinite(observation_window_s) and observation_window_s > 0):
-        raise ValueError(f"observation window must be positive, got {observation_window_s!r}")
+    _positive("observation window", observation_window_s)
     if not 0 < detection_floor < 1:
         raise ValueError(f"detection floor must be in (0, 1), got {detection_floor!r}")
     return 2.0 / observation_window_s * math.asin(math.sqrt(detection_floor))
@@ -116,8 +114,6 @@ def crosstalk_rabi_bound(observation_window_s: float, detection_floor: float) ->
 
 def intensity_crosstalk_ratio(omega_bound: float, omega_peak: float) -> float:
     """Intensity crosstalk ratio from two Rabi frequencies (Omega ∝ I, so linear)."""
-    if not (math.isfinite(omega_peak) and omega_peak > 0):
-        raise ValueError(f"peak Rabi frequency must be positive, got {omega_peak!r}")
-    if not (math.isfinite(omega_bound) and omega_bound >= 0):
-        raise ValueError(f"bound must be finite and >= 0, got {omega_bound!r}")
+    _positive("peak Rabi frequency", omega_peak)
+    _nonnegative("bound", omega_bound)
     return omega_bound / omega_peak

@@ -35,7 +35,6 @@ import csv
 import io
 import itertools
 import math
-import numbers
 import re
 import warnings
 from dataclasses import dataclass
@@ -46,7 +45,7 @@ from typing import NoReturn, Sequence
 import numpy as np
 
 from . import _EXPORTS
-from ._atomic import _is_finite_number, _read_json, _write_atomic, _write_json
+from ._atomic import _count, _is_finite_number, _positive, _read_json, _write_atomic, _write_json
 from .rabi_model import (
     BeamProfileParams, SpamModel, apply_spam, crosstalk_rabi_bound, intensity_crosstalk_ratio,
 )
@@ -682,9 +681,7 @@ def fit_beam(data: ScanDataset, max_iterations: int = 200) -> BeamFitResult:
     or the frequency profile gives no starting point, and ValueError
     unless max_iterations is an integer >= 1.
     """
-    if (isinstance(max_iterations, bool) or not isinstance(max_iterations, numbers.Integral)
-            or max_iterations < 1):
-        raise ValueError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
+    _count("max_iterations", max_iterations)
     _require_fit_grid(data)
     x, t, p, shots = data.arrays()
     seed = _spam_seed(data)
@@ -972,9 +969,8 @@ def pair_analysis(
     Raises ValueError unless ``observation_window_s`` and ``k_sigma`` are
     finite and positive.
     """
-    for name, value in (("observation window", observation_window_s), ("k_sigma", k_sigma)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    _positive("observation window", observation_window_s)
+    _positive("k_sigma", k_sigma)
     if not (a.converged and b.converged):
         raise ValueError("pair analysis requires two converged fits")
     sep = abs(b.params.center_um - a.params.center_um)

@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import _EXPORTS
+from ._atomic import _count, _nonnegative
 from .rabi_model import BeamProfileParams, SpamModel, apply_spam, p_excited
 from .scan_fit import ScanDataset
 
@@ -65,6 +66,11 @@ def _keyed_rngs(seed: int, tags: Iterable[int]) -> Iterator[np.random.Generator]
 def _record_tags(beam: int, n_pos: int, n_dur: int) -> list[int]:
     """Tags of one beam's records in position-major order: ``beam << 40 | i << 20 | j``."""
     return [(beam << 40) | (i << 20) | j for i in range(n_pos) for j in range(n_dur)]
+
+
+def _check_seed(rng_seed) -> None:
+    if isinstance(rng_seed, bool) or not (isinstance(rng_seed, int) and 0 <= rng_seed < 1 << 64):
+        raise ValueError("rng_seed must be an integer in [0, 2^64)")
 
 
 def _strictly_increasing(values: tuple[float, ...], name: str) -> None:
@@ -109,11 +115,8 @@ class SynthConfig:
         if not self.analytic and max(len(self.positions_um), len(self.durations_s)) > 1 << 20:
             raise ValueError("grid too large for the record keying scheme "
                              "(more than 2^20 positions or durations)")
-        if (isinstance(self.shots, bool) or not isinstance(self.shots, numbers.Integral)
-                or self.shots < 1):
-            raise ValueError(f"shots must be an integer >= 1, got {self.shots!r}")
-        if not (isinstance(self.rng_seed, int) and 0 <= self.rng_seed < 1 << 64):
-            raise ValueError("rng_seed must be an integer in [0, 2^64)")
+        _count("shots", self.shots)
+        _check_seed(self.rng_seed)
 
 
 def generate(config: SynthConfig) -> list[ScanDataset]:
@@ -152,8 +155,8 @@ def position_jitter(data: ScanDataset, resolution_um: float, rng_seed: int = 0) 
     by record index, so a given (seed, dataset shape) always jitters the
     same way. A resolution of 0 returns ``data`` itself.
     """
-    if resolution_um < 0 or not math.isfinite(resolution_um):
-        raise ValueError(f"resolution_um must be finite and >= 0, got {resolution_um}")
+    _nonnegative("resolution_um", resolution_um)
+    _check_seed(rng_seed)
     if resolution_um == 0:
         return data
     half = 0.5 * resolution_um

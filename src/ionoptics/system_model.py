@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Literal
 
 from . import _EXPORTS
-from ._atomic import _is_finite_number, _read_json
+from ._atomic import _count, _is_finite_number, _positive, _read_json
 from .beamlab import (
     GaussianBeam,
     RayMatrix,
@@ -102,13 +101,9 @@ class BeamArraySpec:
     channel_count: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.source_diameter_um) and self.source_diameter_um > 0):
-            raise ValueError(f"source diameter must be positive, got {self.source_diameter_um!r}")
-        if not (math.isfinite(self.source_pitch_um) and self.source_pitch_um > 0):
-            raise ValueError(f"source pitch must be positive, got {self.source_pitch_um!r}")
-        n = self.channel_count
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"channel count must be an integer >= 1, got {n!r}")
+        _positive("source diameter", self.source_diameter_um)
+        _positive("source pitch", self.source_pitch_um)
+        _count("channel count", self.channel_count)
 
 
 @dataclass(frozen=True, slots=True)
@@ -305,10 +300,8 @@ def compare_measured_pitch(
 
     ``within`` is True when |measured - predicted| <= _PITCH_K * measured_err.
     """
-    if not (math.isfinite(measured_pitch_um) and measured_pitch_um > 0):
-        raise ValueError(f"measured pitch must be positive, got {measured_pitch_um!r}")
-    if not (math.isfinite(measured_err_um) and measured_err_um > 0):
-        raise ValueError(f"measurement error must be positive, got {measured_err_um!r}")
+    _positive("measured pitch", measured_pitch_um)
+    _positive("measurement error", measured_err_um)
     predicted = report.pitch_um
     absolute = measured_pitch_um - predicted
     return DiscrepancyReport(

@@ -52,6 +52,13 @@ class TestRayMatrix:
         with pytest.raises(ValueError):
             free_space(math.nan)
 
+    @pytest.mark.parametrize("entry", "abcd")
+    def test_non_finite_entry_rejected(self, entry):
+        values = {"a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0}
+        values[entry] = math.nan
+        with pytest.raises(ValueError, match=f"^matrix entry {entry} is not finite$"):
+            RayMatrix(**values)
+
     def test_non_unit_determinant_rejected(self):
         with pytest.raises(ValueError):
             RayMatrix(1.0, 0.0, 0.0, 2.0)
@@ -155,3 +162,7 @@ class TestGaussianPropagation:
     def test_nonpositive_wavelength_rejected(self):
         with pytest.raises(ValueError):
             GaussianBeam(-0.355, 50.0)
+
+    def test_non_finite_waist_position_rejected(self):
+        with pytest.raises(ValueError, match="^waist position must be finite$"):
+            GaussianBeam(0.355, 1.0, math.inf)

@@ -43,6 +43,10 @@ class TestLocalRabi:
         right = local_rabi(beam_b, beam_b.center_um + dx)
         assert left == pytest.approx(right, rel=1e-12)
 
+    def test_non_finite_center_rejected(self):
+        with pytest.raises(ValueError, match="^center must be finite$"):
+            BeamProfileParams(omega0=1.0, center_um=math.nan, width_um=1.0)
+
     def test_vectorized(self, beam_a):
         xs = np.array([0.0, 1.86, -1.86])
         out = local_rabi(beam_a, xs)

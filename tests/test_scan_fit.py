@@ -297,6 +297,14 @@ class TestScanCsv:
         path.write_text("position_um,duration_us,p1,shots\n-2.5,10,0.5,100\n")
         assert read_scan_csv(path).position_um[0] == -2.5
 
+    def test_shots_beyond_64_bits_named(self, tmp_path):
+        path = tmp_path / "scan.csv"
+        path.write_text(f"position_um,duration_us,p1,shots\n0,10,0.5,{1 << 63}\n")
+        with pytest.raises(ScanFormatError) as info:
+            read_scan_csv(path)
+        assert str(info.value) == (
+            "line 2: shots 9223372036854775808 does not fit a 64-bit integer")
+
     def test_durations_stored_in_seconds(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("position_um,duration_us,p1,shots\n0,250,0.5,100\n")
@@ -409,6 +417,19 @@ class TestRecordValidation:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             ScanDataset([], [], [], [])
+
+    def test_float_shots_rejected(self):
+        with pytest.raises(ValueError, match="^shots must be integers, got dtype float64$"):
+            ScanDataset([0.0], [0.0], [0.5], [100.0])
+
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(ValueError, match="^columns must be 1-D and of equal length$"):
+            ScanDataset([0.0, 1.0], [0.0], [0.5], [100])
+
+    def test_not_equal_to_other_types(self):
+        ds = ScanDataset([0.0], [0.0], [0.5], [100])
+        assert (ds == 5) is False
+        assert ds != 5
 
 
 # === Model and Jacobian =====================================================
@@ -526,6 +547,76 @@ class TestBestRun:
     def test_unconverged_pool_when_nothing_converged(self):
         runs = [self.run(2.0, 0, converged=False), self.run(1.0, 1, converged=False)]
         assert _best_run(runs) is runs[1]
+
+
+def _linear_residual(jac, target):
+    """``residual(p)`` of r = jac^T p - target; ``jac`` holds one row per
+    parameter, the layout ``fill_jacobian`` writes."""
+    jac, target = np.array(jac, dtype=float), np.array(target, dtype=float)
+
+    def fill_jacobian(out):
+        out[:] = jac
+
+    return lambda p: (p @ jac - target, fill_jacobian)
+
+
+class TestLevenbergMarquardtExits:
+    """The four exits of the LM core that no fit in these tests reaches,
+    pinned on linear toy residuals."""
+
+    @staticmethod
+    def run(jac, target, p0, is_valid=lambda p: True):
+        return scan_fit._levenberg_marquardt(
+            _linear_residual(jac, target), np.array(p0, dtype=float), is_valid, 200)
+
+    def test_zero_residual_stops_on_the_gradient(self):
+        run = self.run([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0], [1.0, 2.0])
+        assert run.converged and run.n_iter == 1
+        assert run.params.tolist() == [1.0, 2.0]
+        assert run.rms == 0.0
+
+    def test_zero_jacobian_column_is_singular(self):
+        # the second parameter moves no residual: its damped row is all zero
+        with pytest.raises(DegenerateDataError, match="^normal equations singular: "):
+            self.run([[1.0, 1.0], [0.0, 0.0]], [1.0, 1.0], [0.0, 0.0])
+
+    def test_every_step_rejected_hits_the_damping_cap(self):
+        # the step is (r/J)/(1 + mu); with r/J = 1e140 and p = 1e-60 it
+        # stays above STEP_TOL * |p| until mu passes 1e200, and its norm
+        # neither overflows nor underflows on the way
+        run = self.run([[1e-70]], [1e70], [1e-60], is_valid=lambda p: False)
+        assert not run.converged
+        assert run.n_iter < 200
+        assert run.params.tolist() == [1e-60]
+
+    def test_identical_jacobian_columns_are_singular_at_the_optimum(self):
+        # damping keeps every step solvable; J^T J itself is [[1, 1], [1, 1]]
+        with pytest.raises(DegenerateDataError,
+                           match="^normal equations singular at optimum: "):
+            self.run([[1.0], [1.0]], [1.0], [0.0, 0.0])
+
+
+class TestInitialGuess:
+    @staticmethod
+    def scan():
+        # four positions, each oscillating more than the last
+        x = np.repeat([0.0, 1.0, 2.0, 3.0], 4)
+        t = np.tile([0.0, 1e-4, 2e-4, 3e-4], 4)
+        p = np.tile([0.0, 1.0, 0.0, 1.0], 4) * 0.1 * (x + 1.0)
+        return ScanDataset(x, t, p, np.full(16, 100))
+
+    def test_no_weight_in_the_profile(self):
+        profile = [FreqProfilePoint(x, 0.0, math.inf, True) for x in (0.0, 1.0, 2.0, 3.0)]
+        with pytest.raises(DegenerateDataError,
+                           match="^no starting point: all profile weights are zero$"):
+            initial_guess(self.scan(), profile)
+
+    def test_profile_without_width(self):
+        profile = [FreqProfilePoint(x, 0.0, math.inf, True) for x in (0.0, 1.0, 2.0)]
+        profile.append(FreqProfilePoint(3.0, 1000.0, 10.0, False))
+        with pytest.raises(DegenerateDataError,
+                           match="^no starting point: the frequency profile has no width$"):
+            initial_guess(self.scan(), profile)
 
 
 class TestFitBeam:

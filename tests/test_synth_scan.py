@@ -182,6 +182,46 @@ class TestValidation:
         with pytest.raises(ValueError):
             small_config(beam_a, rng_seed=-1)
 
+    @pytest.mark.parametrize("name", ["positions_um", "durations_s"])
+    def test_grids_must_be_non_empty_and_finite(self, beam_a, name):
+        with pytest.raises(ValueError, match=f"^{name} must be non-empty$"):
+            small_config(beam_a, **{name: ()})
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            small_config(beam_a, **{name: (0.0, math.nan)})
+
+    def test_truth_entries_must_be_beams(self, beam_a):
+        with pytest.raises(TypeError, match="^truth entries must be BeamProfileParams, got tuple$"):
+            small_config(beam_a, truth=(beam_a, (1.0, 0.0, 1.0)))
+
+    def test_negative_duration_rejected(self, beam_a):
+        with pytest.raises(ValueError, match="^durations_s must be >= 0$"):
+            small_config(beam_a, durations_s=(-1e-4, 1e-4))
+
+
+#: Seeds outside the one seed rule: an int, not a bool, in [0, 2^64).
+BAD_SEEDS = pytest.mark.parametrize("seed", [1.5, True, -1, 1 << 64],
+                                    ids=["float", "bool", "negative", "2^64"])
+
+
+class TestSeedRule:
+    MESSAGE = r"^rng_seed must be an integer in \[0, 2\^64\)$"
+
+    @BAD_SEEDS
+    def test_config_rejects(self, beam_a, seed):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            small_config(beam_a, rng_seed=seed)
+
+    @BAD_SEEDS
+    def test_jitter_rejects(self, beam_a, seed):
+        ds = generate(small_config(beam_a))[0]
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            position_jitter(ds, 0.5, rng_seed=seed)
+
+    def test_largest_seed_accepted(self, beam_a):
+        seed = (1 << 64) - 1
+        ds = generate(small_config(beam_a, rng_seed=seed))[0]
+        assert position_jitter(ds, 0.5, rng_seed=seed) != ds
+
 
 class TestJitter:
     def test_offsets_bounded_and_probabilities_untouched(self, beam_a):
@@ -239,6 +279,15 @@ class TestDefaultGrid:
         # step stays at or below the narrowest width / 10
         step = positions[1] - positions[0]
         assert step <= 1.86 / 10 + 1e-12
+
+    def test_needs_a_beam(self):
+        with pytest.raises(ValueError, match="^need at least one beam$"):
+            default_scan_grid(())
+
+    @pytest.mark.parametrize("counts", [(1, 21), (61, 2.0), (True, 21)])
+    def test_counts_must_be_integers_of_at_least_2(self, beam_a, counts):
+        with pytest.raises(ValueError, match="^need integer counts of at least 2 positions"):
+            default_scan_grid(beam_a, *counts)
 
     def test_feeds_generate(self, beam_a):
         positions, durations = default_scan_grid(beam_a, 11, 5)
