@@ -28,6 +28,9 @@ __all__ = list(_EXPORTS["beamlab"])
 #: |det - 1| tolerance for ray matrices (same-index input/output media).
 DET_TOL = 1e-9
 
+#: Default wavelength of the design half and the CLI, um (355 nm).
+_WAVELENGTH_UM = 0.355
+
 
 class SingularityError(ArithmeticError):
     """An ABCD transform or imaging solve has no finite solution."""

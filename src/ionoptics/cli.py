@@ -8,13 +8,15 @@ and ``pair`` (two-beam separation and crosstalk bounds).
 Each option and its default is declared once, in the subcommand's parser.
 A config file (--config, JSON object keyed by option name with dashes as
 underscores) replaces those defaults, so values resolve as command line >
-config file > built-in default. Every run writes
-``<subcommand>_manifest.json`` into the output directory (``fit`` writes
+config file > built-in default.
+
+Each subcommand ends in ``_finish``, the one write path: it writes the
+step's files in order, then ``<subcommand>_manifest.json`` (``fit`` writes
 ``<prefix>_fit_manifest.json``, so fits of several scans keep theirs)
-recording the resolved options, inputs, outputs, the Python and numpy
-versions, and a timestamp; timestamps live only in the manifest so data
-files are byte-identical across reruns. Data files and manifests are all written
-atomically (temporary file, then rename).
+recording the resolved options, the inputs, the outputs in write order,
+the Python and numpy versions, and a timestamp; timestamps live only in
+the manifest so data files are byte-identical across reruns. Data files
+and manifests are all written atomically (temporary file, then rename).
 
 Each subcommand imports the library modules it runs when it runs, so
 ``--version``, ``design`` and ``propagate`` never load numpy.
@@ -34,17 +36,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
 from ._atomic import _read_json, _write_atomic, _write_json
-from .beamlab import SingularityError
-
-if TYPE_CHECKING:
-    from .scan_fit import BeamFitResult
+from .beamlab import _WAVELENGTH_UM, SingularityError
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -58,34 +57,31 @@ _TRACE_SALT = 0x74726163
 _NOT_OPTIONS = ("subcommand", "config", "func")
 
 
-def _options(args: argparse.Namespace) -> dict:
-    return {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
+def _finish(args: argparse.Namespace, inputs: list[str], writes: dict, prefix: str = "") -> None:
+    """Write a step's files, in order, and then its manifest.
 
-
-def _write_manifest(out_dir: Path, args: argparse.Namespace,
-                    inputs: list[str], outputs: list[str], prefix: str = "") -> Path:
+    ``writes`` maps each file name to a function that writes the file at
+    the path it is given. The manifest, ``<prefix><subcommand>_manifest.json``,
+    comes last and lists exactly the files written, in write order; a
+    write that fails leaves no manifest.
+    """
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in writes.items():
+        write(out / name)
     # Read from sys, not platform: importing platform costs each step ~2 ms.
     # numpy is recorded only if the step loaded it; looking never imports it.
     numpy = sys.modules.get("numpy")
-    manifest = {
+    _write_json(out / f"{prefix}{args.subcommand}_manifest.json", {
         "subcommand": args.subcommand,
         "version": __version__,
         "python": "%d.%d.%d" % sys.version_info[:3],
         "numpy": getattr(numpy, "__version__", None),
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "options": _options(args),
+        "options": {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS},
         "inputs": inputs,
-        "outputs": outputs,
-    }
-    path = out_dir / f"{prefix}{args.subcommand}_manifest.json"
-    _write_json(path, manifest)
-    return path
-
-
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        "outputs": list(writes),
+    })
 
 
 def _fmt_row(*values) -> str:
@@ -124,12 +120,11 @@ def cmd_design(args: argparse.Namespace) -> int:
         "boundary_in_range": lo < boundary < hi,
         "rows": len(points),
     }
-    out = _out_dir(args)
-    curve_path, summary_path = out / "design_curve.csv", out / "design_summary.json"
-    # the summary first: its strict JSON encoding is the last check
-    _write_json(summary_path, summary)
-    _write_atomic(curve_path, "\n".join(lines) + "\n")
-    _write_manifest(out, args, [], [curve_path.name, summary_path.name])
+    _finish(args, [], {
+        # the summary first: its strict JSON encoding is the last check
+        "design_summary.json": lambda path: _write_json(path, summary),
+        "design_curve.csv": lambda path: _write_atomic(path, "\n".join(lines) + "\n"),
+    })
     return EXIT_OK
 
 
@@ -160,10 +155,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     if args.measured_pitch is not None:
         disc = compare_measured_pitch(report, args.measured_pitch, args.measured_pitch_err)
         payload["pitch_discrepancy"] = dataclasses.asdict(disc)
-    out = _out_dir(args)
-    report_path = out / "image_report.json"
-    _write_json(report_path, payload)
-    _write_manifest(out, args, inputs, [report_path.name])
+    _finish(args, inputs, {"image_report.json": lambda path: _write_json(path, payload)})
     return EXIT_OK
 
 
@@ -214,10 +206,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
                                             positions_um=(other.center_um,),
                                             rng_seed=args.seed ^ _TRACE_SALT)
             files[f"trace_{label}.csv"] = generate(trace_cfg)[0]
-    out = _out_dir(args)
-    for name, ds in files.items():
-        write_scan_csv(ds, out / name)
-    _write_manifest(out, args, [], list(files))
+    _finish(args, [], {name: functools.partial(write_scan_csv, ds) for name, ds in files.items()})
     return EXIT_OK
 
 
@@ -242,65 +231,36 @@ def cmd_fit(args: argparse.Namespace) -> int:
         result = exc.result
         print(f"fit did not converge: {exc}", file=sys.stderr)
         status = EXIT_NUMERICAL
-    out = _out_dir(args)
-    report_path = out / f"{prefix}_report.json"
-    profile_path = out / f"{prefix}_profile.csv"
-    write_fit_report(result, report_path)
-    write_freq_profile_csv(result.freq_profile, profile_path)
-    _write_manifest(out, args, [str(scan_path)], [report_path.name, profile_path.name],
-                    prefix=f"{prefix}_")
+    _finish(args, [str(scan_path)], {
+        f"{prefix}_report.json": functools.partial(write_fit_report, result),
+        f"{prefix}_profile.csv": functools.partial(write_freq_profile_csv, result.freq_profile),
+    }, prefix=f"{prefix}_")
     return status
 
 
 # === pair ===================================================================
 
 
-def _result_from_report(path: str | Path) -> BeamFitResult:
-    from .rabi_model import SpamModel
-    from .scan_fit import BeamFitResult, read_fit_report
-
-    params, cov, raw = read_fit_report(path)
-    spam = raw["spam"]  # read_fit_report checks every field copied here
-    return BeamFitResult(
-        params=params,
-        covariance=cov,
-        residual_rms=float(raw["residual_rms"]),
-        freq_profile=(),
-        n_iterations=raw["n_iterations"],
-        converged=raw["converged"],
-        spam=SpamModel(eps_prep=spam["eps_prep"], eps_meas=spam["eps_meas"]),
-        spam_errors=(float(spam["eps_prep_err"]), float(spam["eps_meas_err"])),
-        beam_label=raw["beam_label"],
-    )
-
-
 def cmd_pair(args: argparse.Namespace) -> int:
-    from .scan_fit import pair_analysis, read_scan_csv
+    from .scan_fit import _read_fit_report, pair_analysis, read_scan_csv
 
     if args.fit_a is None or args.fit_b is None:
         raise ValueError("pair requires --fit-a and --fit-b report paths")
-    result_a = _result_from_report(args.fit_a)
-    result_b = _result_from_report(args.fit_b)
-    inputs = [str(args.fit_a), str(args.fit_b)]
-    traces: list = []
-    for path in (args.trace_a, args.trace_b):
-        if path is None:
-            traces.append(None)
-        else:
-            traces.append(read_scan_csv(path))
-            inputs.append(str(path))
+    result_a, _ = _read_fit_report(args.fit_a)
+    result_b, _ = _read_fit_report(args.fit_b)
+    trace_paths = (args.trace_a, args.trace_b)
+    traces = tuple(None if path is None else read_scan_csv(path) for path in trace_paths)
+    inputs = [str(path) for path in (args.fit_a, args.fit_b, *trace_paths) if path is not None]
     report = pair_analysis(
         result_a,
         result_b,
-        traces_at_centers=(traces[0], traces[1]),
+        traces_at_centers=traces,
         observation_window_s=args.window_s,
         detection_floor=args.floor,
         k_sigma=args.k_sigma,
     )
-    out = _out_dir(args)
-    report_path = out / "pair_report.json"
-    _write_json(report_path, dataclasses.asdict(report))
-    _write_manifest(out, args, inputs, [report_path.name])
+    payload = dataclasses.asdict(report)
+    _finish(args, inputs, {"pair_report.json": lambda path: _write_json(path, payload)})
     return EXIT_OK
 
 
@@ -324,7 +284,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p_design = sub.add_parser("design", help="crosstalk vs numerical-aperture tradeoff curve",
                               **shared)
-    p_design.add_argument("--wavelength", type=float, default=0.355, help="wavelength, um")
+    p_design.add_argument("--wavelength", type=float, default=_WAVELENGTH_UM, help="wavelength, um")
     p_design.add_argument("--neighbor-distance", type=float, default=5.0,
                           help="site separation, um")
     p_design.add_argument("--na-cap", type=float, default=0.24,
@@ -338,7 +298,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                             **shared)
     p_prop.add_argument("--prescription",
                         help="prescription JSON; none means the built-in reference train")
-    p_prop.add_argument("--wavelength", type=float, default=0.355, help="wavelength, um")
+    p_prop.add_argument("--wavelength", type=float, default=_WAVELENGTH_UM, help="wavelength, um")
     p_prop.add_argument("--source-diameter", type=float, default=200.0,
                         help="beam diameter at the source plane, um")
     p_prop.add_argument("--source-pitch", type=float, default=450.0,
@@ -474,7 +434,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OverflowError as exc:
-        # Only absurd magnitudes overflow (a 1e154 um beam squared, say).
+        # Only absurd magnitudes overflow (a 1e200 um source waist squared, say).
         print(f"error: an input is out of floating-point range ({exc})", file=sys.stderr)
         return EXIT_VALIDATION
     except SingularityError as exc:

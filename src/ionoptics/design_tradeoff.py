@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import _EXPORTS
 from ._atomic import _count, _nonnegative, _positive
-from .beamlab import far_field_divergence_rad
+from .beamlab import _WAVELENGTH_UM, far_field_divergence_rad
 
 __all__ = list(_EXPORTS["design_tradeoff"])
 
@@ -27,7 +27,7 @@ __all__ = list(_EXPORTS["design_tradeoff"])
 class DesignConstraints:
     """Fixed system parameters for a tradeoff study."""
 
-    wavelength_um: float = 0.355
+    wavelength_um: float = _WAVELENGTH_UM
     neighbor_distance_um: float = 5.0
     na_cap: float = 0.24
 
@@ -48,19 +48,22 @@ class DesignPoint:
 def crosstalk(beam_diameter_um: float, neighbor_distance_um: float) -> float:
     """Relative intensity at a neighbor d away from a beam of the given diameter.
 
-    I(d)/I(0) = exp(-2*d^2/w0^2) with w0 = diameter/2.
+    I(d)/I(0) = exp(-2*d^2/w0^2) with w0 = diameter/2; 0 where d^2 is
+    past the float range.
     """
     _positive("beam diameter", beam_diameter_um)
     _nonnegative("neighbor distance", neighbor_distance_um)
     w0 = beam_diameter_um / 2.0
+    d = neighbor_distance_um
     try:
-        return math.exp(-2.0 * neighbor_distance_um**2 / w0**2)
-    except ZeroDivisionError:  # w0**2 underflows to 0
+        # d * d is inf past the float range, where d**2 would raise
+        return math.exp(-2.0 * d * d / (w0 * w0))
+    except ZeroDivisionError:  # w0 * w0 underflows to 0
         raise ValueError(
             f"beam diameter {beam_diameter_um!r} um is too small to compute with") from None
 
 
-def required_na(beam_diameter_um: float, wavelength_um: float = 0.355) -> float:
+def required_na(beam_diameter_um: float, wavelength_um: float = _WAVELENGTH_UM) -> float:
     """Numerical aperture needed to focus to the given 1/e^2 diameter.
 
     NA = 2*sin(lambda/(pi*w0)) with w0 = diameter/2. Diameters so small that
@@ -78,7 +81,7 @@ def required_na(beam_diameter_um: float, wavelength_um: float = 0.355) -> float:
     return 2.0 * math.sin(theta)
 
 
-def min_diameter_for_na(na_cap: float, wavelength_um: float = 0.355) -> float:
+def min_diameter_for_na(na_cap: float, wavelength_um: float = _WAVELENGTH_UM) -> float:
     """Smallest focusable 1/e^2 diameter under an NA cap (inverse of required_na)."""
     if not 0 < na_cap < 2:
         raise ValueError(f"NA cap must be in (0, 2), got {na_cap!r}")

@@ -435,8 +435,8 @@ def _levenberg_marquardt(residual, p0: np.ndarray, is_valid, max_iterations: int
             step = np.linalg.solve(damped, -g)
         except np.linalg.LinAlgError as exc:
             raise DegenerateDataError(f"normal equations singular: {exc}") from exc
-        rel_step = float(np.linalg.norm(step) / (np.linalg.norm(p) + 1e-300))
-        if rel_step < STEP_TOL:
+        # hypot scales its sum of squares, so neither side under- or overflows
+        if math.hypot(*step) < STEP_TOL * math.hypot(*p):
             # The damped system cannot move the parameters meaningfully;
             # checking before the trial also catches the stall where every
             # step is rejected at the residual noise floor.
@@ -937,6 +937,10 @@ class PairReport:
 
 
 def _trace_oscillates(trace: ScanDataset, spam: SpamModel) -> bool:
+    n_x = trace._positions[1].size
+    if n_x != 1:
+        raise DegenerateDataError(
+            f"off-beam trace {trace.beam_label!r} must be recorded at one position, got {n_x}")
     _, t, p, shots = trace.arrays()
     if _n_distinct(t) < 4:
         raise DegenerateDataError(
@@ -1069,11 +1073,22 @@ def write_fit_report(result: BeamFitResult, path: str | Path) -> None:
 def read_fit_report(path: str | Path) -> tuple[BeamProfileParams, np.ndarray, dict]:
     """Reconstruct (params, covariance in rad/s & um, raw dict) from a report.
 
-    Raises ScanFormatError unless the report has the current
-    ``schema_version``, a JSON boolean ``converged``, a string
-    ``beam_label``, an integer ``n_iterations``, a 3x3 ``covariance``, and
-    a finite JSON number (not a boolean or a string) for ``residual_rms``
-    and for each ``params``, ``spam`` and covariance entry.
+    Raises ScanFormatError where ``_read_fit_report`` does.
+    """
+    result, raw = _read_fit_report(path)
+    return result.params, result.covariance, raw
+
+
+def _read_fit_report(path: str | Path) -> tuple[BeamFitResult, dict]:
+    """(fit result, raw dict) of a report; the result has no frequency profile.
+
+    Each value keeps its JSON type, save ``residual_rms`` and the two SPAM
+    errors, which become floats. Raises ScanFormatError unless the report
+    has the current ``schema_version``, a JSON boolean ``converged``, a
+    string ``beam_label``, an integer ``n_iterations``, a 3x3
+    ``covariance``, and a finite JSON number (not a boolean or a string)
+    for ``residual_rms`` and for each ``params``, ``spam`` and covariance
+    entry.
     """
     raw = _read_json(path, ScanFormatError)
     version = raw.get("schema_version") if isinstance(raw, dict) else None
@@ -1094,17 +1109,18 @@ def read_fit_report(path: str | Path) -> tuple[BeamProfileParams, np.ndarray, di
             raise ScanFormatError(f"{path}: {name} must be a finite number, got {value!r}")
         return value
 
-    number("residual_rms", raw.get("residual_rms"))
+    rms = number("residual_rms", raw.get("residual_rms"))
     try:
         fitted, spam, cov = raw["params"], raw["spam"], raw["covariance"]
         hz, center, width = (number(f"params.{key}", fitted[key])
                              for key in ("peak_rabi_hz", "center_um", "width_um"))
-        eps_prep, eps_meas, _, _ = (number(f"spam.{key}", spam[key]) for key in
-                                    ("eps_prep", "eps_meas", "eps_prep_err", "eps_meas_err"))
+        eps_prep, eps_meas, prep_err, meas_err = (
+            number(f"spam.{key}", spam[key])
+            for key in ("eps_prep", "eps_meas", "eps_prep_err", "eps_meas_err"))
         cov_hz = np.array([[number(f"covariance[{i}][{j}]", entry) for j, entry in enumerate(row)]
                            for i, row in enumerate(cov)], dtype=float)
         params = BeamProfileParams(omega0=hz * TWO_PI, center_um=center, width_um=width)
-        SpamModel(eps_prep=eps_prep, eps_meas=eps_meas)
+        spam_model = SpamModel(eps_prep=eps_prep, eps_meas=eps_meas)
     except ScanFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -1112,7 +1128,10 @@ def read_fit_report(path: str | Path) -> tuple[BeamProfileParams, np.ndarray, di
     if cov_hz.shape != (3, 3):
         raise ScanFormatError(f"{path}: covariance must be 3x3, got {cov_hz.shape}")
     scale = np.diag([TWO_PI, 1.0, 1.0])
-    return params, scale @ cov_hz @ scale, raw
+    return BeamFitResult(
+        params=params, covariance=scale @ cov_hz @ scale, residual_rms=float(rms),
+        freq_profile=(), n_iterations=n_iter, converged=raw["converged"], spam=spam_model,
+        spam_errors=(float(prep_err), float(meas_err)), beam_label=label), raw
 
 
 def write_freq_profile_csv(profile: Sequence[FreqProfilePoint], path: str | Path) -> None:

@@ -26,6 +26,7 @@ from typing import Literal
 from . import _EXPORTS
 from ._atomic import _count, _is_finite_number, _positive, _read_json
 from .beamlab import (
+    _WAVELENGTH_UM,
     GaussianBeam,
     RayMatrix,
     SingularityError,
@@ -245,7 +246,7 @@ def _axis_image(m: RayMatrix, t: float, source: GaussianBeam) -> AxisImage:
 def image_array(
     prescription: OpticalPrescription,
     array: BeamArraySpec,
-    wavelength_um: float = 0.355,
+    wavelength_um: float = _WAVELENGTH_UM,
 ) -> ImagePlaneReport:
     """Map a source-plane beam array to the image plane.
 

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import operator
+import os
 import platform
 import subprocess
 import sys
@@ -69,14 +70,10 @@ class TestDesign:
             for d in diameters
         )
 
-    def test_neighbor_distance_beyond_float_range_exits_2(self, tmp_path, capsys):
-        # the crosstalk's d^2 overflows; main reports it and nothing is written
-        out = tmp_path / "out"
-        rc = main(["design", "--out-dir", str(out), "--neighbor-distance", "1e200"])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith(
-            "error: an input is out of floating-point range")
-        assert files_in(out) == []
+    def test_neighbor_distance_beyond_float_range_has_no_crosstalk(self, tmp_path):
+        # d * d is inf past the float range, and exp(-inf) is 0
+        assert main(["design", "--out-dir", str(tmp_path), "--neighbor-distance", "1e200"]) == 0
+        assert load_json(tmp_path / "design_summary.json")["boundary_crosstalk"] == 0.0
 
     def test_two_sample_curve(self, tmp_path):
         rc = main(["design", "--out-dir", str(tmp_path),
@@ -652,6 +649,17 @@ class TestPair:
         assert f"error: {bad}: not valid JSON" in capsys.readouterr().err
         assert files_in(out) == []
 
+    def test_trace_at_several_positions_exits_2(self, pair_run, tmp_path, capsys):
+        # a scan is not an off-beam trace: its records span many positions
+        out = tmp_path / "out"
+        rc = main(["pair", "--fit-a", str(pair_run / "scan_A_report.json"),
+                   "--fit-b", str(pair_run / "scan_B_report.json"),
+                   "--trace-a", str(pair_run / "scan_B.csv"), "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: off-beam trace 'scan_B' must be recorded at one position, got 79\n")
+        assert files_in(out) == []
+
     def test_missing_report_exits_1(self, pair_run, tmp_path):
         out = tmp_path / "out"
         rc = main(["pair", "--fit-a", str(tmp_path / "nope.json"),
@@ -739,6 +747,14 @@ class TestFailedStep:
         assert capsys.readouterr().err.startswith("error: ")
         assert files_in(out) == []
 
+    def test_input_beyond_float_range_exits_2(self, tmp_path, capsys):
+        # the Rayleigh range squares the 1e200 um source waist
+        out = tmp_path / "out"
+        assert main(["propagate", "--out-dir", str(out), "--source-diameter", "1e200"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: an input is out of floating-point range")
+        assert files_in(out) == []
+
     def test_value_that_overflows_after_the_checks_exits_2(self, tmp_path, capsys):
         # both inputs pass their checks, but 0.11 um / 1e-320 um is no float
         out = tmp_path / "out"
@@ -779,6 +795,38 @@ class TestManifest:
             assert man["subcommand"] == "fit"
             assert man["inputs"] == [str(pair_run / f"scan_{beam}.csv")]
             assert man["outputs"] == [f"scan_{beam}_report.json", f"scan_{beam}_profile.csv"]
+
+    @pytest.mark.parametrize("sub", ["design", "propagate", "synth", "fit", "pair"])
+    def test_outputs_are_the_files_in_write_order(self, pair_run, tmp_path, monkeypatch, sub):
+        argv = {
+            "design": ["design"],
+            "propagate": ["propagate"],
+            "synth": ["synth", *README_BEAMS, "--emit-traces"],
+            "fit": ["fit", str(pair_run / "scan_A.csv")],
+            "pair": ["pair", "--fit-a", str(pair_run / "scan_A_report.json"),
+                     "--fit-b", str(pair_run / "scan_B_report.json"),
+                     "--trace-a", str(pair_run / "trace_A.csv"),
+                     "--trace-b", str(pair_run / "trace_B.csv")],
+        }[sub]
+        written = []
+        replace = os.replace
+
+        def recording_replace(src, dst):  # every file lands by a rename
+            replace(src, dst)
+            written.append(os.path.basename(dst))
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+        *outputs, manifest = written
+        assert manifest == ("scan_A_fit" if sub == "fit" else sub) + "_manifest.json"
+        assert load_json(tmp_path / manifest)["outputs"] == outputs
+        assert files_in(tmp_path) == sorted(written)
+
+    def test_failed_write_leaves_no_manifest(self, tmp_path):
+        # the rename onto a directory fails after scan_A.csv is written
+        (tmp_path / "scan_B.csv").mkdir()
+        assert main(["synth", *README_BEAMS, "--out-dir", str(tmp_path)]) == 1
+        assert not (tmp_path / "synth_manifest.json").exists()
 
     def test_contents_record_the_run(self, pair_run):
         man = load_json(pair_run / "pair_manifest.json")

@@ -57,6 +57,10 @@ class TestCrosstalk:
         with pytest.raises(ValueError):
             crosstalk(10.0, -1.0)
 
+    def test_distance_beyond_float_range_has_none(self):
+        # d * d is inf, where d**2 would raise OverflowError
+        assert crosstalk(2.0, 1e200) == 0.0
+
     def test_underflowing_diameter_rejected(self):
         # w0**2 rounds to 0, so the ratio would divide by zero
         with pytest.raises(ValueError, match="too small"):

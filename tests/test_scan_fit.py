@@ -595,6 +595,22 @@ class TestLevenbergMarquardtExits:
                            match="^normal equations singular at optimum: "):
             self.run([[1.0], [1.0]], [1.0], [0.0, 0.0])
 
+    def test_no_move_from_zero_is_not_convergence(self):
+        # from p = 0 no step is small against |p|, so a run whose every
+        # step is rejected ends at the damping cap, not on the step test
+        run = self.run([[1.0]], [1.0], [0.0], is_valid=lambda p: False)
+        assert not run.converged
+        assert run.n_iter == 37
+        assert run.params.tolist() == [0.0]
+
+    def test_step_test_neither_overflows_nor_warns(self):
+        # a 1e100 step from p = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = self.run([[1e-50]], [1e50], [0.0])
+        assert run.converged
+        assert run.params[0] == pytest.approx(1e100, rel=1e-9)
+
 
 class TestInitialGuess:
     @staticmethod
@@ -1266,6 +1282,15 @@ class TestPairAnalysis:
         monkeypatch.setattr(scan_fit, "_trace_oscillates", spy)
         pair_analysis(a, b, traces_at_centers=(trace_a, trace_b))
         assert tested == [(trace_a, a.spam), (trace_b, b.spam)]
+
+    def test_trace_at_several_positions_rejected(self, fits):
+        # four durations, so only the position rule fails
+        a, b = fits
+        trace = ScanDataset(np.repeat([4.2, 4.31], 4), np.tile([0.0, 1e-4, 2e-4, 3e-4], 2),
+                            np.full(8, 0.02), np.full(8, 100), beam_label="trace_A")
+        with pytest.raises(DegenerateDataError, match=(
+                "^off-beam trace 'trace_A' must be recorded at one position, got 2$")):
+            pair_analysis(a, b, traces_at_centers=(trace, None))
 
     def test_sparse_trace_rejected(self, fits, beam_a):
         a, b = fits
