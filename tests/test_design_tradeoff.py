@@ -62,7 +62,7 @@ class TestCrosstalk:
         assert crosstalk(2.0, 1e200) == 0.0
 
     def test_underflowing_diameter_rejected(self):
-        # w0**2 rounds to 0, so the ratio would divide by zero
+        # w0 * w0 rounds to 0, so the ratio would divide by zero
         with pytest.raises(ValueError, match="too small"):
             crosstalk(3e-265, 5.0)
 

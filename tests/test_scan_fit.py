@@ -562,7 +562,8 @@ def _linear_residual(jac, target):
 
 class TestLevenbergMarquardtExits:
     """The four exits of the LM core that no fit in these tests reaches,
-    pinned on linear toy residuals."""
+    and its step test at scales no fit reaches, pinned on linear toy
+    residuals."""
 
     @staticmethod
     def run(jac, target, p0, is_valid=lambda p: True):
