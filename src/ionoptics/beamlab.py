@@ -146,9 +146,19 @@ def propagate(beam: GaussianBeam, m: RayMatrix) -> GaussianBeam:
         Input beam, referenced to the input plane of ``m``.
     m : RayMatrix
         Composed ray matrix (first element acts first).
+
+    Raises ValueError, naming the waist radius and the wavelength, when
+    the beam's Rayleigh range is past the float range.
     """
     # q(z=0) = (0 - z_waist) + i*z_R
-    z_r = rayleigh_range_mm(beam.wavelength_um, beam.waist_radius_um)
+    try:
+        z_r = rayleigh_range_mm(beam.wavelength_um, beam.waist_radius_um)
+    except OverflowError:  # the waist squared
+        z_r = math.inf
+    if not math.isfinite(z_r):
+        raise ValueError(
+            f"Rayleigh range of waist radius {beam.waist_radius_um!r} um at wavelength "
+            f"{beam.wavelength_um!r} um is beyond the float range")
     q = m.transform_q(complex(-beam.waist_position_mm, z_r))
     if q.imag <= 0:
         raise SingularityError(f"transformed q has non-positive imaginary part: {q!r}")

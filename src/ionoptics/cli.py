@@ -257,7 +257,6 @@ def cmd_pair(args: argparse.Namespace) -> int:
         traces_at_centers=traces,
         observation_window_s=args.window_s,
         detection_floor=args.floor,
-        k_sigma=args.k_sigma,
     )
     payload = dataclasses.asdict(report)
     _finish(args, inputs, {"pair_report.json": lambda path: _write_json(path, payload)})
@@ -353,8 +352,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_pair.add_argument("--window-s", type=float, default=2.5e-3,
                         help="observation window for the crosstalk bound, s")
     p_pair.add_argument("--floor", type=float, default=0.01, help="excitation detection floor")
-    p_pair.add_argument("--k-sigma", type=float, default=3.0,
-                        help="resolution criterion for center ambiguity")
     p_pair.set_defaults(func=cmd_pair)
     return parser, {"design": p_design, "propagate": p_prop, "synth": p_synth,
                     "fit": p_fit, "pair": p_pair}
@@ -434,7 +431,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OverflowError as exc:
-        # Only absurd magnitudes overflow (a 1e200 um source waist squared, say).
+        # Only absurd magnitudes overflow (a sample count of 10^400, say).
         print(f"error: an input is out of floating-point range ({exc})", file=sys.stderr)
         return EXIT_VALIDATION
     except SingularityError as exc:

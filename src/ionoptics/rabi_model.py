@@ -14,7 +14,9 @@ frequencies are intensity ratios directly (not square roots).
 
 State preparation and measurement (SPAM) errors map ideal probabilities
 affinely: a dark ion reads bright with probability eps_prep and a bright ion
-reads dark with probability eps_meas.
+reads dark with probability eps_meas, so it reads bright with probability
+eps_prep + kappa*sin^2(...), kappa = 1 - eps_prep - eps_meas. One kernel,
+``_excitation``, evaluates that model for synthesis and the fit alike.
 """
 
 from __future__ import annotations
@@ -69,6 +71,11 @@ class SpamModel:
             if not (0 <= v < 0.5):
                 raise ValueError(f"{name} must be in [0, 0.5), got {v!r}")
 
+    @property
+    def kappa(self) -> float:
+        """Contrast 1 - eps_prep - eps_meas: the span of measured probabilities."""
+        return 1.0 - self.eps_prep - self.eps_meas
+
 
 def local_rabi(params: BeamProfileParams, x_um):
     """Local Rabi frequency Omega(x) = Omega0*exp(-2*(x-x_c)^2/w0^2), rad/s."""
@@ -77,25 +84,49 @@ def local_rabi(params: BeamProfileParams, x_um):
     return params.omega0 * np.exp(-2.0 * u * u)
 
 
-def p_excited(params: BeamProfileParams, x_um, t_s):
-    """Excitation probability sin^2(Omega(x)*t/2) for on-resonance drive.
-
-    Accepts scalars or broadcastable arrays for position (um) and duration (s).
-    Each element is the same float whichever way it is evaluated: the square
-    is a product, because numpy squares a scalar with libm ``pow``, which can
-    round differently from the array path's multiply.
+def _excitation(vec, x, t):
+    """Model eps_prep + kappa*sin^2(theta), theta = Omega(x)*t/2, at vec =
+    (omega0, center, width, eps_prep, kappa), and ``fill_jacobian(out)``,
+    which writes the five partials into out[0] ... out[4] from the model's
+    own exponential, phase and sin^2. sin^2 is a product: numpy squares a
+    scalar with libm ``pow``, which can round unlike the array multiply.
     """
-    t = np.asarray(t_s, dtype=float)
+    om, xc, w0, eps_prep, kappa = vec
+    dx = x - xc
+    u = dx / w0
+    g = np.exp(-2.0 * u * u)
+    theta = 0.5 * om * t * g
+    s = np.sin(theta)
+    sin_sq = s * s
+
+    def fill_jacobian(out: np.ndarray) -> None:
+        s2 = np.sin(2.0 * theta)
+        s2 *= kappa
+        np.multiply(s2 * (0.5 * t), g, out=out[0, ...])
+        s2 *= theta
+        s2 *= 4.0
+        np.divide(s2 * dx, w0**2, out=out[1, ...])
+        np.divide(s2 * (dx * dx), w0**3, out=out[2, ...])
+        out[3, ...] = 1.0
+        out[4, ...] = sin_sq
+
+    return eps_prep + kappa * sin_sq, fill_jacobian
+
+
+def p_excited(params: BeamProfileParams, x_um, t_s):
+    """Excitation probability sin^2(Omega(x)*t/2) for on-resonance drive:
+    ``_excitation`` at SPAM (0, 1), for broadcastable position (um) and
+    duration (s)."""
+    x, t = np.asarray(x_um, dtype=float), np.asarray(t_s, dtype=float)
     if np.any(t < 0):
         raise ValueError("pulse durations must be >= 0")
-    s = np.sin(local_rabi(params, x_um) * t / 2.0)
-    return s * s
+    return _excitation((params.omega0, params.center_um, params.width_um, 0.0, 1.0), x, t)[0]
 
 
 def apply_spam(p_ideal, spam: SpamModel):
-    """Measured probability: eps_prep + (1 - eps_prep - eps_meas) * p_ideal."""
+    """Measured probability: eps_prep + kappa * p_ideal."""
     p = np.asarray(p_ideal, dtype=float)
-    return spam.eps_prep + (1.0 - spam.eps_prep - spam.eps_meas) * p
+    return spam.eps_prep + spam.kappa * p
 
 
 def crosstalk_rabi_bound(observation_window_s: float, detection_floor: float) -> float:

@@ -7,15 +7,15 @@ the sin^2((Omega0*t/2)*exp(-2(x-x_c)^2/w0^2)) model together with the SPAM
 errors, as eps_prep and the contrast kappa = 1 - eps_prep - eps_meas of
 eps_prep + kappa*sin^2(...), by shot-weighted least squares with a
 hand-rolled damped Gauss-Newton (Levenberg-Marquardt) loop and the analytic
-Jacobian. One kernel evaluates the weighted residual and, at accepted
-points only, the Jacobian from the same exponential and phase; a single
-matrix product over the stacked Jacobian and residual gives the normal
-equations. Per-position 1D fits give the Rabi-frequency profile Omega(x),
-from which a D4sigma second-moment width is computed; positions that share
-a duration sequence start from one grid search done as two matrix products
-and are refined together in one batch, with results identical to refining
-them one at a time. Pairs of fits yield beam separations and crosstalk
-bounds.
+Jacobian, both from ``rabi_model._excitation``, the kernel synthesis uses
+too. A single matrix product over the stacked Jacobian and residual gives
+the normal equations; a trial point is valid exactly when its beam and SPAM
+construct as ``BeamProfileParams`` and ``SpamModel``. Per-position 1D fits
+give the Rabi-frequency profile Omega(x), from which a D4sigma width is
+computed; positions that share a duration sequence start from one grid
+search done as two matrix products and are refined together in one batch,
+with results identical to refining them one at a time. Pairs of fits yield
+beam separations and crosstalk bounds.
 
 Record weighting is binomial: weight = shots/(m(1-m) + q) with a variance
 floor q = 1/(4*shots) so records at m in {0, 1} stay finite. The global fit
@@ -47,7 +47,8 @@ import numpy as np
 from . import _EXPORTS
 from ._atomic import _count, _is_finite_number, _positive, _read_json, _write_atomic, _write_json
 from .rabi_model import (
-    BeamProfileParams, SpamModel, apply_spam, crosstalk_rabi_bound, intensity_crosstalk_ratio,
+    BeamProfileParams, SpamModel, _excitation, apply_spam, crosstalk_rabi_bound,
+    intensity_crosstalk_ratio, p_excited,
 )
 
 __all__ = list(_EXPORTS["scan_fit"])
@@ -317,58 +318,21 @@ def write_scan_csv(data: ScanDataset, path: str | Path) -> None:
 # === Model evaluation =======================================================
 
 
-def _beam_residual(vec, x, t, p, sqrt_w):
-    """Weighted residual sqrt_w * (model - p) at vec = (omega0, center, width,
-    eps_prep, kappa), where kappa = 1 - eps_prep - eps_meas.
-
-    Returns the residual and a function ``fill_jacobian(out)`` that writes
-    the weighted partials w.r.t. the five parameters into out[0] ... out[4]
-    (each of the residual's shape). The model eps_prep + kappa*sin^2(theta)
-    is affine in the SPAM parameters, so their partials are 1 and
-    sin^2(theta). It reuses the exponential, the phase and sin^2(theta) of
-    the residual, so a caller that needs the Jacobian at only some points
-    pays for it only there.
-    """
-    om, xc, w0, eps_prep, kappa = vec
-    dx = x - xc
-    u = dx / w0
-    g = np.exp(-2.0 * u * u)
-    theta = 0.5 * om * t * g
-    sin_sq = np.sin(theta) ** 2
-    r = sqrt_w * (eps_prep + kappa * sin_sq - p)
-
-    def fill_jacobian(out: np.ndarray) -> None:
-        s2 = np.sin(2.0 * theta)
-        s2 *= kappa
-        np.multiply(s2 * (0.5 * t), g, out=out[0, ...])
-        s2 *= theta
-        s2 *= 4.0
-        np.divide(s2 * dx, w0**2, out=out[1, ...])
-        np.divide(s2 * (dx * dx), w0**3, out=out[2, ...])
-        out[3, ...] = 1.0
-        out[4, ...] = sin_sq
-        out *= sqrt_w
-
-    return r, fill_jacobian
-
-
 def _param_vector(params: BeamProfileParams, spam: SpamModel) -> tuple[float, ...]:
-    """(omega0, center, width, eps_prep, kappa): the parameters of ``_beam_residual``."""
-    return (params.omega0, params.center_um, params.width_um,
-            spam.eps_prep, 1.0 - spam.eps_prep - spam.eps_meas)
+    """(omega0, center, width, eps_prep, kappa): the parameters of ``_excitation``."""
+    return (params.omega0, params.center_um, params.width_um, spam.eps_prep, spam.kappa)
 
 
 def fit_model(params: BeamProfileParams, spam: SpamModel, x_um, t_s) -> np.ndarray:
     """SPAM-adjusted model probability at each (x, t)."""
     x, t = np.asarray(x_um, dtype=float), np.asarray(t_s, dtype=float)
-    model, _ = _beam_residual(_param_vector(params, spam), x, t, p=0.0, sqrt_w=1.0)
-    return model
+    return _excitation(_param_vector(params, spam), x, t)[0]
 
 
 def fit_model_jacobian(params: BeamProfileParams, spam: SpamModel, x_um, t_s) -> np.ndarray:
     """Analytic partials of fit_model w.r.t. (omega0, center, width), shape (n, 3)."""
     x, t = np.broadcast_arrays(np.asarray(x_um, dtype=float), np.asarray(t_s, dtype=float))
-    _, fill_jacobian = _beam_residual(_param_vector(params, spam), x, t, p=0.0, sqrt_w=1.0)
+    _, fill_jacobian = _excitation(_param_vector(params, spam), x, t)
     jac = np.empty((5, *x.shape))
     fill_jacobian(jac)
     return np.ascontiguousarray(np.moveaxis(jac[:3], 0, -1))
@@ -395,9 +359,9 @@ def _levenberg_marquardt(residual, p0: np.ndarray, is_valid, max_iterations: int
 
     The scheme of Madsen, Nielsen & Tingleff, *Methods for Non-Linear Least
     Squares Problems* (DTU, 2004), section 3.2. ``residual(p)`` returns r
-    and a ``fill_jacobian(out)`` as ``_beam_residual`` does. A trial point
-    costs one residual; the Jacobian is built only at the start point and
-    at accepted trials. There its k rows and r are stacked into one
+    and a ``fill_jacobian(out)``, as ``rabi_model._excitation`` does. A
+    trial point costs one residual; the Jacobian is built only at the start
+    point and at accepted trials. There its k rows and r are stacked into one
     (k + 1, n) array, so that a single matrix product gives both J^T J and
     J^T r; k is the length of ``p0``.
 
@@ -593,8 +557,7 @@ def _spam_at(data: ScanDataset, beam: BeamProfileParams, fallback: SpamModel) ->
     its shots. Returns ``fallback`` when the solution is no SpamModel.
     """
     x, t, p, shots = data.arrays()
-    sin_sq, _ = _beam_residual(_param_vector(beam, SpamModel(0.0, 0.0)), x, t, p=0.0, sqrt_w=1.0)
-    design = np.stack([np.ones_like(x), sin_sq])
+    design = np.stack([np.ones_like(x), p_excited(beam, x, t)])
     weighted = design * shots
     try:
         eps_prep, kappa = np.linalg.solve(weighted @ design.T, weighted @ p)
@@ -667,8 +630,8 @@ def fit_beam(data: ScanDataset, max_iterations: int = 200) -> BeamFitResult:
     eps_meas = 0.01. The LM then starts from that beam guess and the
     least-squares SPAM at it (that seed SPAM when the solve gives none in
     [0, 0.5)), and every run weights the records by the binomial variance
-    of the model at this start. A step that would take eps_prep or
-    eps_meas outside [0, 0.5) is rejected.
+    of the model at this start. A step is rejected unless its beam
+    constructs as a BeamProfileParams and its SPAM as a SpamModel.
 
     If the weighted residual RMS of the first run stays above twice the
     shot-noise floor, or the run fails to converge, five deterministically
@@ -689,16 +652,24 @@ def fit_beam(data: ScanDataset, max_iterations: int = 200) -> BeamFitResult:
     guess = initial_guess(data, profile)
     start_spam = _spam_at(data, guess, seed)
     start = np.array(_param_vector(guess, start_spam))
-    model, _ = _beam_residual(start, x, t, p=0.0, sqrt_w=1.0)
-    sqrt_w = np.sqrt(_binomial_weights(model, shots))
+    sqrt_w = np.sqrt(_binomial_weights(_excitation(start, x, t)[0], shots))
 
     def residual(vec: np.ndarray):
-        return _beam_residual(vec, x, t, p, sqrt_w)
+        model, fill_model = _excitation(vec, x, t)
+
+        def fill_jacobian(out: np.ndarray) -> None:
+            fill_model(out)
+            out *= sqrt_w
+
+        return sqrt_w * (model - p), fill_jacobian
 
     def is_valid(vec: np.ndarray) -> bool:
-        eps_meas = 1.0 - vec[3] - vec[4]
-        return bool(vec[0] > 0 and vec[2] > 0 and 0 <= vec[3] < 0.5 and 0 <= eps_meas < 0.5
-                    and np.all(np.isfinite(vec)))
+        try:
+            BeamProfileParams(*vec[:3])
+            SpamModel(vec[3], 1.0 - vec[3] - vec[4])
+        except ValueError:
+            return False
+        return True
 
     first = _levenberg_marquardt(residual, start, is_valid, max_iterations)
     runs = [first]
@@ -782,7 +753,6 @@ def _fit_omegas(
     carries no frequency information (flat trace, omega pinned at zero).
     """
     grid, model = _omega_grid_table(t, spam)
-    kappa = 1.0 - spam.eps_prep - spam.eps_meas
     w = _binomial_weights(p, shots)
 
     def weighted_sse(omegas: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -798,7 +768,7 @@ def _fit_omegas(
     active = np.arange(p.shape[0])
     for _ in range(60):
         theta = (0.5 * omega[active])[:, None] * t
-        jac = kappa * np.sin(2.0 * theta) * 0.5 * t
+        jac = spam.kappa * np.sin(2.0 * theta) * 0.5 * t
         jtj = _rowdot(w[active], jac * jac)
         live = ~(jtj <= 0)
         active, theta, jac, jtj = active[live], theta[live], jac[live], jtj[live]
@@ -827,7 +797,7 @@ def _fit_omegas(
         active = active[accepted & ~small]
 
     theta = (0.5 * omega)[:, None] * t
-    jac = kappa * np.sin(2.0 * theta) * 0.5 * t
+    jac = spam.kappa * np.sin(2.0 * theta) * 0.5 * t
     jtj = _rowdot(w, jac * jac)
     sigma = np.full(omega.size, math.inf)
     informative = ~(jtj <= 0)
@@ -917,6 +887,10 @@ def d4sigma(profile: Sequence[FreqProfilePoint]) -> float:
 # === Pair analysis ==========================================================
 
 
+#: Fitted centers within this many combined sigma of each other are ambiguous.
+_AMBIGUITY_K = 3.0
+
+
 @dataclass(frozen=True)
 class PairReport:
     beam_a: str
@@ -925,7 +899,7 @@ class PairReport:
     center_b_um: float
     separation_um: float
     separation_err_um: float
-    ambiguous: bool  # centers overlap within k_sigma * separation_err
+    ambiguous: bool  # centers overlap within _AMBIGUITY_K * separation_err
     observation_window_s: float
     detection_floor: float
     rabi_bound_hz: float  # largest Rabi frequency hiding below the floor over the window
@@ -956,7 +930,6 @@ def pair_analysis(
     traces_at_centers: tuple[ScanDataset | None, ScanDataset | None] = (None, None),
     observation_window_s: float = 2.5e-3,
     detection_floor: float = 0.01,
-    k_sigma: float = 3.0,
 ) -> PairReport:
     """Separation and crosstalk bounds for a pair of individually fitted beams.
 
@@ -970,22 +943,21 @@ def pair_analysis(
     intensity ratio against the driven beam's peak. The window is
     ``observation_window_s``, cut to the last duration of the shortest
     supplied trace: a trace shows nothing about times it did not record.
-    Raises ValueError unless ``observation_window_s`` and ``k_sigma`` are
-    finite and positive.
+    Centers within ``_AMBIGUITY_K`` combined sigma are ambiguous. Raises
+    ValueError unless ``observation_window_s`` is finite and positive.
     """
     _positive("observation window", observation_window_s)
-    _positive("k_sigma", k_sigma)
     if not (a.converged and b.converged):
         raise ValueError("pair analysis requires two converged fits")
     sep = abs(b.params.center_um - a.params.center_um)
     var = float(a.covariance[1, 1] + b.covariance[1, 1])
     sep_err = math.sqrt(max(var, 0.0))
     notes = []
-    ambiguous = sep <= k_sigma * sep_err
+    ambiguous = sep <= _AMBIGUITY_K * sep_err
     if ambiguous:
         notes.append(
             f"beam centers are not resolved: separation {sep:.4g} um is within "
-            f"{k_sigma:g} sigma ({k_sigma * sep_err:.4g} um)"
+            f"{_AMBIGUITY_K:g} sigma ({_AMBIGUITY_K * sep_err:.4g} um)"
         )
         warnings.warn(notes[-1], stacklevel=2)
 

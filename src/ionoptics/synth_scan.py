@@ -20,7 +20,6 @@ range-checked and built once, as one list, before any draw.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -37,6 +36,10 @@ __all__ = list(_EXPORTS["synth_scan"])
 _JITTER_TAG = 1 << 63
 
 _BEAM_LABELS = ("A", "B")
+
+#: Most positions, and most durations, a grid may hold: the record tags
+#: give each index 20 bits.
+_GRID_LIMIT = 1 << 20
 
 
 def _point_rng(seed: int, tag: int) -> np.random.Generator:
@@ -112,7 +115,8 @@ class SynthConfig:
         if self.durations_s[0] < 0:
             raise ValueError("durations_s must be >= 0")
         # before generate runs the model on a grid it cannot key
-        if not self.analytic and max(len(self.positions_um), len(self.durations_s)) > 1 << 20:
+        longest = max(len(self.positions_um), len(self.durations_s))
+        if not self.analytic and longest > _GRID_LIMIT:
             raise ValueError("grid too large for the record keying scheme "
                              "(more than 2^20 positions or durations)")
         _count("shots", self.shots)
@@ -178,17 +182,22 @@ def default_scan_grid(
     run from zero through three full oscillation periods of the slowest
     beam. For two beams the position span widens to cover both envelopes
     (the count grows to keep the step at the narrowest w0/10 if needed).
+    Raises ValueError when that count would pass 2^20, the most positions
+    a keyed grid holds, before any grid is built.
     """
     beams = (truth,) if isinstance(truth, BeamProfileParams) else tuple(truth)
     if not beams:
         raise ValueError("need at least one beam")
-    if not all(isinstance(n, numbers.Integral) and n >= 2 for n in (n_positions, n_durations)):
-        raise ValueError(f"need integer counts of at least 2 positions and 2 durations, "
-                         f"got {n_positions!r} and {n_durations!r}")
+    _count("grid positions", n_positions, least=2)
+    _count("grid durations", n_durations, least=2)
     lo = min(b.center_um - 3.0 * b.width_um for b in beams)
     hi = max(b.center_um + 3.0 * b.width_um for b in beams)
     step_cap = min(b.width_um for b in beams) / 10.0
-    n_pos = max(n_positions, int(math.ceil((hi - lo) / step_cap)) + 1)
+    steps = (hi - lo) / step_cap
+    if not steps <= _GRID_LIMIT - 1:  # inf when the span overflows
+        raise ValueError(f"the beams span {hi - lo:g} um: a default grid at steps of "
+                         f"w0/10 = {step_cap:g} um would need more than 2^20 positions")
+    n_pos = max(n_positions, int(math.ceil(steps)) + 1)
     positions = tuple(float(v) for v in np.linspace(lo, hi, n_pos))
     t_max = 3.0 * 2.0 * math.pi / min(b.omega0 for b in beams)
     durations = tuple(float(v) for v in np.linspace(0.0, t_max, n_durations))

@@ -727,10 +727,6 @@ _BAD_OPTION_VALUES = [
     ["propagate", "--measured-pitch", "4.4", "--measured-pitch-err", "nan"],
     ["propagate", "--measured-pitch", "4.4", "--measured-pitch-err", "inf"],
     ["pair", "--window-s", "nan"],
-    ["pair", "--k-sigma", "inf"],
-    ["pair", "--k-sigma", "nan"],
-    ["pair", "--k-sigma", "0"],
-    ["pair", "--k-sigma", "-1"],
 ]
 
 
@@ -748,11 +744,35 @@ class TestFailedStep:
         assert files_in(out) == []
 
     def test_input_beyond_float_range_exits_2(self, tmp_path, capsys):
-        # the Rayleigh range squares the 1e200 um source waist
+        # a count of 10^400 passes the count rule, but no float holds it
         out = tmp_path / "out"
-        assert main(["propagate", "--out-dir", str(out), "--source-diameter", "1e200"]) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: an input is out of floating-point range")
+        assert main(["design", "--out-dir", str(out), "--samples", "1" + "0" * 400]) == 2
+        assert capsys.readouterr().err == (
+            "error: an input is out of floating-point range (int too large to convert to float)\n")
+        assert files_in(out) == []
+
+    @pytest.mark.parametrize("argv, waist", [
+        # the waist squared overflows
+        (["--source-diameter", "1e200"], "5e+199"),
+        # the waist squared is a float, but not divided by the wavelength
+        (["--source-diameter", "1e150", "--wavelength", "1e-20"], "5e+149"),
+    ], ids=" ".join)
+    def test_rayleigh_range_beyond_float_range_exits_2(self, tmp_path, capsys, argv, waist):
+        out = tmp_path / "out"
+        assert main(["propagate", "--out-dir", str(out), *argv]) == 2
+        wavelength = argv[-1] if "--wavelength" in argv else "0.355"
+        assert capsys.readouterr().err == (
+            f"error: Rayleigh range of waist radius {waist} um at wavelength {wavelength} um "
+            "is beyond the float range\n")
+        assert files_in(out) == []
+
+    def test_beams_too_far_apart_for_the_default_grid_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["synth", "--out-dir", str(out), "--rabi-hz", "1000", "1000",
+                     "--center-um", "0", "1e300", "--width-um", "1", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the beams span 1e+300 um: a default grid at steps of w0/10 = 0.1 um "
+            "would need more than 2^20 positions\n")
         assert files_in(out) == []
 
     def test_value_that_overflows_after_the_checks_exits_2(self, tmp_path, capsys):
@@ -833,7 +853,6 @@ class TestManifest:
         assert man["subcommand"] == "pair"
         assert len(man["inputs"]) == 4
         assert man["outputs"] == ["pair_report.json"]
-        assert man["options"]["k_sigma"] == 3.0
         datetime.fromisoformat(man["generated_at"])  # parseable timestamp
 
     def test_records_python_and_numpy_versions(self, pair_run, subprocess_env, tmp_path):
@@ -929,9 +948,9 @@ class TestConfigFile:
         assert not (tmp_path / f"{sub}_manifest.json").exists()
 
     @pytest.mark.parametrize("sub, key, value", [
-        ("design", "wavelength", True), ("synth", "seed", True), ("pair", "k_sigma", True),
+        ("design", "wavelength", True), ("synth", "seed", True), ("pair", "window_s", True),
         ("synth", "rabi_hz", [1910, True]),
-    ], ids=["design-wavelength", "synth-seed", "pair-k_sigma", "synth-rabi_hz-list"])
+    ], ids=["design-wavelength", "synth-seed", "pair-window_s", "synth-rabi_hz-list"])
     def test_boolean_for_a_number_exits_2(self, pair_run, tmp_path, capsys, sub, key, value):
         # Python reads JSON true as the number 1; only a flag takes a boolean
         inputs = {

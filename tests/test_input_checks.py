@@ -14,7 +14,7 @@ from ionoptics.rabi_model import (
     BeamProfileParams, SpamModel, crosstalk_rabi_bound, intensity_crosstalk_ratio,
 )
 from ionoptics.scan_fit import BeamFitResult, ScanDataset, fit_beam, pair_analysis
-from ionoptics.synth_scan import SynthConfig, position_jitter
+from ionoptics.synth_scan import SynthConfig, default_scan_grid, position_jitter
 from ionoptics.system_model import (
     BeamArraySpec, compare_measured_pitch, image_array, reference_prescription,
 )
@@ -91,13 +91,19 @@ CASES = {
                           "shots must be an integer >= 1, got 2.0"),
     "position_jitter-resolution": (lambda: position_jitter(_scan(), -0.1),
                                    "resolution_um must be finite and >= 0, got -0.1"),
+    "default_scan_grid-positions": (lambda: default_scan_grid(BEAM, 1, 21),
+                                    "grid positions must be an integer >= 2, got 1"),
+    "default_scan_grid-durations": (lambda: default_scan_grid(BEAM, 61, 2.0),
+                                    "grid durations must be an integer >= 2, got 2.0"),
+    "default_scan_grid-span": (
+        lambda: default_scan_grid((BEAM, BeamProfileParams(1.0, 2e5, 1.0))),
+        "the beams span 200009 um: a default grid at steps of w0/10 = 0.1 um "
+        "would need more than 2^20 positions"),
     # scan_fit
     "fit_beam-max_iterations": (lambda: fit_beam(_scan(), max_iterations=0),
                                 "max_iterations must be an integer >= 1, got 0"),
     "pair_analysis-window": (lambda: pair_analysis(_fit(), _fit(), observation_window_s=0.0),
                              "observation window must be positive, got 0.0"),
-    "pair_analysis-k_sigma": (lambda: pair_analysis(_fit(), _fit(), k_sigma=math.nan),
-                              "k_sigma must be positive, got nan"),
 }
 
 

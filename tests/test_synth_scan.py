@@ -8,7 +8,7 @@ import pytest
 from ionoptics import synth_scan
 from ionoptics.cli import _TRACE_SALT, main
 from ionoptics.rabi_model import BeamProfileParams, SpamModel, apply_spam, p_excited
-from ionoptics.scan_fit import ScanDataset, read_scan_csv
+from ionoptics.scan_fit import ScanDataset, fit_model, read_scan_csv
 from ionoptics.synth_scan import SynthConfig, default_scan_grid, generate, position_jitter
 
 TWO_PI = 2.0 * math.pi
@@ -62,6 +62,16 @@ class TestDeterminism:
                     p1_col.append(p1)
             assert ds == ScanDataset(x_col, t_col, p1_col, [cfg.shots] * len(p1_col),
                                      beam_label="AB"[k])
+
+    def test_analytic_p1_is_the_fit_model_at_the_truth(self, beam_a, beam_b):
+        # synthesis and the fit evaluate one kernel, so on the README grid
+        # every analytic record is the fit's model at the truth, bit for bit
+        positions, durations = default_scan_grid((beam_a, beam_b), 61, 21)
+        spam = SpamModel(eps_prep=0.03, eps_meas=0.05)
+        datasets = generate(SynthConfig(truth=(beam_a, beam_b), positions_um=positions,
+                                        durations_s=durations, spam=spam, analytic=True))
+        for beam, ds in zip((beam_a, beam_b), datasets):
+            assert np.array_equal(ds.p1, fit_model(beam, spam, ds.position_um, ds.duration_s))
 
     def test_readme_run_reconstructable_from_fresh_philox(self, beam_a, beam_b, tmp_path):
         # every record of the README two-beam synth (85 x 21 per scan) and
@@ -286,7 +296,7 @@ class TestDefaultGrid:
 
     @pytest.mark.parametrize("counts", [(1, 21), (61, 2.0), (True, 21)])
     def test_counts_must_be_integers_of_at_least_2(self, beam_a, counts):
-        with pytest.raises(ValueError, match="^need integer counts of at least 2 positions"):
+        with pytest.raises(ValueError, match="^grid (positions|durations) must be an integer >= 2"):
             default_scan_grid(beam_a, *counts)
 
     def test_feeds_generate(self, beam_a):
