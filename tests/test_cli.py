@@ -754,7 +754,7 @@ class TestFailedStep:
     @pytest.mark.parametrize("argv, waist", [
         # the waist squared overflows
         (["--source-diameter", "1e200"], "5e+199"),
-        # the waist squared is a float, but not divided by the wavelength
+        # the waist squared is finite, its quotient by the wavelength is not
         (["--source-diameter", "1e150", "--wavelength", "1e-20"], "5e+149"),
     ], ids=" ".join)
     def test_rayleigh_range_beyond_float_range_exits_2(self, tmp_path, capsys, argv, waist):
