@@ -148,22 +148,32 @@ def propagate(beam: GaussianBeam, m: RayMatrix) -> GaussianBeam:
         Composed ray matrix (first element acts first).
 
     Raises ValueError, naming the waist radius and the wavelength, when
-    the beam's Rayleigh range is past the float range.
+    floats cannot carry the beam: its Rayleigh range overflows or
+    underflows, or the output beam's waist or its radius at the output
+    plane is not finite and positive. A ray matrix has unit determinant,
+    so the exact Im q' = Im q / |c*q + d|^2 is positive; a computed one
+    that is not has underflowed.
     """
     # q(z=0) = (0 - z_waist) + i*z_R
     try:
         z_r = rayleigh_range_mm(beam.wavelength_um, beam.waist_radius_um)
     except OverflowError:  # the waist squared
         z_r = math.inf
-    if not math.isfinite(z_r):
-        raise ValueError(
-            f"Rayleigh range of waist radius {beam.waist_radius_um!r} um at wavelength "
-            f"{beam.wavelength_um!r} um is beyond the float range")
+    if not 0 < z_r < math.inf:
+        raise ValueError(f"Rayleigh range of {_named(beam)} is beyond the float range")
     q = m.transform_q(complex(-beam.waist_position_mm, z_r))
-    if q.imag <= 0:
-        raise SingularityError(f"transformed q has non-positive imaginary part: {q!r}")
-    w0_um = math.sqrt(beam.wavelength_um * q.imag * 1e3 / math.pi)
-    return GaussianBeam(beam.wavelength_um, waist_radius_um=w0_um, waist_position_mm=-q.real)
+    w0_sq = beam.wavelength_um * q.imag * 1e3 / math.pi
+    # the output plane's offset from the waist in Rayleigh ranges; the
+    # radius there, w0*sqrt(1 + u^2) (spot_radius_um), needs u^2 finite
+    u = q.real / q.imag if w0_sq > 0 else math.inf
+    if 0 < w0_sq < math.inf and u * u < math.inf:
+        return GaussianBeam(beam.wavelength_um, waist_radius_um=math.sqrt(w0_sq),
+                            waist_position_mm=-q.real)
+    raise ValueError(f"beam of {_named(beam)} leaves the float range when propagated")
+
+
+def _named(beam: GaussianBeam) -> str:
+    return f"waist radius {beam.waist_radius_um!r} um at wavelength {beam.wavelength_um!r} um"
 
 
 def spot_radius_um(beam: GaussianBeam, z_mm: float = 0.0) -> float:

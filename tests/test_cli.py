@@ -766,6 +766,23 @@ class TestFailedStep:
             "is beyond the float range\n")
         assert files_in(out) == []
 
+    @pytest.mark.parametrize("diameter, message", [
+        # z_R underflows to 0
+        ("1e-200", "Rayleigh range of waist radius 5e-201 um at wavelength 0.355 um "
+                   "is beyond the float range"),
+        # z_R is subnormal and the transformed q's imaginary part underflows
+        ("1e-160", "beam of waist radius 5e-161 um at wavelength 0.355 um "
+                   "leaves the float range when propagated"),
+        # the radial beam's radius at the axial image plane overflows
+        ("1e-120", "beam of waist radius 5e-121 um at wavelength 0.355 um "
+                   "leaves the float range when propagated"),
+    ], ids=["1e-200", "1e-160", "1e-120"])
+    def test_tiny_source_waist_exits_2(self, tmp_path, capsys, diameter, message):
+        out = tmp_path / "out"
+        assert main(["propagate", "--out-dir", str(out), "--source-diameter", diameter]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert files_in(out) == []
+
     def test_beams_too_far_apart_for_the_default_grid_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["synth", "--out-dir", str(out), "--rabi-hz", "1000", "1000",

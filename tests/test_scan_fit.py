@@ -47,6 +47,7 @@ from ionoptics.scan_fit import (
     _median,
     _n_distinct,
     _omega_grid_table,
+    _spam_seed,
 )
 from ionoptics.synth_scan import SynthConfig, default_scan_grid, generate
 
@@ -67,12 +68,14 @@ def synth_dataset(beam, seed=None, shots=200, n_pos=31, n_dur=15, spam=SpamModel
     return generate(cfg)[0]
 
 
-def _fit_single_omega(t, p, shots, spam):
+def _fit_single_omega(t, p, shots, spam, newton=True):
     """Reference for the frequency profile: one trace, scalar dot products.
 
-    The per-position loop the batched fit replaced. Returns (omega,
-    sigma_omega, capped); capped is True when the Gauss-Newton refinement
-    ran all of its 60 steps.
+    The per-position loop the batched fit replaced, taking Newton steps
+    (Gauss-Newton where the curvature is not positive), or with
+    ``newton=False`` the Gauss-Newton steps the fit took before. Returns
+    (omega, sigma_omega, capped); capped is True when the refinement ran
+    all of its ``scan_fit._MAX_STEPS`` steps.
     """
     grid, model = _omega_grid_table(t, spam)
     kappa = 1.0 - spam.eps_prep - spam.eps_meas
@@ -80,9 +83,9 @@ def _fit_single_omega(t, p, shots, spam):
     sse = ((model - p) ** 2 * w).sum(axis=1)
     omega = float(grid[int(np.argmin(sse))])
 
-    # Gauss-Newton refinement with step halving
+    # refinement with step halving
     capped = True
-    for _ in range(60):
+    for _ in range(scan_fit._MAX_STEPS):
         theta = 0.5 * omega * t
         r = spam.eps_prep + kappa * np.sin(theta) ** 2 - p
         jac = kappa * np.sin(2.0 * theta) * 0.5 * t
@@ -90,7 +93,10 @@ def _fit_single_omega(t, p, shots, spam):
         if jtj <= 0:
             capped = False
             break
-        step = -float(w @ (jac * r)) / jtj
+        hess = jtj
+        if newton:
+            hess += float(w @ (r * (kappa * np.cos(2.0 * theta) * 0.5 * t * t)))
+        step = -float(w @ (jac * r)) / (hess if hess > 0 else jtj)
         cost = float(w @ (r * r))
         scale = 1.0
         improved = False
@@ -113,6 +119,32 @@ def _fit_single_omega(t, p, shots, spam):
     jtj = float(w @ (jac * jac))
     sigma = math.inf if jtj <= 0 else 1.0 / math.sqrt(jtj)
     return omega, sigma, capped
+
+
+def _gauss_newton_single_omega(t, p, shots, spam):
+    """The frequency profile's earlier per-row refinement, Gauss-Newton.
+
+    It converges only linearly on noisy traces and can stop short of the
+    minimum, so its cost bounds that of the Newton refinement from above.
+    """
+    return _fit_single_omega(t, p, shots, spam, newton=False)
+
+
+def _per_position_profile(data, spam, fit_one):
+    """The frequency profile as independent fits ``fit_one`` of each
+    position with >= 4 distinct durations, and which of them hit the step
+    cap."""
+    x, t, p, n = data.arrays()
+    n = n.astype(float)
+    points, capped = [], []
+    for pos in np.unique(x):
+        at = x == pos
+        if np.unique(t[at]).size < 4:
+            continue
+        omega, sigma, hit_cap = fit_one(t[at], p[at], n[at], spam)
+        points.append(FreqProfilePoint(float(pos), omega, sigma, sigma >= omega))
+        capped.append(hit_cap)
+    return tuple(points), capped
 
 
 def _reference_levenberg_marquardt(fun_jac, p0, is_valid, max_iterations):
@@ -1042,7 +1074,7 @@ class TestFreqProfile:
 
     @pytest.mark.parametrize(
         "layout", ["regular", "ragged", "shuffled", "spam_mismatch", "dark", "capped"])
-    def test_matches_per_position_loop(self, beam_a, layout):
+    def test_matches_per_position_loop(self, beam_a, layout, monkeypatch):
         # positions that share a duration sequence are refined together in
         # one batch; the profile must equal independent per-position fits
         # exactly
@@ -1072,21 +1104,11 @@ class TestFreqProfile:
         elif layout == "dark":
             p = np.zeros_like(p)
         elif layout == "capped":
-            # a trace on which the refinement runs all of its 60 steps
-            trace = np.random.default_rng(0).uniform(0.0, 1.0, (33, n_dur))[32]
-            p = np.concatenate([trace, p[n_dur:]])
+            # Newton steps bring every trace tried (80,000 random ones) to
+            # a stop rule within 10 steps, so a lower cap stands in for 60
+            monkeypatch.setattr(scan_fit, "_MAX_STEPS", 3)
         data = ScanDataset(x, t, p, n)
-
-        n = n.astype(float)
-        expected = []
-        capped = []
-        for pos in np.unique(x):
-            at = x == pos
-            if np.unique(t[at]).size < 4:
-                continue
-            omega, sigma, hit_cap = _fit_single_omega(t[at], p[at], n[at], spam)
-            expected.append(FreqProfilePoint(float(pos), omega, sigma, sigma >= omega))
-            capped.append(hit_cap)
+        expected, capped = _per_position_profile(data, spam, _fit_single_omega)
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -1100,10 +1122,109 @@ class TestFreqProfile:
         else:
             assert len(expected) == n_pos
             assert skipped == []
-        assert capped == [layout == "capped" and i == 0 for i in range(len(expected))]
+        # the capped layout holds rows stopped by the cap and by a stop rule
+        assert (0 < sum(capped) < len(capped)) if layout == "capped" else not any(capped)
         if layout == "dark":
             assert all(pt.omega == 0.0 and pt.omega_err == math.inf for pt in expected)
         assert profile == tuple(expected)
+
+
+def _random_scan(rng, trial):
+    """One scan of ROADMAP's random-scan recipe, synthesis seed ``trial``:
+    Omega0 500-5000 Hz, w0 0.8-4 um, x_c within +-1 um, 9-61 positions over
+    +-3 w0, 6-21 durations from 0 to 1.5-6 periods, 20-200 shots, and each
+    SPAM error 0-0.3."""
+    beam = BeamProfileParams(omega0=TWO_PI * float(rng.uniform(500.0, 5000.0)),
+                             center_um=float(rng.uniform(-1.0, 1.0)),
+                             width_um=float(rng.uniform(0.8, 4.0)))
+    n_pos, n_dur, shots = (int(rng.integers(lo, hi + 1)) for lo, hi in ((9, 61), (6, 21), (20, 200)))
+    periods = float(rng.uniform(1.5, 6.0))
+    eps_prep, eps_meas = (float(v) for v in rng.uniform(0.0, 0.3, 2))
+    cfg = SynthConfig(
+        truth=beam,
+        positions_um=np.linspace(-3.0, 3.0, n_pos) * beam.width_um,
+        durations_s=np.linspace(0.0, periods * TWO_PI / beam.omega0, n_dur),
+        shots=shots, spam=SpamModel(eps_prep=eps_prep, eps_meas=eps_meas), rng_seed=trial,
+    )
+    return generate(cfg)[0]
+
+
+@pytest.fixture(scope="module")
+def cost_gate_scans(beam_a, beam_b):
+    """Fixed scans for the profile cost gate, by set: recovery seeds 0-19
+    on the README grid, the four spam_mismatch beams (121 x 41, SPAM 0.08)
+    and the first 60 scans of the random-scan recipe under default_rng(1)."""
+    positions, durations = default_scan_grid((beam_a, beam_b), 61, 21)
+    recovery = [ds for seed in range(20) for ds in generate(SynthConfig(
+        truth=(beam_a, beam_b), positions_um=positions, durations_s=durations,
+        shots=200, rng_seed=seed))]
+    mismatch_beams = (beam_a, beam_b,
+                      BeamProfileParams(omega0=TWO_PI * 1500.0, center_um=-0.5, width_um=2.2),
+                      BeamProfileParams(omega0=TWO_PI * 2400.0, center_um=0.7, width_um=1.6))
+    mismatch = [synth_dataset(beam, seed=k, n_pos=121, n_dur=41,
+                              spam=SpamModel(eps_prep=0.08, eps_meas=0.08))
+                for k, beam in enumerate(mismatch_beams)]
+    rng = np.random.default_rng(1)
+    random_scans = [_random_scan(rng, trial) for trial in range(60)]
+    return {"recovery": recovery, "spam_mismatch": mismatch, "random": random_scans}
+
+
+def _row_costs(data, spam, profile):
+    """Weighted SSE of each profile point's trace at its fitted omega."""
+    x, t, p, n = data.arrays()
+    costs = []
+    for pt in profile:
+        at = x == pt.position_um
+        w = _binomial_weights(p[at], n[at].astype(float))
+        r = apply_spam(np.sin(0.5 * pt.omega * t[at]) ** 2, spam) - p[at]
+        costs.append(float(w @ (r * r)))
+    return costs
+
+
+@pytest.fixture(scope="module")
+def profile_costs(cost_gate_scans):
+    """(fit, Gauss-Newton) weighted SSE of every profile row, by set; each
+    scan is profiled with the SPAM that ``fit_beam`` profiles it with."""
+    costs = {}
+    for name, scans in cost_gate_scans.items():
+        fitted, reference = [], []
+        for data in scans:
+            spam = _spam_seed(data)
+            fitted += _row_costs(data, spam, fit_freq_profile(data, spam))
+            gauss_newton, _ = _per_position_profile(data, spam, _gauss_newton_single_omega)
+            reference += _row_costs(data, spam, gauss_newton)
+        costs[name] = np.array(fitted), np.array(reference)
+    return costs
+
+
+def _beam_vector(fit):
+    return np.array([fit.params.omega0, fit.params.center_um, fit.params.width_um])
+
+
+class TestProfileCostGate:
+    # Newton steps may only move a profile row to a lower cost than the
+    # Gauss-Newton refinement reached, never to a higher one.
+    @pytest.mark.parametrize("scans", ["recovery", "spam_mismatch", "random"])
+    def test_no_row_ends_higher(self, profile_costs, scans):
+        fitted, gauss_newton = profile_costs[scans]
+        assert fitted.size == gauss_newton.size > 0
+        higher = np.flatnonzero(fitted > gauss_newton * (1.0 + 1e-12))
+        assert higher.size == 0, (higher, fitted[higher], gauss_newton[higher])
+
+    def test_some_row_ends_lower(self, profile_costs):
+        # lower by more than rounding: rows where Gauss-Newton stopped short
+        assert any((fitted < gauss_newton * (1.0 - 1e-12)).any()
+                   for fitted, gauss_newton in profile_costs.values())
+
+    def test_fit_beam_unmoved(self, cost_gate_scans, monkeypatch):
+        # the beam fitted from the Gauss-Newton profile agrees to 0.01 sigma
+        fits = [fit_beam(data) for data in cost_gate_scans["recovery"]]
+        monkeypatch.setattr(scan_fit, "fit_freq_profile", lambda data, spam: _per_position_profile(
+            data, spam, _gauss_newton_single_omega)[0])
+        for data, fit in zip(cost_gate_scans["recovery"], fits):
+            reference = fit_beam(data)
+            moved = np.abs(_beam_vector(fit) - _beam_vector(reference))
+            assert (moved <= 0.01 * reference.param_errors()).all(), (data.beam_label, moved)
 
 
 #: Odd and even counts, duplicates, and -0.0 next to 0.0.
