@@ -163,8 +163,8 @@ def propagate(beam: GaussianBeam, m: RayMatrix) -> GaussianBeam:
         raise ValueError(f"Rayleigh range of {_named(beam)} is beyond the float range")
     q = m.transform_q(complex(-beam.waist_position_mm, z_r))
     w0_sq = beam.wavelength_um * q.imag * 1e3 / math.pi
-    # the output plane's offset from the waist in Rayleigh ranges; the
-    # radius there, w0*sqrt(1 + u^2) (spot_radius_um), needs u^2 finite
+    # the output plane's offset from the waist in Rayleigh ranges; a beam
+    # whose u^2 there overflows is refused
     u = q.real / q.imag if w0_sq > 0 else math.inf
     if 0 < w0_sq < math.inf and u * u < math.inf:
         return GaussianBeam(beam.wavelength_um, waist_radius_um=math.sqrt(w0_sq),
@@ -179,8 +179,11 @@ def _named(beam: GaussianBeam) -> str:
 def spot_radius_um(beam: GaussianBeam, z_mm: float = 0.0) -> float:
     """1/e^2 intensity radius w(z) at distance z from the reference plane.
 
-    w(z) = w0*sqrt(1 + ((z - z_waist)/z_R)^2)
+    w(z) = w0*sqrt(1 + u^2) with u = (z - z_waist)/z_R
     """
     z_r = rayleigh_range_mm(beam.wavelength_um, beam.waist_radius_um)
     u = (z_mm - beam.waist_position_mm) / z_r
-    return beam.waist_radius_um * math.sqrt(1.0 + u * u)
+    u_sq = u * u
+    if u_sq == math.inf:  # |u| > ~1.3e154, where sqrt(1 + u^2) is |u| to the last bit
+        return beam.waist_radius_um * abs(u)
+    return beam.waist_radius_um * math.sqrt(1.0 + u_sq)

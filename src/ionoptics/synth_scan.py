@@ -1,27 +1,22 @@
-"""Synthetic scan datasets with binomial shot noise.
+"""Synthetic scans with binomial shot noise.
 
 Ground-truth beam parameters plus a position/duration grid produce the
 same CSV-shaped datasets the fitter consumes, so the full analysis chain
 can be exercised end to end with known answers.
 
-Randomness is counter-based (Philox keyed per record), not sequential:
-the draw for record (beam k, position i, duration j) depends only on the
-seed and those indices, so datasets are reproducible regardless of
-generation order and beams never share draws. Every record gets exactly
-the stream of a fresh ``Philox(key=[seed, tag])`` without the cost of
-building one: one Philox bit generator is re-keyed before each record by
-assigning it a state dict, built once, that holds only plain ints (counter
-and output buffer zeroed, the tag written into its key list in place).
-The state setter reads every element it is given, and a plain int is far
-cheaper for it to read than an element of a numpy array. A grid's tags are
-range-checked and built once, as one list, before any draw.
+Randomness is counter-based and keyed per stream: beam k's counts are one
+vector ``binomial`` draw, in position-major record order, from a fresh
+``Philox(key=[seed, k << 60])``, and ``position_jitter``'s offsets are one
+vector ``uniform`` draw from ``Philox(key=[seed, 2^63])``. So a record's
+draw depends on the seed, its beam and that beam's whole grid; a rerun of
+one config is identical, and the two beams never share a stream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,43 +27,20 @@ from .scan_fit import ScanDataset
 
 __all__ = list(_EXPORTS["synth_scan"])
 
-#: High bit tags the jitter stream so it never collides with record draws.
+#: Key of the jitter stream: its high bit sets it apart from every beam's
+#: key ``k << 60``.
 _JITTER_TAG = 1 << 63
 
 _BEAM_LABELS = ("A", "B")
 
-#: Most positions, and most durations, a grid may hold: the record tags
-#: give each index 20 bits.
+#: Most positions, and most durations, a grid may hold. It bounds the
+#: records one draw makes and the grid ``default_scan_grid`` will build.
 _GRID_LIMIT = 1 << 20
 
 
 def _point_rng(seed: int, tag: int) -> np.random.Generator:
     key = np.array([seed, tag], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _keyed_rngs(seed: int, tags: Iterable[int]) -> Iterator[np.random.Generator]:
-    """For each tag, one generator in exactly the state of ``_point_rng(seed, tag)``.
-
-    The same generator is re-keyed and yielded every time: draw from it
-    before advancing the iterator.
-    """
-    rng = _point_rng(seed, 0)
-    bit_generator = rng.bit_generator
-    key = [seed, 0]
-    # The state of a fresh Philox: counter 0, empty output buffer.
-    fresh = {"bit_generator": "Philox",
-             "state": {"counter": [0, 0, 0, 0], "key": key},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for tag in tags:
-        key[1] = tag
-        bit_generator.state = fresh
-        yield rng
-
-
-def _record_tags(beam: int, n_pos: int, n_dur: int) -> list[int]:
-    """Tags of one beam's records in position-major order: ``beam << 40 | i << 20 | j``."""
-    return [(beam << 40) | (i << 20) | j for i in range(n_pos) for j in range(n_dur)]
 
 
 def _check_seed(rng_seed) -> None:
@@ -114,7 +86,7 @@ class SynthConfig:
         _strictly_increasing(self.durations_s, "durations_s")
         if self.durations_s[0] < 0:
             raise ValueError("durations_s must be >= 0")
-        # before generate runs the model on a grid it cannot key
+        # before generate runs the model on a grid past the limit
         longest = max(len(self.positions_um), len(self.durations_s))
         if not self.analytic and longest > _GRID_LIMIT:
             raise ValueError("grid too large for the record keying scheme "
@@ -139,10 +111,7 @@ def generate(config: SynthConfig) -> list[ScanDataset]:
         if config.analytic:
             p1 = np.clip(p, 0.0, 1.0)
         else:
-            tags = _record_tags(k, n_pos, n_dur)
-            counts = [rng.binomial(shots, pk)
-                      for rng, pk in zip(_keyed_rngs(config.rng_seed, tags), p.tolist())]
-            p1 = np.array(counts, dtype=np.int64) / shots
+            p1 = _point_rng(config.rng_seed, k << 60).binomial(shots, p) / shots
         datasets.append(ScanDataset(
             np.repeat(positions, n_dur), np.tile(durations, n_pos), p1,
             np.full(p.size, shots), beam_label=_BEAM_LABELS[k],
@@ -155,18 +124,17 @@ def position_jitter(data: ScanDataset, resolution_um: float, rng_seed: int = 0) 
 
     Models a stage readout of finite resolution: each record's position is
     shifted by an independent uniform draw in [-resolution/2, +resolution/2]
-    while the measured p1 stays tied to the true position. Draws are keyed
-    by record index, so a given (seed, dataset shape) always jitters the
-    same way. A resolution of 0 returns ``data`` itself.
+    while the measured p1 stays tied to the true position. The offsets are
+    one draw, in record order, from the stream keyed ``[seed, 2^63]``, so a
+    given (seed, dataset length) always jitters the same way. A resolution
+    of 0 returns ``data`` itself.
     """
     _nonnegative("resolution_um", resolution_um)
     _check_seed(rng_seed)
     if resolution_um == 0:
         return data
     half = 0.5 * resolution_um
-    tags = (_JITTER_TAG | idx for idx in range(len(data)))
-    offsets = np.fromiter((rng.uniform(-half, half) for rng in _keyed_rngs(rng_seed, tags)),
-                          dtype=float, count=len(data))
+    offsets = _point_rng(rng_seed, _JITTER_TAG).uniform(-half, half, len(data))
     x, t, p, shots = data.arrays()
     return ScanDataset(x + offsets, t, p, shots, beam_label=data.beam_label)
 
@@ -183,7 +151,7 @@ def default_scan_grid(
     beam. For two beams the position span widens to cover both envelopes
     (the count grows to keep the step at the narrowest w0/10 if needed).
     Raises ValueError when that count would pass 2^20, the most positions
-    a keyed grid holds, before any grid is built.
+    a grid may hold, before any grid is built.
     """
     beams = (truth,) if isinstance(truth, BeamProfileParams) else tuple(truth)
     if not beams:

@@ -128,6 +128,17 @@ class TestGaussianPropagation:
         )
         assert spot_radius_um(beam, 0.0) == pytest.approx(50.0, rel=1e-12)
 
+    def test_spot_radius_finite_where_u_squared_overflows(self):
+        # u = 1e200 Rayleigh ranges: u*u is inf, but w0*sqrt(1 + u^2) = w0*|u|
+        beam = GaussianBeam(0.355, 2.0)
+        zr = rayleigh_range_mm(0.355, 2.0)
+        for z in (1e200 * zr, -1e200 * zr):
+            assert spot_radius_um(beam, z) == pytest.approx(2e200, rel=1e-12)
+        # just below the overflow the usual expression still runs
+        z = 1e154 * zr
+        u = z / zr
+        assert spot_radius_um(beam, z) == 2.0 * math.sqrt(1.0 + u * u)
+
     @given(w0=st.floats(min_value=5.0, max_value=500.0),
            d=st.floats(min_value=0.0, max_value=500.0))
     @settings(max_examples=100, deadline=None)

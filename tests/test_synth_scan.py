@@ -1,5 +1,6 @@
 """Synthetic dataset generation: determinism, noise statistics, jitter."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -39,28 +40,26 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("analytic", [False, True])
     def test_record_draw_reconstructable_from_indices(self, beam_a, beam_b, analytic):
-        # counter-based keying: record (beam k, position i, duration j)
-        # depends only on (seed, k, i, j); every record of both beams
-        # equals a fresh per-record Philox draw (or, analytic, the model)
+        # counter-based keying: beam k's records, in position-major order,
+        # are one vector draw from a fresh Philox keyed [seed, k << 60]
+        # (or, analytic, the model)
         cfg = small_config(beam_a, beam_b, analytic=analytic,
                            spam=SpamModel(eps_prep=0.03, eps_meas=0.05))
         datasets = generate(cfg)
         for k, (beam, ds) in enumerate(zip((beam_a, beam_b), datasets)):
-            x_col, t_col, p1_col = [], [], []
-            for i, x in enumerate(cfg.positions_um):
-                for j, t in enumerate(cfg.durations_s):
-                    p = float(apply_spam(p_excited(beam, x, t), cfg.spam))
-                    if analytic:
-                        p1 = min(max(p, 0.0), 1.0)
-                    else:
-                        key = np.array([cfg.rng_seed, (k << 40) | (i << 20) | j],
-                                       dtype=np.uint64)
-                        rng = np.random.Generator(np.random.Philox(key=key))
-                        p1 = rng.binomial(cfg.shots, p) / cfg.shots
+            x_col, t_col, p_col = [], [], []
+            for x in cfg.positions_um:
+                for t in cfg.durations_s:
                     x_col.append(x)
                     t_col.append(t)
-                    p1_col.append(p1)
-            assert ds == ScanDataset(x_col, t_col, p1_col, [cfg.shots] * len(p1_col),
+                    p_col.append(float(apply_spam(p_excited(beam, x, t), cfg.spam)))
+            if analytic:
+                p1_col = [min(max(p, 0.0), 1.0) for p in p_col]
+            else:
+                key = np.array([cfg.rng_seed, k << 60], dtype=np.uint64)
+                rng = np.random.Generator(np.random.Philox(key=key))
+                p1_col = rng.binomial(cfg.shots, p_col) / cfg.shots
+            assert ds == ScanDataset(x_col, t_col, p1_col, [cfg.shots] * len(p_col),
                                      beam_label="AB"[k])
 
     def test_analytic_p1_is_the_fit_model_at_the_truth(self, beam_a, beam_b):
@@ -74,9 +73,9 @@ class TestDeterminism:
             assert np.array_equal(ds.p1, fit_model(beam, spam, ds.position_um, ds.duration_s))
 
     def test_readme_run_reconstructable_from_fresh_philox(self, beam_a, beam_b, tmp_path):
-        # every record of the README two-beam synth (85 x 21 per scan) and
-        # of both off-beam traces is the draw of a fresh Philox keyed
-        # [seed, beam << 40 | i << 20 | j]; traces use seed ^ _TRACE_SALT
+        # the README two-beam synth (85 x 21 per scan) is one vector draw
+        # per beam from a fresh Philox keyed [seed, beam << 60], and each
+        # off-beam trace one draw keyed [seed ^ _TRACE_SALT, 0]
         assert main(["synth", "--out-dir", str(tmp_path), "--seed", "0",
                      "--rabi-hz", "1910", "2790", "--center-um", "0", "4.31",
                      "--width-um", "1.86", "1.88", "--emit-traces"]) == 0
@@ -90,14 +89,10 @@ class TestDeterminism:
         for name, beam, xs, seed, k in files:
             ds = read_scan_csv(tmp_path / name)
             p = apply_spam(p_excited(beam, np.array(xs)[:, None], np.array(durations)),
-                           spam).ravel().tolist()
-            expected = []
-            for i in range(len(xs)):
-                for j in range(len(durations)):
-                    key = np.array([seed, (k << 40) | (i << 20) | j], dtype=np.uint64)
-                    rng = np.random.Generator(np.random.Philox(key=key))
-                    expected.append(rng.binomial(200, p[i * len(durations) + j]))
-            assert np.rint(ds.p1 * 200).astype(int).tolist() == expected, name
+                           spam).ravel()
+            key = np.array([seed, k << 60], dtype=np.uint64)
+            expected = np.random.Generator(np.random.Philox(key=key)).binomial(200, p)
+            assert np.rint(ds.p1 * 200).astype(int).tolist() == expected.tolist(), name
 
     def test_one_generator_built_per_beam(self, beam_a, beam_b, monkeypatch):
         built = []
@@ -120,7 +115,6 @@ class TestDeterminism:
             small_config(beam_a, **grid)
         assert called == []
         small_config(beam_a, analytic=True, **grid)  # draws nothing, keys nothing
-        assert synth_scan._record_tags(1, 1, 1 << 20)[-1] == (1 << 40) | ((1 << 20) - 1)
 
     def test_beams_use_disjoint_streams(self, beam_a, beam_b):
         # same truth for both beams: identical probabilities must still get
@@ -129,6 +123,77 @@ class TestDeterminism:
         ds_a, ds_b = generate(cfg)
         assert ds_a.p1.tolist() != ds_b.p1.tolist()
 
+
+
+class TestVectorDraws:
+    """Statistics of the one-call-per-stream draws, over many records.
+
+    Every bound is five standard errors of the statistic it checks.
+    """
+
+    # 200 x 100 records per beam, all 1000 um off both beams: Omega is 0
+    # there, so every record's probability is the SPAM floor eps_prep
+    POSITIONS = tuple(1000.0 + 0.01 * i for i in range(200))
+    DURATIONS = tuple(1e-5 * j for j in range(100))
+
+    def dark_scans(self, beam_a, p, shots=200, seed=3):
+        cfg = SynthConfig(truth=(beam_a, beam_a), positions_um=self.POSITIONS,
+                          durations_s=self.DURATIONS, shots=shots,
+                          spam=SpamModel(eps_prep=p, eps_meas=0.01), rng_seed=seed)
+        exact = generate(dataclasses.replace(cfg, analytic=True))[0]
+        assert (exact.p1 == p).all()
+        return [np.rint(ds.p1 * shots).astype(np.int64) for ds in generate(cfg)]
+
+    @pytest.mark.parametrize("p", [0.01, 0.2, 0.45])
+    def test_counts_have_binomial_mean_and_variance(self, beam_a, p):
+        n = 200
+        mean, var = n * p, n * p * (1 - p)
+        excess_kurtosis = (1 - 6 * p * (1 - p)) / var
+        for counts in self.dark_scans(beam_a, p, shots=n):
+            m = counts.size
+            assert abs(counts.mean() - mean) < 5 * math.sqrt(var / m)
+            assert abs(counts.var(ddof=1) - var) < 5 * var * math.sqrt((2 + excess_kurtosis) / m)
+
+    def test_beams_streams_are_disjoint(self, beam_a):
+        # the same probability on both beams: the counts are uncorrelated,
+        # and neither stream is the other shifted by a few records
+        a, b = self.dark_scans(beam_a, 0.2)
+        assert abs(np.corrcoef(a, b)[0, 1]) < 5 / math.sqrt(a.size)
+        for lag in range(50):
+            assert not np.array_equal(a[lag:], b[:b.size - lag])
+            assert not np.array_equal(b[lag:], a[:a.size - lag])
+
+    def test_each_stream_has_its_own_key(self, beam_a, beam_b, monkeypatch):
+        keys = []
+        point_rng = synth_scan._point_rng
+        monkeypatch.setattr(synth_scan, "_point_rng",
+                            lambda seed, tag: keys.append((seed, tag)) or point_rng(seed, tag))
+        ds = generate(small_config(beam_a, beam_b, rng_seed=7))[0]
+        position_jitter(ds, 0.5, rng_seed=7)
+        assert keys == [(7, 0), (7, 1 << 60), (7, 1 << 63)]
+
+    def test_jitter_builds_one_generator(self, beam_a, monkeypatch):
+        ds = generate(small_config(beam_a))[0]
+        built = []
+        point_rng = synth_scan._point_rng
+        monkeypatch.setattr(synth_scan, "_point_rng",
+                            lambda seed, tag: built.append(tag) or point_rng(seed, tag))
+        position_jitter(ds, 0.5, rng_seed=4)
+        assert len(built) == 1
+
+    def test_jitter_offsets_uniform_within_half_a_step(self, beam_a):
+        # 20000 records at position 0, so each recorded position is its offset
+        m = 20000
+        ds = ScanDataset(np.zeros(m), np.zeros(m), np.full(m, 0.5), np.full(m, 200))
+        half = 0.05
+        offsets = position_jitter(ds, 2 * half, rng_seed=9).position_um
+        assert (np.abs(offsets) <= half).all()
+        # uniform on [-h, h]: mean 0, variance h^2/3, fourth central moment h^4/5
+        assert abs(offsets.mean()) < 5 * half / math.sqrt(3 * m)
+        assert abs(offsets.var(ddof=1) - half**2 / 3) < 5 * math.sqrt(4 * half**4 / (45 * m))
+        # and flat: each of ten equal bins holds a tenth of the offsets
+        counts, _ = np.histogram(offsets, bins=10, range=(-half, half))
+        assert (np.abs(counts - m / 10) < 5 * math.sqrt(m * 0.1 * 0.9)).all()
 
 class TestContent:
     def test_analytic_mode_is_exact_model(self, beam_a):
@@ -243,15 +308,13 @@ class TestJitter:
         assert blurred.duration_s.tolist() == ds.duration_s.tolist()
 
     def test_offsets_reconstructable_from_record_index(self, beam_a):
-        # record idx of the dataset is shifted by the first uniform draw of
-        # a fresh Philox keyed [seed, 2^63 | idx]
+        # record idx of the dataset is shifted by element idx of one vector
+        # uniform draw from a fresh Philox keyed [seed, 2^63]
         ds = generate(small_config(beam_a))[0]
         blurred = position_jitter(ds, 0.5, rng_seed=4)
-        for idx, (before, after) in enumerate(zip(ds.position_um.tolist(),
-                                                  blurred.position_um.tolist())):
-            key = np.array([4, (1 << 63) | idx], dtype=np.uint64)
-            rng = np.random.Generator(np.random.Philox(key=key))
-            assert after == before + rng.uniform(-0.25, 0.25)
+        key = np.array([4, 1 << 63], dtype=np.uint64)
+        offsets = np.random.Generator(np.random.Philox(key=key)).uniform(-0.25, 0.25, len(ds))
+        assert blurred.position_um.tolist() == (ds.position_um + offsets).tolist()
 
     def test_deterministic(self, beam_a):
         ds = generate(small_config(beam_a))[0]
