@@ -33,8 +33,9 @@ _JITTER_TAG = 1 << 63
 
 _BEAM_LABELS = ("A", "B")
 
-#: Most positions, and most durations, a grid may hold. It bounds the
-#: records one draw makes and the grid ``default_scan_grid`` will build.
+#: Most positions, and most durations, a grid may hold: ``SynthConfig``
+#: refuses a larger grid before any draw, ``default_scan_grid`` before it
+#: builds one.
 _GRID_LIMIT = 1 << 20
 
 

@@ -124,7 +124,6 @@ class TestDeterminism:
         assert ds_a.p1.tolist() != ds_b.p1.tolist()
 
 
-
 class TestVectorDraws:
     """Statistics of the one-call-per-stream draws, over many records.
 
@@ -136,52 +135,46 @@ class TestVectorDraws:
     POSITIONS = tuple(1000.0 + 0.01 * i for i in range(200))
     DURATIONS = tuple(1e-5 * j for j in range(100))
 
-    def dark_scans(self, beam_a, p, shots=200, seed=3):
+    def dark_counts(self, beam_a, p):
+        """Both beams' counts of 200 shots, every record at probability p."""
         cfg = SynthConfig(truth=(beam_a, beam_a), positions_um=self.POSITIONS,
-                          durations_s=self.DURATIONS, shots=shots,
-                          spam=SpamModel(eps_prep=p, eps_meas=0.01), rng_seed=seed)
+                          durations_s=self.DURATIONS, shots=200,
+                          spam=SpamModel(eps_prep=p, eps_meas=0.01), rng_seed=3)
         exact = generate(dataclasses.replace(cfg, analytic=True))[0]
         assert (exact.p1 == p).all()
-        return [np.rint(ds.p1 * shots).astype(np.int64) for ds in generate(cfg)]
+        return [np.rint(ds.p1 * 200).astype(np.int64) for ds in generate(cfg)]
 
     @pytest.mark.parametrize("p", [0.01, 0.2, 0.45])
     def test_counts_have_binomial_mean_and_variance(self, beam_a, p):
-        n = 200
-        mean, var = n * p, n * p * (1 - p)
+        mean, var = 200 * p, 200 * p * (1 - p)
         excess_kurtosis = (1 - 6 * p * (1 - p)) / var
-        for counts in self.dark_scans(beam_a, p, shots=n):
+        for counts in self.dark_counts(beam_a, p):
             m = counts.size
             assert abs(counts.mean() - mean) < 5 * math.sqrt(var / m)
             assert abs(counts.var(ddof=1) - var) < 5 * var * math.sqrt((2 + excess_kurtosis) / m)
 
-    def test_beams_streams_are_disjoint(self, beam_a):
+    def test_beam_streams_are_disjoint(self, beam_a):
         # the same probability on both beams: the counts are uncorrelated,
         # and neither stream is the other shifted by a few records
-        a, b = self.dark_scans(beam_a, 0.2)
+        a, b = self.dark_counts(beam_a, 0.2)
         assert abs(np.corrcoef(a, b)[0, 1]) < 5 / math.sqrt(a.size)
         for lag in range(50):
             assert not np.array_equal(a[lag:], b[:b.size - lag])
             assert not np.array_equal(b[lag:], a[:a.size - lag])
 
-    def test_each_stream_has_its_own_key(self, beam_a, beam_b, monkeypatch):
+    def test_one_generator_per_beam_and_one_for_the_jitter(self, beam_a, beam_b, monkeypatch):
+        # each stream has its own key: [seed, k << 60] per beam, [seed, 2^63]
+        # for all of a dataset's jitter offsets
         keys = []
         point_rng = synth_scan._point_rng
         monkeypatch.setattr(synth_scan, "_point_rng",
                             lambda seed, tag: keys.append((seed, tag)) or point_rng(seed, tag))
         ds = generate(small_config(beam_a, beam_b, rng_seed=7))[0]
+        assert keys == [(7, 0), (7, 1 << 60)]
         position_jitter(ds, 0.5, rng_seed=7)
         assert keys == [(7, 0), (7, 1 << 60), (7, 1 << 63)]
 
-    def test_jitter_builds_one_generator(self, beam_a, monkeypatch):
-        ds = generate(small_config(beam_a))[0]
-        built = []
-        point_rng = synth_scan._point_rng
-        monkeypatch.setattr(synth_scan, "_point_rng",
-                            lambda seed, tag: built.append(tag) or point_rng(seed, tag))
-        position_jitter(ds, 0.5, rng_seed=4)
-        assert len(built) == 1
-
-    def test_jitter_offsets_uniform_within_half_a_step(self, beam_a):
+    def test_jitter_offsets_uniform_within_half_a_step(self):
         # 20000 records at position 0, so each recorded position is its offset
         m = 20000
         ds = ScanDataset(np.zeros(m), np.zeros(m), np.full(m, 0.5), np.full(m, 200))
@@ -194,6 +187,7 @@ class TestVectorDraws:
         # and flat: each of ten equal bins holds a tenth of the offsets
         counts, _ = np.histogram(offsets, bins=10, range=(-half, half))
         assert (np.abs(counts - m / 10) < 5 * math.sqrt(m * 0.1 * 0.9)).all()
+
 
 class TestContent:
     def test_analytic_mode_is_exact_model(self, beam_a):
