@@ -196,7 +196,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     )
     datasets = generate(synth)
     if args.jitter_resolution is not None:
-        datasets = [position_jitter(ds, args.jitter_resolution, args.seed) for ds in datasets]
+        datasets = [position_jitter(ds, args.jitter_resolution, args.seed, k)
+                    for k, ds in enumerate(datasets)]
     files = {f"scan_{ds.beam_label}.csv": ds for ds in datasets}
 
     if args.emit_traces:

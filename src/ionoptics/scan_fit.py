@@ -14,8 +14,9 @@ construct as ``BeamProfileParams`` and ``SpamModel``. Per-position 1D fits
 give the Rabi-frequency profile Omega(x), from which a D4sigma width is
 computed; positions that share a duration sequence start from one grid
 search done as two matrix products and are refined together in one batch
-by Newton steps on the exact 1-D curvature, with results identical to
-refining them one at a time. Pairs of fits yield beam separations and
+by Newton steps on the exact 1-D curvature, each row stopping once its
+step is under 1e-6 of its own sigma, with results identical to refining
+them one at a time. Pairs of fits yield beam separations and
 crosstalk bounds.
 
 Record weighting is binomial: weight = shots/(m(1-m) + q) with a variance
@@ -727,6 +728,11 @@ _HALVINGS = np.ldexp(1.0, -np.arange(1, 20))
 #: Most refinement steps a row takes.
 _MAX_STEPS = 60
 
+#: A row stops once grad^2 < _DECREMENT_TOL * jtj: its Gauss-Newton step
+#: grad/jtj is then under 1e-6 of its own sigma = 1/sqrt(jtj), a
+#: scale-free test (the Newton decrement in sigma units).
+_DECREMENT_TOL = 1e-12
+
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[i] @ b[i] for every row i of two (n, D) arrays.
@@ -759,11 +765,15 @@ def _fit_omegas(
     converges only linearly where the residuals are not small (Nocedal &
     Wright, Numerical Optimization, section 10.3), which took tens of steps
     on noisy traces; Newton converges quadratically and stops within a few.
-    A step is tried at full length, then halved up to 19 times until it
-    lowers the cost; the row stops when its jtj is <= 0, no trial lowers
-    the cost, or the accepted step is below 1e-12 of max(omega, 1). The
-    rows still iterating are refined together, and every row comes out bit
-    for bit as it would when fitted alone.
+    Before each step a row stops when its Gauss-Newton step grad/jtj, with
+    grad = w @ (jac*r), is under 1e-6 of its own sigma (grad^2 <
+    ``_DECREMENT_TOL`` * jtj: the Newton decrement in sigma units, Nocedal &
+    Wright, section 3.5), or when its jtj is <= 0. Otherwise the step is
+    tried at full length, then halved up to 19 times until it lowers the
+    cost; the row also stops when no trial lowers the cost, or the accepted
+    step is below 1e-12 of max(omega, 1). The rows still iterating are
+    refined together, and every row comes out bit for bit as it would when
+    fitted alone.
 
     Returns (omega, sigma_omega) per row, with sigma = 1/sqrt(jtj) at the
     fitted omega: the inverse root of the Fisher information under the
@@ -788,15 +798,18 @@ def _fit_omegas(
     for _ in range(_MAX_STEPS):
         theta = (0.5 * omega[active])[:, None] * t
         jac = spam.kappa * np.sin(2.0 * theta) * 0.5 * t
-        jtj = _rowdot(w[active], jac * jac)
-        live = ~(jtj <= 0)
-        active, theta, jac, jtj = active[live], theta[live], jac[live], jtj[live]
+        w_a = w[active]
+        jtj = _rowdot(w_a, jac * jac)
+        r = apply_spam(np.sin(theta) ** 2, spam) - p[active]
+        grad = _rowdot(w_a, jac * r)
+        live = ~(jtj <= 0) & ~(grad * grad < _DECREMENT_TOL * jtj)
+        active, theta, jac, jtj, w_a, r, grad = (
+            a[live] for a in (active, theta, jac, jtj, w_a, r, grad))
         if active.size == 0:
             break
-        om, w_a = omega[active], w[active]
-        r = apply_spam(np.sin(theta) ** 2, spam) - p[active]
+        om = omega[active]
         hess = jtj + _rowdot(w_a, r * (spam.kappa * np.cos(2.0 * theta) * 0.5 * t * t))
-        step = -_rowdot(w_a, jac * r) / np.where(hess > 0, hess, jtj)
+        step = -grad / np.where(hess > 0, hess, jtj)
         cost = _rowdot(w_a, r * r)
         trial = om + step
         scale = np.ones(active.size)

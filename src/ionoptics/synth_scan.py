@@ -6,10 +6,11 @@ can be exercised end to end with known answers.
 
 Randomness is counter-based and keyed per stream: beam k's counts are one
 vector ``binomial`` draw, in position-major record order, from a fresh
-``Philox(key=[seed, k << 60])``, and ``position_jitter``'s offsets are one
-vector ``uniform`` draw from ``Philox(key=[seed, 2^63])``. So a record's
-draw depends on the seed, its beam and that beam's whole grid; a rerun of
-one config is identical, and the two beams never share a stream.
+``Philox(key=[seed, k << 60])``, and ``position_jitter``'s offsets for
+beam k are one vector ``uniform`` draw from ``Philox(key=[seed, 2^63 |
+k])``. So a record's draw depends on the seed, its beam and that beam's
+whole grid; a rerun of one config is identical, and the two beams never
+share a stream.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .scan_fit import ScanDataset
 
 __all__ = list(_EXPORTS["synth_scan"])
 
-#: Key of the jitter stream: its high bit sets it apart from every beam's
-#: key ``k << 60``.
+#: High bit of a jitter stream's key ``_JITTER_TAG | stream``: it sets the
+#: jitter apart from every beam's key ``k << 60``.
 _JITTER_TAG = 1 << 63
 
 _BEAM_LABELS = ("A", "B")
@@ -44,9 +45,13 @@ def _point_rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _check_word(name: str, value, bits: int) -> None:
+    if isinstance(value, bool) or not (isinstance(value, int) and 0 <= value < 1 << bits):
+        raise ValueError(f"{name} must be an integer in [0, 2^{bits})")
+
+
 def _check_seed(rng_seed) -> None:
-    if isinstance(rng_seed, bool) or not (isinstance(rng_seed, int) and 0 <= rng_seed < 1 << 64):
-        raise ValueError("rng_seed must be an integer in [0, 2^64)")
+    _check_word("rng_seed", rng_seed, 64)
 
 
 def _strictly_increasing(values: tuple[float, ...], name: str) -> None:
@@ -90,8 +95,7 @@ class SynthConfig:
         # before generate runs the model on a grid past the limit
         longest = max(len(self.positions_um), len(self.durations_s))
         if not self.analytic and longest > _GRID_LIMIT:
-            raise ValueError("grid too large for the record keying scheme "
-                             "(more than 2^20 positions or durations)")
+            raise ValueError("a grid may hold at most 2^20 positions and 2^20 durations")
         _count("shots", self.shots)
         _check_seed(self.rng_seed)
 
@@ -120,22 +124,27 @@ def generate(config: SynthConfig) -> list[ScanDataset]:
     return datasets
 
 
-def position_jitter(data: ScanDataset, resolution_um: float, rng_seed: int = 0) -> ScanDataset:
+def position_jitter(
+    data: ScanDataset, resolution_um: float, rng_seed: int = 0, stream: int = 0,
+) -> ScanDataset:
     """Blur the *recorded* positions by uniform noise of one resolution step.
 
     Models a stage readout of finite resolution: each record's position is
     shifted by an independent uniform draw in [-resolution/2, +resolution/2]
     while the measured p1 stays tied to the true position. The offsets are
-    one draw, in record order, from the stream keyed ``[seed, 2^63]``, so a
-    given (seed, dataset length) always jitters the same way. A resolution
-    of 0 returns ``data`` itself.
+    one draw, in record order, from the stream keyed ``[seed, 2^63 |
+    stream]``, so a given (seed, stream, dataset length) always jitters the
+    same way; ``ionoptics synth`` passes the beam index as ``stream``, so
+    two beams' scans get independent offsets. A resolution of 0 returns
+    ``data`` itself.
     """
     _nonnegative("resolution_um", resolution_um)
     _check_seed(rng_seed)
+    _check_word("stream", stream, 63)
     if resolution_um == 0:
         return data
     half = 0.5 * resolution_um
-    offsets = _point_rng(rng_seed, _JITTER_TAG).uniform(-half, half, len(data))
+    offsets = _point_rng(rng_seed, _JITTER_TAG | stream).uniform(-half, half, len(data))
     x, t, p, shots = data.arrays()
     return ScanDataset(x + offsets, t, p, shots, beam_label=data.beam_label)
 

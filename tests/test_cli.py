@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from ionoptics.cli import build_parser, main
 from ionoptics.scan_fit import read_fit_report, read_scan_csv
+from ionoptics.synth_scan import position_jitter
 
 TWO_PI = 2.0 * math.pi
 
@@ -364,6 +365,23 @@ class TestSynth:
         deltas = numpy.abs(blurred.position_um - clean.position_um)
         assert max(deltas) <= 0.025 + 1e-12
         assert max(deltas) > 0.0
+
+    def test_jitter_offsets_differ_between_beams(self, tmp_path):
+        # each beam's offsets come from its own stream, beam A's from stream 0
+        a, b = tmp_path / "a", tmp_path / "b"
+        beams = ["--rabi-hz", "1910", "2790", "--center-um", "0", "4.31", "--width-um", "1.86", "1.88"]
+        main(["synth", "--out-dir", str(a), "--seed", "4", *beams])
+        main(["synth", "--out-dir", str(b), "--seed", "4", *beams, "--jitter-resolution", "0.05"])
+        offsets = {}
+        for label in "AB":
+            clean = read_scan_csv(a / f"scan_{label}.csv")
+            blurred = read_scan_csv(b / f"scan_{label}.csv")
+            offsets[label] = blurred.position_um - clean.position_um
+        assert numpy.abs(offsets["A"] - offsets["B"]).max() > 1e-3
+        # files hold 10 significant digits
+        clean_a = read_scan_csv(a / "scan_A.csv")
+        stream_0 = position_jitter(clean_a, 0.05, 4).position_um - clean_a.position_um
+        assert offsets["A"] == pytest.approx(stream_0, abs=1e-8)
 
 
 # === fit ====================================================================

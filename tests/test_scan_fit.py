@@ -72,8 +72,9 @@ def _fit_single_omega(t, p, shots, spam, newton=True):
     """Reference for the frequency profile: one trace, scalar dot products.
 
     The per-position loop the batched fit replaced, taking Newton steps
-    (Gauss-Newton where the curvature is not positive), or with
-    ``newton=False`` the Gauss-Newton steps the fit took before. Returns
+    (Gauss-Newton where the curvature is not positive) and stopping on the
+    decrement test ``scan_fit._DECREMENT_TOL``, or with ``newton=False``
+    the Gauss-Newton steps, without that test, the fit took before. Returns
     (omega, sigma_omega, capped); capped is True when the refinement ran
     all of its ``scan_fit._MAX_STEPS`` steps.
     """
@@ -93,10 +94,14 @@ def _fit_single_omega(t, p, shots, spam, newton=True):
         if jtj <= 0:
             capped = False
             break
+        grad = float(w @ (jac * r))
+        if newton and grad * grad < scan_fit._DECREMENT_TOL * jtj:
+            capped = False
+            break
         hess = jtj
         if newton:
             hess += float(w @ (r * (kappa * np.cos(2.0 * theta) * 0.5 * t * t)))
-        step = -float(w @ (jac * r)) / (hess if hess > 0 else jtj)
+        step = -grad / (hess if hess > 0 else jtj)
         cost = float(w @ (r * r))
         scale = 1.0
         improved = False
@@ -1225,6 +1230,41 @@ class TestProfileCostGate:
             reference = fit_beam(data)
             moved = np.abs(_beam_vector(fit) - _beam_vector(reference))
             assert (moved <= 0.01 * reference.param_errors()).all(), (data.beam_label, moved)
+
+
+class TestDecrementStop:
+    # A row stops once its Gauss-Newton step is under 1e-6 of its own sigma;
+    # with _DECREMENT_TOL = 0 it runs on to the step and halving rules alone.
+    @pytest.mark.parametrize("scans", ["recovery", "spam_mismatch", "random"])
+    def test_rows_unmoved(self, cost_gate_scans, scans, monkeypatch):
+        for data in cost_gate_scans[scans]:
+            spam = _spam_seed(data)
+            profile = fit_freq_profile(data, spam)
+            with monkeypatch.context() as m:
+                m.setattr(scan_fit, "_DECREMENT_TOL", 0.0)
+                reference = fit_freq_profile(data, spam)
+            assert [pt.position_um for pt in profile] == [pt.position_um for pt in reference]
+            for pt, ref in zip(profile, reference):
+                assert abs(pt.omega - ref.omega) <= 1e-5 * ref.omega_err, (pt, ref)
+
+    @pytest.mark.parametrize("scans", ["recovery", "spam_mismatch"])
+    def test_fit_beam_unmoved(self, cost_gate_scans, scans, monkeypatch):
+        fits = [fit_beam(data) for data in cost_gate_scans[scans]]
+        monkeypatch.setattr(scan_fit, "_DECREMENT_TOL", 0.0)
+        for data, fit in zip(cost_gate_scans[scans], fits):
+            reference = fit_beam(data)
+            moved = np.abs(_beam_vector(fit) - _beam_vector(reference))
+            assert (moved <= 1e-5 * reference.param_errors()).all(), (data.beam_label, moved)
+
+    def test_row_products_per_profile(self, cost_gate_scans, monkeypatch):
+        # recovery seeds 0-19: 37.6 per profile without the decrement stop
+        calls = []
+        rowdot = scan_fit._rowdot
+        monkeypatch.setattr(scan_fit, "_rowdot", lambda a, b: calls.append(1) or rowdot(a, b))
+        scans = cost_gate_scans["recovery"]
+        for data in scans:
+            fit_freq_profile(data, _spam_seed(data))
+        assert len(calls) / len(scans) <= 30
 
 
 #: Odd and even counts, duplicates, and -0.0 next to 0.0.

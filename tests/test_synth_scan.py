@@ -103,15 +103,15 @@ class TestDeterminism:
         assert len(built) == 2
 
     @pytest.mark.parametrize("axis", ["positions_um", "durations_s"])
-    def test_grid_beyond_keying_range_rejected_before_any_draw(self, beam_a, monkeypatch, axis):
-        # indices are 20-bit fields of the tag: 2^20 points fit, one more does
+    def test_grid_beyond_size_limit_rejected_before_any_draw(self, beam_a, monkeypatch, axis):
+        # a grid holds at most 2^20 points per axis: 2^20 fit, one more does
         # not, and the config says so before the model runs on the grid
         called = []
         monkeypatch.setattr(synth_scan, "p_excited", lambda *args: called.append(args))
         monkeypatch.setattr(synth_scan, "_point_rng", lambda *args: called.append(args))
         other = "durations_s" if axis == "positions_um" else "positions_um"
         grid = {axis: np.arange((1 << 20) + 1) * 1e-6, other: (0.0,)}
-        with pytest.raises(ValueError, match="keying scheme"):
+        with pytest.raises(ValueError, match=r"^a grid may hold at most 2\^20 positions and 2\^20 durations$"):
             small_config(beam_a, **grid)
         assert called == []
         small_config(beam_a, analytic=True, **grid)  # draws nothing, keys nothing
@@ -163,8 +163,8 @@ class TestVectorDraws:
             assert not np.array_equal(b[lag:], a[:a.size - lag])
 
     def test_one_generator_per_beam_and_one_for_the_jitter(self, beam_a, beam_b, monkeypatch):
-        # each stream has its own key: [seed, k << 60] per beam, [seed, 2^63]
-        # for all of a dataset's jitter offsets
+        # each stream has its own key: [seed, k << 60] per beam, [seed, 2^63 |
+        # stream] for all of a dataset's jitter offsets
         keys = []
         point_rng = synth_scan._point_rng
         monkeypatch.setattr(synth_scan, "_point_rng",
@@ -173,6 +173,8 @@ class TestVectorDraws:
         assert keys == [(7, 0), (7, 1 << 60)]
         position_jitter(ds, 0.5, rng_seed=7)
         assert keys == [(7, 0), (7, 1 << 60), (7, 1 << 63)]
+        position_jitter(ds, 0.5, rng_seed=7, stream=1)
+        assert keys == [(7, 0), (7, 1 << 60), (7, 1 << 63), (7, (1 << 63) | 1)]
 
     def test_jitter_offsets_uniform_within_half_a_step(self):
         # 20000 records at position 0, so each recorded position is its offset
@@ -309,6 +311,27 @@ class TestJitter:
         key = np.array([4, 1 << 63], dtype=np.uint64)
         offsets = np.random.Generator(np.random.Philox(key=key)).uniform(-0.25, 0.25, len(ds))
         assert blurred.position_um.tolist() == (ds.position_um + offsets).tolist()
+
+    def test_stream_keys_the_offsets(self, beam_a):
+        # stream s draws from a fresh Philox keyed [seed, 2^63 | s]; stream 0
+        # is the default, and two streams give different offsets
+        ds = generate(small_config(beam_a))[0]
+        offsets = {}
+        for stream in (0, 1):
+            blurred = position_jitter(ds, 0.5, rng_seed=4, stream=stream)
+            key = np.array([4, (1 << 63) | stream], dtype=np.uint64)
+            expected = np.random.Generator(np.random.Philox(key=key)).uniform(-0.25, 0.25, len(ds))
+            assert blurred.position_um.tolist() == (ds.position_um + expected).tolist()
+            offsets[stream] = expected
+        assert position_jitter(ds, 0.5, rng_seed=4) == position_jitter(ds, 0.5, rng_seed=4, stream=0)
+        assert not np.array_equal(offsets[0], offsets[1])
+
+    @pytest.mark.parametrize("stream", [1.0, True, -1, 1 << 63],
+                             ids=["float", "bool", "negative", "2^63"])
+    def test_stream_outside_63_bits_rejected(self, beam_a, stream):
+        ds = generate(small_config(beam_a))[0]
+        with pytest.raises(ValueError, match=r"^stream must be an integer in \[0, 2\^63\)$"):
+            position_jitter(ds, 0.5, rng_seed=4, stream=stream)
 
     def test_deterministic(self, beam_a):
         ds = generate(small_config(beam_a))[0]
