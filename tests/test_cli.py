@@ -372,15 +372,12 @@ class TestSynth:
         beams = ["--rabi-hz", "1910", "2790", "--center-um", "0", "4.31", "--width-um", "1.86", "1.88"]
         main(["synth", "--out-dir", str(a), "--seed", "4", *beams])
         main(["synth", "--out-dir", str(b), "--seed", "4", *beams, "--jitter-resolution", "0.05"])
-        offsets = {}
-        for label in "AB":
-            clean = read_scan_csv(a / f"scan_{label}.csv")
-            blurred = read_scan_csv(b / f"scan_{label}.csv")
-            offsets[label] = blurred.position_um - clean.position_um
+        clean = {label: read_scan_csv(a / f"scan_{label}.csv") for label in "AB"}
+        offsets = {label: read_scan_csv(b / f"scan_{label}.csv").position_um - ds.position_um
+                   for label, ds in clean.items()}
         assert numpy.abs(offsets["A"] - offsets["B"]).max() > 1e-3
         # files hold 10 significant digits
-        clean_a = read_scan_csv(a / "scan_A.csv")
-        stream_0 = position_jitter(clean_a, 0.05, 4).position_um - clean_a.position_um
+        stream_0 = position_jitter(clean["A"], 0.05, 4).position_um - clean["A"].position_um
         assert offsets["A"] == pytest.approx(stream_0, abs=1e-8)
 
 
