@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import NoReturn, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -223,6 +222,10 @@ def read_scan_csv(path: str | Path) -> ScanDataset:
     cannot decode. Lines count CSV records, as ``csv.reader`` reads them.
     One leading byte-order mark is dropped. The beam label defaults to the
     file stem.
+
+    A clean file is parsed by numpy's C reader in one pass; any other file
+    is read record by record, which accepts the same files with the same
+    values and names the first offending line (docs/file_formats.md).
     """
     path = Path(path)
     # Undecodable bytes become lone surrogates, which no number parses.
@@ -231,35 +234,58 @@ def read_scan_csv(path: str | Path) -> ScanDataset:
         text = fh.read().removeprefix("\ufeff")
     columns = _scan_columns(text)
     if columns is None:
-        _raise_first_bad_line(text, fh.encoding)
+        columns = _walk_scan_records(text, fh.encoding)
     x, t_us, p, shots = columns
     return ScanDataset(x, t_us * 1e-6, p, shots, beam_label=path.stem)
 
 
-def _scan_columns(text: str) -> tuple[np.ndarray, ...] | None:
-    """The four columns of a scan CSV's text, or None if any line is at fault.
+#: One data record as ``np.loadtxt`` parses it.
+_RECORD_DTYPE = np.dtype([(name, np.int64 if name == "shots" else float) for name in _CSV_FIELDS])
 
-    One parse into a flat list of fields, so no record's list outlives its
-    record, then one conversion per column, by the ``float`` and ``int``
-    the record-by-record walk uses.
+#: ASCII controls that numpy's reader strips as whitespace, but ``float``
+#: and ``int`` refuse.
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _scan_columns(text: str) -> tuple[np.ndarray, ...] | None:
+    """The four columns of a clean scan CSV's text, or None for the walk.
+
+    The header is the first physical line; ``np.loadtxt`` parses the rest,
+    its floats by ``PyOS_string_to_double`` as ``float``'s. On ASCII text
+    free of ``_NUMPY_ONLY_SPACE`` it accepts a subset of what
+    ``_walk_scan_records`` accepts, with the same values, and refuses
+    quotes, ``_`` separators, lone CR line ends, whitespace-only lines and
+    shots written as floats or beyond 64 bits. Other text, a blank body, a
+    field that may exceed the csv size limit, a refusal and a value out of
+    its column's domain all give None.
     """
-    records = csv.reader(io.StringIO(text, newline=""))
-    fields: list[str] = []
-    widths = set()
-    try:
-        header = next(records, None)
-        for row in records:
-            fields.extend(row)
-            widths.add(len(row))
-        if (header is None or [h.strip() for h in header] != list(_CSV_FIELDS)
-                or not widths <= {0, 4} or not fields):
-            return None
-        n = len(fields) // 4
-        columns = (*(np.fromiter(map(float, fields[k::4]), float, n) for k in range(3)),
-                   np.fromiter(map(int, fields[3::4]), np.int64, n))
-    except (ValueError, OverflowError, csv.Error):  # OverflowError: shots beyond int64
+    header, _, body = text.partition("\n")
+    header = header.removesuffix("\r")
+    if (not text.isascii() or any(c in text for c in _NUMPY_ONLY_SPACE)
+            or '"' in header or "\r" in header
+            or [h.strip() for h in header.split(",")] != list(_CSV_FIELDS)
+            or not body or body.isspace()  # loadtxt warns on empty input
+            or _may_exceed_field_limit(text)):
         return None
+    try:
+        records = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=1,
+                             dtype=_RECORD_DTYPE)
+    except ValueError:
+        return None
+    columns = tuple(records[name] for name in _CSV_FIELDS)
     return None if _first_out_of_domain(*columns) is not None else columns
+
+
+def _may_exceed_field_limit(text: str) -> bool:
+    """False if no csv field of ``text`` can be longer than ``csv.field_size_limit()``.
+
+    A run of limit + 1 characters holds one of the aligned blocks
+    ``text[k*size:(k+1)*size]`` whole, so if every block holds a comma or
+    a newline, no field is that long.
+    """
+    size = csv.field_size_limit() // 2 + 1
+    return any(text.find(",", start, start + size) < 0 and text.find("\n", start, start + size) < 0
+               for start in range(0, len(text) - size + 1, size))
 
 
 #: The lone surrogates that ``errors="surrogateescape"`` reads bytes 0x80-0xff
@@ -267,46 +293,58 @@ def _scan_columns(text: str) -> tuple[np.ndarray, ...] | None:
 _UNDECODABLE = "[\udc80-\udcff]"
 
 
-def _raise_first_bad_line(text: str, encoding: str) -> NoReturn:
-    """Raise the ScanFormatError naming the first offending line of a scan CSV.
+def _walk_scan_records(text: str, encoding: str) -> tuple[np.ndarray, ...]:
+    """The four columns of a scan CSV's text, read record by record.
 
-    A record-by-record walk of the text, run only once ``_scan_columns``
-    has found a fault. Each line is checked in full, its format and then
-    its values' ranges, before the next line is read.
+    The exact reader: ``csv.reader`` splits the records, and ``float`` and
+    ``int`` convert the fields. Each line's format (its bytes, the header,
+    its field count, its numbers) is checked as the line is read; the
+    value ranges of all rows before the first format fault are checked
+    after, in one vector pass. So the ScanFormatError raised names the
+    first offending line, whatever its fault.
     """
+    check_bytes = re.search(_UNDECODABLE, text) is not None
     records = csv.reader(io.StringIO(text, newline=""))
-    for lineno in itertools.count(1):
-        try:
-            row = next(records, None)
-            if row is None:
-                break
-            undecodable = re.search(_UNDECODABLE, ",".join(row))
-            if undecodable:
+    rows: list[tuple[float, float, float, int]] = []
+    linenos: list[int] = []
+    lineno = fault_line = 0
+    fault = None
+    try:
+        for lineno, row in enumerate(records, 1):
+            if check_bytes and (undecodable := re.search(_UNDECODABLE, ",".join(row))):
                 byte = ord(undecodable.group()) - 0xDC00
                 raise ValueError(f"byte 0x{byte:02x} is not valid {encoding}")
             if lineno == 1:
                 if [h.strip() for h in row] != list(_CSV_FIELDS):
                     raise ValueError(
                         f"expected header {','.join(_CSV_FIELDS)}, got {','.join(row)}")
-                continue
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"expected 4 fields, got {len(row)}")
-            values = (float(row[0]), float(row[1]), float(row[2]), int(row[3]))
-            if not -(1 << 63) <= values[3] < 1 << 63:
-                raise ValueError(f"shots {row[3]} does not fit a 64-bit integer")
-        except (ValueError, csv.Error) as exc:
-            raise ScanFormatError(f"line {lineno}: {exc}") from exc
-        bad = _first_out_of_domain(*(np.array([v]) for v in values))
+            elif row:
+                if len(row) != 4:
+                    raise ValueError(f"expected 4 fields, got {len(row)}")
+                values = (float(row[0]), float(row[1]), float(row[2]), int(row[3]))
+                if not -(1 << 63) <= values[3] < 1 << 63:
+                    raise ValueError(f"shots {row[3]} does not fit a 64-bit integer")
+                rows.append(values)
+                linenos.append(lineno)
+    except ValueError as exc:
+        fault, fault_line = exc, lineno
+    except csv.Error as exc:  # raised reading the next record
+        fault, fault_line = exc, lineno + 1
+    if rows:
+        x, t_us, p, shots = zip(*rows)
+        columns = (np.array(x), np.array(t_us), np.array(p), np.array(shots, dtype=np.int64))
+        bad = _first_out_of_domain(*columns)
         if bad is not None:
-            k = bad[1]
+            i, k = bad
             raise ScanFormatError(
-                f"line {lineno}: {_CSV_FIELDS[k]} {_DOMAINS[k]}, got {values[k]!r}")
-    if lineno == 1:
+                f"line {linenos[i]}: {_CSV_FIELDS[k]} {_DOMAINS[k]}, got {rows[i][k]!r}")
+    if fault is not None:
+        raise ScanFormatError(f"line {fault_line}: {fault}") from fault
+    if lineno == 0:
         raise ScanFormatError("line 1: file is empty, expected header " + ",".join(_CSV_FIELDS))
-    # every line is well-formed, so the fault _scan_columns found is this
-    raise ScanFormatError("line 2: no data rows")
+    if not rows:
+        raise ScanFormatError("line 2: no data rows")
+    return columns
 
 
 def write_scan_csv(data: ScanDataset, path: str | Path) -> None:

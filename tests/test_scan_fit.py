@@ -285,6 +285,43 @@ class TestScanCsv:
         assert str(err.value) == ("line 2: p1 must be in [0, 1], got 1.5" if bad_first else
                                   f"line 3: field larger than field limit ({limit})")
 
+    @pytest.mark.parametrize("extra", [0, 1, 3])
+    def test_finite_field_at_the_size_limit(self, tmp_path, extra):
+        # zeros parse as a finite number, so the domain check cannot stand
+        # in for csv's size limit, which numpy's reader does not have
+        limit = csv.field_size_limit()
+        field = "0." + "0" * (limit - 3 + extra) + "5"
+        path = tmp_path / "big.csv"
+        path.write_text(f"position_um,duration_us,p1,shots\n0,{field},0.5,100\n")
+        if extra == 0:
+            assert read_scan_csv(path).duration_s.tolist() == [float(field) * 1e-6]
+            return
+        with pytest.raises(ScanFormatError) as err:
+            read_scan_csv(path)
+        assert str(err.value) == f"line 2: field larger than field limit ({limit})"
+
+    @pytest.mark.parametrize("limit", [1, 2, 5, 8])
+    def test_size_guard_sees_every_long_field(self, limit, monkeypatch):
+        # at every offset a field over the limit sends the text to the walk,
+        # and fields of up to half the limit do not
+        monkeypatch.setattr(csv, "field_size_limit", lambda: limit)
+        for start in range(2 * limit + 4):
+            text = "," * start + "9" * (limit + 1) + ",\n" * (2 * limit)
+            assert scan_fit._may_exceed_field_limit(text)
+        assert not scan_fit._may_exceed_field_limit(("9" * (limit // 2) + ",") * (4 * limit))
+
+    @pytest.mark.parametrize("body,message", [
+        ("0,1,0.5,100\n0,1,1.5,100\n0,-1,0.5,100\n0,1,0.5\n", "line 3: p1 must be in [0, 1], got 1.5"),
+        ("0,1,0.5\n0,1,1.5,100\n", "line 2: expected 4 fields, got 3"),
+        ('"0",1,0.5,100\n\n0,1,0.5,0\n0,1,2,100\n', "line 4: shots must be >= 1, got 0"),
+    ])
+    def test_first_of_several_faults_named(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("position_um,duration_us,p1,shots\n" + body)
+        with pytest.raises(ScanFormatError) as err:
+            read_scan_csv(path)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("bad_first", [False, True])
     def test_undecodable_byte_names_its_line(self, tmp_path, bad_first):
         path = tmp_path / "bytes.csv"
@@ -330,6 +367,67 @@ class TestScanCsv:
         with pytest.raises(ScanFormatError, match="no data rows"):
             read_scan_csv(path)
 
+    @pytest.mark.parametrize("blank", ["\n", "\n\n", "\r\n\r\n", "\r\r"])
+    def test_blank_lines_only_rejected_without_warning(self, tmp_path, blank):
+        path = tmp_path / "blank.csv"
+        path.write_bytes(("position_um,duration_us,p1,shots\n" + blank).encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScanFormatError) as err:
+                read_scan_csv(path)
+        assert str(err.value) == "line 2: no data rows"
+
+    def test_clean_files_skip_the_walk(self, tmp_path, beam_a, monkeypatch):
+        # the README scan and a 121x41 scan take numpy's reader alone, with
+        # the walk's values
+        assert main(["synth", "--out-dir", str(tmp_path), "--seed", "0", "--rabi-hz", "1910",
+                     "2790", "--center-um", "0", "4.31", "--width-um", "1.86", "1.88"]) == 0
+        big = tmp_path / "big.csv"
+        write_scan_csv(synth_dataset(beam_a, seed=3, n_pos=121, n_dur=41), big)
+        paths = [tmp_path / "scan_A.csv", big]
+        walked = [scan_fit._walk_scan_records(path.read_text(), "utf-8") for path in paths]
+
+        def no_walk(text, encoding):
+            raise AssertionError("the record walk ran")
+
+        monkeypatch.setattr(scan_fit, "_walk_scan_records", no_walk)
+        for path, (x, t_us, p, shots) in zip(paths, walked):
+            data = read_scan_csv(path)
+            assert [c.tobytes() for c in data.arrays()] == [
+                c.tobytes() for c in (x, t_us * 1e-6, p, shots)]
+
+    def test_quoted_and_cr_copies_read_as_the_plain_file(self, tmp_path):
+        assert main(["synth", "--out-dir", str(tmp_path), "--seed", "0", "--rabi-hz", "1910",
+                     "2790", "--center-um", "0", "4.31", "--width-um", "1.86", "1.88"]) == 0
+        plain = tmp_path / "scan_A.csv"
+        header, *rows = plain.read_text().splitlines()
+        copies = {
+            "quoted": "\n".join([header] + [",".join(f'"{f}"' for f in row.split(","))
+                                            for row in rows]) + "\n",
+            "cr": "\r".join([header, *rows]) + "\r",
+        }
+        for name, text in copies.items():
+            (tmp_path / name).mkdir()
+            path = tmp_path / name / "scan_A.csv"
+            path.write_bytes(text.encode())
+            assert read_scan_csv(path) == read_scan_csv(plain)
+
+    @pytest.mark.parametrize("shots,expected", [
+        ("5\u0968", 52),  # a Devanagari 2, which numpy's int64 parser reads as 2360
+        ("200\x1c", "line 2: invalid literal for int() with base 10: '200\\x1c'"),
+    ])
+    def test_fields_numpy_reads_otherwise(self, tmp_path, shots, expected):
+        # numpy's reader strips \x1c-\x1f as whitespace and misreads
+        # non-ASCII digits as shots; such files take the walk
+        path = tmp_path / "scan.csv"
+        path.write_bytes(f"position_um,duration_us,p1,shots\n0,10,0.5,{shots}\n".encode())
+        if isinstance(expected, int):
+            assert read_scan_csv(path).shots.tolist() == [expected]
+            return
+        with pytest.raises(ScanFormatError) as err:
+            read_scan_csv(path)
+        assert str(err.value) == expected
+
     def test_negative_positions_are_valid(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("position_um,duration_us,p1,shots\n-2.5,10,0.5,100\n")
@@ -353,7 +451,7 @@ class TestScanCsv:
 # [0, 1], shots < 1 or beyond 64 bits, non-numeric and 1_000-style fields,
 # quoted fields (some holding a comma, a newline or an unclosed quote), fields
 # over the csv module's size limit, wrong field counts, blank and
-# whitespace-only lines, with LF or CRLF line ends.
+# whitespace-only lines, with LF, CRLF or lone CR line ends.
 _FIELD = st.one_of(
     st.floats().map(repr),  # includes nan, inf, -inf, negatives
     st.integers(-3, 300).map(str),
@@ -365,13 +463,32 @@ _FIELD = st.one_of(
 _VALID_ROW = st.tuples(
     st.floats(-50.0, 50.0), st.floats(0.0, 500.0), st.floats(0.0, 1.0), st.integers(1, 1000),
 ).map(lambda v: f"{v[0]!r},{v[1]!r},{v[2]!r},{v[3]}")
+
+
+def _dress(values):
+    """A valid row with every field quoted or padded with spaces, or with
+    the shots written with digit separators ("1_0"): CSV that the format
+    accepts and numpy's reader refuses or strips."""
+    *numbers, dress = values
+    fields = [repr(numbers[0]), repr(numbers[1]), repr(numbers[2]), str(numbers[3])]
+    if dress == "separator":
+        fields[3] = "_".join(fields[3])
+    else:
+        fields = [f'"{f}"' if dress == "quote" else f" {f} " for f in fields]
+    return ",".join(fields)
+
+
+_DRESSED_ROW = st.tuples(
+    st.floats(-50.0, 50.0), st.floats(0.0, 500.0), st.floats(0.0, 1.0), st.integers(1, 1000),
+    st.sampled_from(["quote", "pad", "separator"]),
+).map(_dress)
 _IN_RANGE = ("0", "10", "0.5", "100")
 _OUT_OF_RANGE = (("nan", "inf", "-inf"), ("-1", "inf", "nan"), ("1.5", "-0.1", "nan"), ("0", "-2"))
 _OUT_OF_RANGE_ROW = st.sampled_from(
     [(k, v) for k, values in enumerate(_OUT_OF_RANGE) for v in values]
 ).map(lambda kv: ",".join(kv[1] if i == kv[0] else v for i, v in enumerate(_IN_RANGE)))
 _ROW = st.one_of(
-    _VALID_ROW, _VALID_ROW, _VALID_ROW, _OUT_OF_RANGE_ROW,
+    _VALID_ROW, _VALID_ROW, _VALID_ROW, _DRESSED_ROW, _OUT_OF_RANGE_ROW,
     st.lists(_FIELD, min_size=1, max_size=6).map(",".join),
     st.sampled_from(["", " ", " \t"]),
 )
@@ -413,7 +530,7 @@ def _reference_scan_rows(text):
 
 
 class TestScanCsvFuzz:
-    @given(lines=st.lists(_ROW, max_size=12), eol=st.sampled_from(["\n", "\r\n"]))
+    @given(lines=st.lists(_ROW, max_size=12), eol=st.sampled_from(["\n", "\r\n", "\r"]))
     @settings(max_examples=300, deadline=None)
     def test_rejects_first_bad_line_or_returns_the_rows(self, tmp_path_factory, lines, eol):
         text = eol.join(["position_um,duration_us,p1,shots", *lines]) + eol
