@@ -418,7 +418,7 @@ class TestScanCsv:
     ])
     def test_fields_numpy_reads_otherwise(self, tmp_path, shots, expected):
         # numpy's reader strips \x1c-\x1f as whitespace and misreads
-        # non-ASCII digits as shots; such files take the walk
+        # non-ASCII characters in shots; such files take the walk
         path = tmp_path / "scan.csv"
         path.write_bytes(f"position_um,duration_us,p1,shots\n0,10,0.5,{shots}\n".encode())
         if isinstance(expected, int):
