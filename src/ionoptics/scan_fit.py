@@ -256,8 +256,8 @@ def _scan_columns(text: str) -> tuple[np.ndarray, ...] | None:
     ``_walk_scan_records`` accepts, with the same values, and refuses
     quotes, ``_`` separators, lone CR line ends, whitespace-only lines and
     shots written as floats or beyond 64 bits. Other text, a blank body, a
-    field that may exceed the csv size limit, a refusal and a value out of
-    its column's domain all give None.
+    field that may exceed the csv size limit, a refusal or warning from
+    ``loadtxt`` and a value out of its column's domain all give None.
     """
     header, _, body = text.partition("\n")
     header = header.removesuffix("\r")
@@ -268,9 +268,13 @@ def _scan_columns(text: str) -> tuple[np.ndarray, ...] | None:
             or _may_exceed_field_limit(text)):
         return None
     try:
-        records = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=1,
-                             dtype=_RECORD_DTYPE)
-    except ValueError:
+        # numpy releases that deprecate, not refuse, reading an int64 via a
+        # float ("5.0", "1e2", "1.5") warn and cast; a warning is a refusal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=1,
+                                 dtype=_RECORD_DTYPE)
+    except (ValueError, Warning):
         return None
     columns = tuple(records[name] for name in _CSV_FIELDS)
     return None if _first_out_of_domain(*columns) is not None else columns

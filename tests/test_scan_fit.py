@@ -428,6 +428,33 @@ class TestScanCsv:
             read_scan_csv(path)
         assert str(err.value) == expected
 
+    @pytest.mark.parametrize("shots", ["5.0", "1e2", "1.5"])
+    def test_float_shots_refused_as_int_refuses_them(self, tmp_path, shots):
+        path = tmp_path / "scan.csv"
+        path.write_text(f"position_um,duration_us,p1,shots\n0,10,0.5,{shots}\n")
+        with pytest.raises(ScanFormatError) as err:
+            read_scan_csv(path)
+        assert str(err.value) == f"line 2: invalid literal for int() with base 10: '{shots}'"
+
+    @pytest.mark.parametrize("shots", ["5.0", "1.5"])
+    def test_loadtxt_warning_sends_the_text_to_the_walk(self, tmp_path, shots, monkeypatch):
+        # a numpy that warns and casts where it should refuse must not be
+        # trusted: the walk reads the file and refuses the field as int() does
+        real_loadtxt = np.loadtxt
+
+        def warn_and_cast(fname, *, dtype, **kwargs):
+            as_floats = np.dtype([(name, float) for name in dtype.names])
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            return real_loadtxt(fname, dtype=as_floats, **kwargs).astype(dtype)
+
+        monkeypatch.setattr(np, "loadtxt", warn_and_cast)
+        path = tmp_path / "scan.csv"
+        path.write_text(f"position_um,duration_us,p1,shots\n0,10,0.5,{shots}\n")
+        with pytest.raises(ScanFormatError) as err:
+            read_scan_csv(path)
+        assert str(err.value) == f"line 2: invalid literal for int() with base 10: '{shots}'"
+
     def test_negative_positions_are_valid(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("position_um,duration_us,p1,shots\n-2.5,10,0.5,100\n")
