@@ -40,8 +40,8 @@ _EXPORTS = {
     ),
     "scan_fit": (
         "ScanDataset", "ScanFormatError", "DegenerateDataError",
-        "FitConvergenceError", "FreqProfilePoint", "BeamFitResult", "PairReport",
-        "fit_model", "fit_model_jacobian", "fit_beam", "fit_freq_profile",
+        "FitConvergenceError", "FreqProfile", "FreqProfilePoint", "BeamFitResult",
+        "PairReport", "fit_model", "fit_model_jacobian", "fit_beam", "fit_freq_profile",
         "d4sigma", "pair_analysis", "read_scan_csv", "write_scan_csv",
         "write_fit_report", "read_fit_report", "write_freq_profile_csv",
         "fit_report_dict",

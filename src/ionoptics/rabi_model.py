@@ -84,20 +84,29 @@ def local_rabi(params: BeamProfileParams, x_um):
     return params.omega0 * np.exp(-2.0 * u * u)
 
 
-def _excitation(vec, x, t):
+def _beam_phase(omega0, center, width, x, t):
+    """(x - center, envelope g, phase theta, sin^2(theta)) of ``_excitation``
+    at the beam (omega0, center, width): its exp and sin, which the SPAM
+    errors do not enter. sin^2 is a product: numpy squares a scalar with
+    libm ``pow``, which can round unlike the array multiply.
+    """
+    dx = x - center
+    u = dx / width
+    g = np.exp(-2.0 * u * u)
+    theta = 0.5 * omega0 * t * g
+    s = np.sin(theta)
+    return dx, g, theta, s * s
+
+
+def _excitation(vec, x, t, phase=None):
     """Model eps_prep + kappa*sin^2(theta), theta = Omega(x)*t/2, at vec =
     (omega0, center, width, eps_prep, kappa), and ``fill_jacobian(out)``,
     which writes the five partials into out[0] ... out[4] from the model's
-    own exponential, phase and sin^2. sin^2 is a product: numpy squares a
-    scalar with libm ``pow``, which can round unlike the array multiply.
+    own exponential, phase and sin^2. ``phase``, when given, is
+    ``_beam_phase`` at vec's beam and (x, t), already evaluated.
     """
     om, xc, w0, eps_prep, kappa = vec
-    dx = x - xc
-    u = dx / w0
-    g = np.exp(-2.0 * u * u)
-    theta = 0.5 * om * t * g
-    s = np.sin(theta)
-    sin_sq = s * s
+    dx, g, theta, sin_sq = _beam_phase(om, xc, w0, x, t) if phase is None else phase
 
     def fill_jacobian(out: np.ndarray) -> None:
         s2 = np.sin(2.0 * theta)

@@ -10,13 +10,18 @@ hand-rolled damped Gauss-Newton (Levenberg-Marquardt) loop and the analytic
 Jacobian, both from ``rabi_model._excitation``, the kernel synthesis uses
 too. A single matrix product over the stacked Jacobian and residual gives
 the normal equations; a trial point is valid exactly when its beam and SPAM
-construct as ``BeamProfileParams`` and ``SpamModel``. Per-position 1D fits
-give the Rabi-frequency profile Omega(x), from which a D4sigma width is
-computed; positions that share a duration sequence start from one grid
-search done as two matrix products and are refined together in one batch
-by Newton steps on the exact 1-D curvature, each row stopping once its
-step is under 1e-6 of its own sigma, with results identical to refining
-them one at a time. Pairs of fits yield beam separations and
+construct as ``BeamProfileParams`` and ``SpamModel``; one exp and sin at
+the initial guess serve its SPAM solve, its weights and the first run's
+start. Per-position 1D fits give the Rabi-frequency profile Omega(x), a
+``FreqProfile`` of columns, from which a D4sigma width is computed;
+positions that share a duration sequence start from one grid search done
+as two matrix products and are refined together in one batch by Newton
+steps on the exact 1-D curvature, each row stopping once its step is
+under 1e-6 of its own sigma, with results identical to refining them one
+at a time. The grid search's SPAM-free sin^2 table depends on the
+durations alone, so a small bounded cache keeps it across calls; the
+SPAM is applied to it on every call, which keeps each profile bit for bit
+what a fresh table gives. Pairs of fits yield beam separations and
 crosstalk bounds.
 
 Record weighting is binomial: weight = shots/(m(1-m) + q) with a variance
@@ -48,8 +53,8 @@ import numpy as np
 from . import _EXPORTS
 from ._atomic import _count, _is_finite_number, _positive, _read_json, _write_atomic, _write_json
 from .rabi_model import (
-    BeamProfileParams, SpamModel, _excitation, apply_spam, crosstalk_rabi_bound,
-    intensity_crosstalk_ratio, p_excited,
+    BeamProfileParams, SpamModel, _beam_phase, _excitation, apply_spam, crosstalk_rabi_bound,
+    intensity_crosstalk_ratio,
 )
 
 __all__ = list(_EXPORTS["scan_fit"])
@@ -398,14 +403,17 @@ class _LMRun:
     converged: bool
 
 
-def _levenberg_marquardt(residual, p0: np.ndarray, is_valid, max_iterations: int) -> _LMRun:
+def _levenberg_marquardt(
+    residual, p0: np.ndarray, is_valid, max_iterations: int, at_p0: tuple,
+) -> _LMRun:
     """Minimize ||r(p)||^2 with Marquardt damping and Nielsen's mu update.
 
     The scheme of Madsen, Nielsen & Tingleff, *Methods for Non-Linear Least
     Squares Problems* (DTU, 2004), section 3.2. ``residual(p)`` returns r
-    and a ``fill_jacobian(out)``, as ``rabi_model._excitation`` does. A
-    trial point costs one residual; the Jacobian is built only at the start
-    point and at accepted trials. There its k rows and r are stacked into one
+    and a ``fill_jacobian(out)``, as ``rabi_model._excitation`` does;
+    ``at_p0`` is ``residual(p0)``, which the caller evaluates. A trial point
+    costs one residual; the Jacobian is built only at the start point and
+    at accepted trials. There its k rows and r are stacked into one
     (k + 1, n) array, so that a single matrix product gives both J^T J and
     J^T r; k is the length of ``p0``.
 
@@ -417,7 +425,7 @@ def _levenberg_marquardt(residual, p0: np.ndarray, is_valid, max_iterations: int
     """
     p = np.asarray(p0, dtype=float)
     k = p.size
-    r, fill_jacobian = residual(p)
+    r, fill_jacobian = at_p0
     aug = np.empty((k + 1, r.size))
 
     def normal_equations(r, fill_jacobian):
@@ -524,7 +532,9 @@ def _log_profile_refinement(x_sel, omegas, amp_sel, x_lo, x_hi):
     return omega0, xc, w0
 
 
-def initial_guess(data: ScanDataset, profile: Sequence[FreqProfilePoint]) -> BeamProfileParams:
+def initial_guess(
+    data: ScanDataset, profile: FreqProfile | Sequence[FreqProfilePoint],
+) -> BeamProfileParams:
     """Deterministic, derivative-free starting point for fit_beam.
 
     When the bright region of the frequency profile supports it, a
@@ -536,11 +546,11 @@ def initial_guess(data: ScanDataset, profile: Sequence[FreqProfilePoint]) -> Bea
     DegenerateDataError when the moments cannot be taken or that point
     has no frequency.
     """
-    if not profile:
+    profile = _profile_columns(profile)
+    if not len(profile):
         raise DegenerateDataError("frequency profile has no points")
     xs, amp = data._amplitude
-    px = np.array([pt.position_um for pt in profile])
-    omegas = np.array([pt.omega for pt in profile])
+    px, omegas = profile.position_um, profile.omega
     amp_p = amp[np.searchsorted(xs, px)]
     bright = (amp_p >= 0.25 * amp.max()) & (omegas > 0)
     refined = _log_profile_refinement(
@@ -593,15 +603,16 @@ def _spam_seed(data: ScanDataset) -> SpamModel:
         raise DegenerateDataError(f"the t = 0 records do not give a SPAM error: {exc}") from exc
 
 
-def _spam_at(data: ScanDataset, beam: BeamProfileParams, fallback: SpamModel) -> SpamModel:
-    """Least-squares SPAM of the scan with the beam held at ``beam``.
+def _spam_at(data: ScanDataset, sin_sq: np.ndarray, fallback: SpamModel) -> SpamModel:
+    """Least-squares SPAM of the scan with the beam held where the ideal
+    excitation sin^2(theta) of each record is ``sin_sq``.
 
     The model eps_prep + kappa*sin^2(theta) is linear in the two SPAM
     parameters, so this is a 2 x 2 linear solve, each record weighted by
     its shots. Returns ``fallback`` when the solution is no SpamModel.
     """
-    x, t, p, shots = data.arrays()
-    design = np.stack([np.ones_like(x), p_excited(beam, x, t)])
+    _, _, p, shots = data.arrays()
+    design = np.stack([np.ones_like(sin_sq), sin_sq])
     weighted = design * shots
     try:
         eps_prep, kappa = np.linalg.solve(weighted @ design.T, weighted @ p)
@@ -632,10 +643,60 @@ def _best_run(runs: Sequence[_LMRun]) -> _LMRun:
 
 @dataclass(frozen=True)
 class FreqProfilePoint:
+    """One position of a frequency profile, for building a profile by hand."""
+
     position_um: float
     omega: float  # rad/s
     omega_err: float  # rad/s; inf when unconstrained
     baseline: bool  # uncertainty >= value: indistinguishable from no drive
+
+
+#: Column names of a frequency profile, in order.
+_PROFILE_COLUMNS = ("position_um", "omega", "omega_err", "baseline")
+
+
+@dataclass(frozen=True, eq=False)
+class FreqProfile:
+    """A frequency profile as four read-only columns of equal length, one
+    row per profiled position: ``position_um``, ``omega`` (rad/s) and
+    ``omega_err`` (rad/s; inf when unconstrained) are float64, ``baseline``
+    (uncertainty >= value: indistinguishable from no drive) is bool. The
+    constructor copies what it is given; ``len`` counts the positions.
+    """
+
+    position_um: np.ndarray
+    omega: np.ndarray
+    omega_err: np.ndarray
+    baseline: np.ndarray
+
+    def __post_init__(self):
+        columns = (np.array(self.position_um, dtype=float), np.array(self.omega, dtype=float),
+                   np.array(self.omega_err, dtype=float), np.array(self.baseline, dtype=bool))
+        if any(c.ndim != 1 or c.size != columns[0].size for c in columns):
+            raise ValueError("columns must be 1-D and of equal length")
+        for name, column in zip(_PROFILE_COLUMNS, columns):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return self.position_um.size
+
+    def __eq__(self, other):
+        if not isinstance(other, FreqProfile):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in _PROFILE_COLUMNS)
+
+
+def _profile_columns(profile: FreqProfile | Sequence[FreqProfilePoint]) -> FreqProfile:
+    """``profile`` as a FreqProfile: the one conversion of a sequence of points."""
+    if isinstance(profile, FreqProfile):
+        return profile
+    points = list(profile)
+    return FreqProfile(position_um=[pt.position_um for pt in points],
+                       omega=[pt.omega for pt in points],
+                       omega_err=[pt.omega_err for pt in points],
+                       baseline=[pt.baseline for pt in points])
 
 
 @dataclass(frozen=True)
@@ -643,7 +704,7 @@ class BeamFitResult:
     params: BeamProfileParams
     covariance: np.ndarray  # 3x3, order (omega0 rad/s, center um, width um)
     residual_rms: float  # weighted, per record; ~1 at the shot-noise floor
-    freq_profile: tuple[FreqProfilePoint, ...]
+    freq_profile: FreqProfile
     n_iterations: int
     converged: bool
     spam: SpamModel  # fitted SPAM errors
@@ -694,18 +755,23 @@ def fit_beam(data: ScanDataset, max_iterations: int = 200) -> BeamFitResult:
     seed = _spam_seed(data)
     profile = fit_freq_profile(data, seed)
     guess = initial_guess(data, profile)
-    start_spam = _spam_at(data, guess, seed)
+    # one exp and sin at the guess serve the SPAM solve, the weights and
+    # the first run's start point
+    phase = _beam_phase(guess.omega0, guess.center_um, guess.width_um, x, t)
+    start_spam = _spam_at(data, phase[3], seed)
     start = np.array(_param_vector(guess, start_spam))
-    sqrt_w = np.sqrt(_binomial_weights(_excitation(start, x, t)[0], shots))
+    start_model, fill_start = _excitation(start, x, t, phase)
+    sqrt_w = np.sqrt(_binomial_weights(start_model, shots))
 
-    def residual(vec: np.ndarray):
-        model, fill_model = _excitation(vec, x, t)
-
+    def weighted(model: np.ndarray, fill_model):
         def fill_jacobian(out: np.ndarray) -> None:
             fill_model(out)
             out *= sqrt_w
 
         return sqrt_w * (model - p), fill_jacobian
+
+    def residual(vec: np.ndarray):
+        return weighted(*_excitation(vec, x, t))
 
     def is_valid(vec: np.ndarray) -> bool:
         try:
@@ -715,13 +781,14 @@ def fit_beam(data: ScanDataset, max_iterations: int = 200) -> BeamFitResult:
             return False
         return True
 
-    first = _levenberg_marquardt(residual, start, is_valid, max_iterations)
+    first = _levenberg_marquardt(residual, start, is_valid, max_iterations,
+                                 weighted(start_model, fill_start))
     runs = [first]
     multi_start = not (first.converged and first.rms <= RESTART_RMS)
     if multi_start:
         for beam in _perturbed_starts(guess):
-            runs.append(_levenberg_marquardt(
-                residual, np.array(_param_vector(beam, start_spam)), is_valid, max_iterations))
+            p0 = np.array(_param_vector(beam, start_spam))
+            runs.append(_levenberg_marquardt(residual, p0, is_valid, max_iterations, residual(p0)))
     best = _best_run(runs)  # a converged run whenever one exists
 
     eps_prep, kappa = (float(v) for v in best.params[3:])
@@ -752,13 +819,62 @@ def fit_beam(data: ScanDataset, max_iterations: int = 200) -> BeamFitResult:
 # === Per-position frequency profile =========================================
 
 
+#: Bounds of ``_SIN2_TABLES``: its entries, and the bytes of their arrays
+#: together. A grid and table larger than the byte bound is not kept.
+_SIN2_CACHE_ENTRIES = 8
+_SIN2_CACHE_BYTES = 2 << 20
+
+#: Search grid and sin^2 table of the duration sequences seen last, keyed by
+#: ``t.tobytes()``, least recently used first.
+_SIN2_TABLES: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _nbytes(arrays: tuple[np.ndarray, ...]) -> int:
+    return sum(array.nbytes for array in arrays)
+
+
+def _sin2_table(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Search grid of 512 omegas up to the Nyquist limit of ``t`` (>= 4
+    distinct durations), and sin^2(omega*t/2) at every (grid omega,
+    duration), both read-only.
+
+    Both depend on ``t`` alone, so they are kept in ``_SIN2_TABLES``
+    within its bounds and reused by the next call with the same bytes;
+    the same durations in another order, or -0.0 for 0.0, are another key.
+    ``_sin2_table.cache_clear()`` empties it.
+    """
+    key = t.tobytes()
+    table = _SIN2_TABLES.pop(key, None)  # put back below as the most recent
+    if table is None:
+        spacing = np.diff(np.sort(t))
+        omega_max = math.pi / float(spacing[spacing > 0].min())
+        grid = np.linspace(0.0, omega_max, 512)
+        table = grid, np.sin(0.5 * np.outer(grid, t)) ** 2
+        for array in table:
+            array.flags.writeable = False
+        size = _nbytes(table)
+        if size > _SIN2_CACHE_BYTES:
+            return table
+        while (len(_SIN2_TABLES) >= _SIN2_CACHE_ENTRIES
+               or sum(map(_nbytes, _SIN2_TABLES.values())) + size > _SIN2_CACHE_BYTES):
+            del _SIN2_TABLES[next(iter(_SIN2_TABLES))]
+    _SIN2_TABLES[key] = table
+    return table
+
+
+_sin2_table.cache_clear = _SIN2_TABLES.clear
+
+
 def _omega_grid_table(t: np.ndarray, spam: SpamModel) -> tuple[np.ndarray, np.ndarray]:
     """Search grid of 512 omegas up to the Nyquist limit of ``t`` (>= 4
-    distinct durations), and the model at every (grid omega, duration)."""
-    spacing = np.diff(np.sort(t))
-    omega_max = math.pi / float(spacing[spacing > 0].min())
-    grid = np.linspace(0.0, omega_max, 512)
-    return grid, apply_spam(np.sin(0.5 * np.outer(grid, t)) ** 2, spam)
+    distinct durations), and the model at every (grid omega, duration).
+
+    The grid and the SPAM-free sin^2 come from ``_sin2_table``, computed
+    once per duration sequence; ``apply_spam`` runs on every call, so the
+    model is bit for bit the one computed from scratch.
+    """
+    grid, sin2 = _sin2_table(t)
+    return grid, apply_spam(sin2, spam)
 
 
 #: Fractions 1/2, 1/4, ... 1/2^19 of a refinement step, tried in this
@@ -880,17 +996,18 @@ def _fit_omegas(
     return omega, sigma
 
 
-def fit_freq_profile(
-    data: ScanDataset, spam: SpamModel = SpamModel()
-) -> tuple[FreqProfilePoint, ...]:
-    """Per-position Rabi frequencies from 1D fits, one per position.
+def fit_freq_profile(data: ScanDataset, spam: SpamModel = SpamModel()) -> FreqProfile:
+    """Per-position Rabi frequencies from 1D fits, one row per position.
 
     Positions with fewer than 4 distinct durations are skipped with a
-    warning. A point whose uncertainty reaches its value is flagged as
+    warning. A row whose uncertainty reaches its value is flagged as
     baseline (no resolvable oscillation). Positions that carry the same
     duration sequence (same values in the same record order) share one
     grid-search table and are refined together in one batch; the results
-    are identical to refining each position by itself.
+    are identical to refining each position by itself. The table's
+    SPAM-free sin^2 is reused across calls for a duration sequence seen
+    recently (``_sin2_table``), and the SPAM applied to it afresh, so a
+    profile is bit for bit the same whether it was reused or not.
     """
     x, t, p, shots = data.arrays()
     order, starts = data._positions
@@ -910,31 +1027,26 @@ def fit_freq_profile(
             rows = starts[members][:, None] + np.arange(hi - lo)
             omega[members], sigma[members] = _fit_omegas(ts[lo:hi], ps[rows], ns[rows], spam)
 
-    points = []
-    for pos, n, om, sig in zip(xs[starts].tolist(), n_distinct.tolist(),
-                               omega.tolist(), sigma.tolist()):
-        if n < 4:
-            warnings.warn(
-                f"position {pos:g} um has only {n} distinct "
-                "durations; skipped in frequency profile",
-                stacklevel=2,
-            )
-            continue
-        points.append(FreqProfilePoint(position_um=pos, omega=om, omega_err=sig,
-                                       baseline=sig >= om))
-    return tuple(points)
+    kept = n_distinct >= 4
+    for pos, n in zip(xs[starts[~kept]].tolist(), n_distinct[~kept].tolist()):
+        warnings.warn(
+            f"position {pos:g} um has only {n} distinct "
+            "durations; skipped in frequency profile",
+            stacklevel=2,
+        )
+    omega, sigma = omega[kept], sigma[kept]
+    return FreqProfile(position_um=xs[starts[kept]], omega=omega, omega_err=sigma,
+                       baseline=sigma >= omega)
 
 
 # === Second-moment width ====================================================
 
 
-def _profile_moments(profile: Sequence[FreqProfilePoint]) -> tuple[float, float]:
+def _profile_moments(profile: FreqProfile) -> tuple[float, float]:
     """(mean, variance) of a frequency profile's positions, weighted as
     ``d4sigma`` says; raises ValueError when no weight is positive."""
-    points = list(profile)
-    xs = np.array([pt.position_um for pt in points])
-    w = np.array([pt.omega for pt in points], dtype=float)
-    floor_vals = [pt.omega for pt in points if pt.baseline]
+    xs, w = profile.position_um, profile.omega
+    floor_vals = profile.omega[profile.baseline].tolist()
     if floor_vals:
         w = np.clip(w - _median(floor_vals), 0.0, None)
     total = float(w.sum())
@@ -944,7 +1056,7 @@ def _profile_moments(profile: Sequence[FreqProfilePoint]) -> tuple[float, float]
     return mean, float(w @ (xs - mean) ** 2) / total
 
 
-def d4sigma(profile: Sequence[FreqProfilePoint]) -> float:
+def d4sigma(profile: FreqProfile | Sequence[FreqProfilePoint]) -> float:
     """4-sigma second-moment width of a frequency profile, in um.
 
     Weights are the fitted Rabi frequencies (Omega is proportional to
@@ -953,9 +1065,10 @@ def d4sigma(profile: Sequence[FreqProfilePoint]) -> float:
     constant background (ISO 11146 subtracts it too). Raises ValueError
     with fewer than 3 non-baseline points or no positive weight.
     """
-    live = [pt for pt in profile if not pt.baseline]
-    if len(live) < 3:
-        raise ValueError(f"need >= 3 non-baseline profile points, got {len(live)}")
+    profile = _profile_columns(profile)
+    live = len(profile) - int(np.count_nonzero(profile.baseline))
+    if live < 3:
+        raise ValueError(f"need >= 3 non-baseline profile points, got {live}")
     return 4.0 * math.sqrt(_profile_moments(profile)[1])
 
 
@@ -1086,6 +1199,7 @@ def fit_report_dict(result: BeamFitResult) -> dict:
     """JSON-ready fit report; frequencies in Hz, lengths in um."""
     scale = np.diag([1.0 / TWO_PI, 1.0, 1.0])
     cov_hz = scale @ result.covariance @ scale
+    profile = _profile_columns(result.freq_profile)
     return {
         "schema_version": FIT_REPORT_SCHEMA,
         "beam_label": result.beam_label,
@@ -1108,8 +1222,8 @@ def fit_report_dict(result: BeamFitResult) -> dict:
         "residual_rms": result.residual_rms,
         "gaussian_diameter_um": 2.0 * result.params.width_um,
         "d4sigma_um": result.d4sigma_um,
-        "n_profile_points": len(result.freq_profile),
-        "n_baseline_points": sum(pt.baseline for pt in result.freq_profile),
+        "n_profile_points": len(profile),
+        "n_baseline_points": int(np.count_nonzero(profile.baseline)),
     }
 
 
@@ -1177,15 +1291,19 @@ def _read_fit_report(path: str | Path) -> tuple[BeamFitResult, dict]:
     scale = np.diag([TWO_PI, 1.0, 1.0])
     return BeamFitResult(
         params=params, covariance=scale @ cov_hz @ scale, residual_rms=float(rms),
-        freq_profile=(), n_iterations=n_iter, converged=raw["converged"], spam=spam_model,
+        freq_profile=FreqProfile((), (), (), ()), n_iterations=n_iter,
+        converged=raw["converged"], spam=spam_model,
         spam_errors=(float(prep_err), float(meas_err)), beam_label=label), raw
 
 
-def write_freq_profile_csv(profile: Sequence[FreqProfilePoint], path: str | Path) -> None:
+def write_freq_profile_csv(
+    profile: FreqProfile | Sequence[FreqProfilePoint], path: str | Path,
+) -> None:
+    profile = _profile_columns(profile)
     lines = ["position_um,rabi_hz,rabi_err_hz,baseline"]
-    for pt in profile:
-        lines.append(
-            f"{pt.position_um:.10g},{pt.omega / TWO_PI:.10g},"
-            f"{pt.omega_err / TWO_PI:.10g},{int(pt.baseline)}"
-        )
+    lines += [f"{x:.10g},{hz:.10g},{err_hz:.10g},{b:d}"
+              for x, hz, err_hz, b in zip(profile.position_um.tolist(),
+                                          (profile.omega / TWO_PI).tolist(),
+                                          (profile.omega_err / TWO_PI).tolist(),
+                                          profile.baseline.tolist())]
     _write_atomic(path, "\n".join(lines) + "\n")

@@ -24,6 +24,7 @@ from ionoptics.scan_fit import (
     BeamFitResult,
     DegenerateDataError,
     FitConvergenceError,
+    FreqProfile,
     FreqProfilePoint,
     ScanDataset,
     ScanFormatError,
@@ -47,6 +48,7 @@ from ionoptics.scan_fit import (
     _median,
     _n_distinct,
     _omega_grid_table,
+    _sin2_table,
     _spam_seed,
 )
 from ionoptics.synth_scan import SynthConfig, default_scan_grid, generate
@@ -141,15 +143,26 @@ def _per_position_profile(data, spam, fit_one):
     cap."""
     x, t, p, n = data.arrays()
     n = n.astype(float)
-    points, capped = [], []
+    rows, capped = [], []
     for pos in np.unique(x):
         at = x == pos
         if np.unique(t[at]).size < 4:
             continue
         omega, sigma, hit_cap = fit_one(t[at], p[at], n[at], spam)
-        points.append(FreqProfilePoint(float(pos), omega, sigma, sigma >= omega))
+        rows.append((float(pos), omega, sigma, sigma >= omega))
         capped.append(hit_cap)
-    return tuple(points), capped
+    columns = zip(*rows) if rows else ((), (), (), ())
+    return FreqProfile(*columns), capped
+
+
+PROFILE_COLUMNS = ("position_um", "omega", "omega_err", "baseline")
+
+
+def _assert_same_columns(got, want):
+    """Each column of two frequency profiles equal, value for value."""
+    for name in PROFILE_COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (name, a, b)
 
 
 def _reference_levenberg_marquardt(fun_jac, p0, is_valid, max_iterations):
@@ -747,8 +760,8 @@ class TestLevenbergMarquardtExits:
 
     @staticmethod
     def run(jac, target, p0, is_valid=lambda p: True):
-        return scan_fit._levenberg_marquardt(
-            _linear_residual(jac, target), np.array(p0, dtype=float), is_valid, 200)
+        residual, p0 = _linear_residual(jac, target), np.array(p0, dtype=float)
+        return scan_fit._levenberg_marquardt(residual, p0, is_valid, 200, residual(p0))
 
     def test_zero_residual_stops_on_the_gradient(self):
         run = self.run([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0], [1.0, 2.0])
@@ -975,12 +988,13 @@ class TestFitBeam:
         # returns the fallback
         spam, fallback = SpamModel(eps_prep=0.03, eps_meas=0.05), SpamModel(0.02, 0.02)
         ds = synth_dataset(beam_a, spam=spam)
-        got = scan_fit._spam_at(ds, beam_a, fallback)
+        x, t, _, shots = ds.arrays()
+        sin_sq = p_excited(beam_a, x, t)
+        got = scan_fit._spam_at(ds, sin_sq, fallback)
         assert got.eps_prep == pytest.approx(0.03, abs=1e-12)
         assert got.eps_meas == pytest.approx(0.05, abs=1e-12)
-        x, t, _, shots = ds.arrays()
-        inverted = ScanDataset(x, t, 1.0 - p_excited(beam_a, x, t), shots)
-        assert scan_fit._spam_at(inverted, beam_a, fallback) is fallback
+        inverted = ScanDataset(x, t, 1.0 - sin_sq, shots)
+        assert scan_fit._spam_at(inverted, sin_sq, fallback) is fallback
 
     def test_bright_dark_records_rejected(self, beam_a):
         # t = 0 records that read bright half the time give no SPAM error
@@ -1129,7 +1143,7 @@ class TestAgainstReferenceLM:
                                    np.ones_like(x), p_excited(params, x, t)])
             return r, sqrt_w[:, None] * jac
 
-        def reference_lm(residual, p0, is_valid, n):
+        def reference_lm(residual, p0, is_valid, n, at_p0):
             nonlocal sqrt_w
             if not runs:
                 guess = fit_model(BeamProfileParams(*p0[:3]), _vector_spam(p0), x, t)
@@ -1176,7 +1190,7 @@ class TestAgainstReferenceLM:
             assert fit.converged == ref.converged == (case != "max_iterations_1")
             assert fit.multi_start_used == ref.multi_start_used == (case == "max_iterations_1")
             assert abs(fit.n_iterations - ref.n_iterations) <= 3
-            assert fit.freq_profile == ref.freq_profile
+            _assert_same_columns(fit.freq_profile, ref.freq_profile)
             if not ref.multi_start_used:
                 # the SPAM errors come from the 5 x 5 inverse at the optimum,
                 # eps_meas = 1 - eps_prep - kappa
@@ -1198,28 +1212,33 @@ def analytic_profile(beam_a):
     return fit_freq_profile(generate(cfg)[0])
 
 
+def _rows_by_position(profile):
+    """Row index of each profile position, rounded to 1e-6 um."""
+    return {round(x, 6): i for i, x in enumerate(profile.position_um.tolist())}
+
+
 class TestFreqProfile:
     def test_center_recovers_peak(self, analytic_profile, beam_a):
-        by_pos = {round(pt.position_um, 6): pt for pt in analytic_profile}
-        assert by_pos[0.0].omega == pytest.approx(beam_a.omega0, rel=1e-9)
+        by_pos = _rows_by_position(analytic_profile)
+        assert analytic_profile.omega[by_pos[0.0]] == pytest.approx(beam_a.omega0, rel=1e-9)
 
     def test_half_width_point_on_envelope(self, analytic_profile, beam_a):
-        by_pos = {round(pt.position_um, 6): pt for pt in analytic_profile}
+        by_pos = _rows_by_position(analytic_profile)
         expected = beam_a.omega0 * math.exp(-0.5)
-        assert by_pos[round(1.86 / 2, 6)].omega == pytest.approx(expected, rel=1e-9)
-        assert by_pos[round(-1.86 / 2, 6)].omega == pytest.approx(expected, rel=1e-9)
+        for x in (1.86 / 2, -1.86 / 2):
+            assert analytic_profile.omega[by_pos[round(x, 6)]] == pytest.approx(expected, rel=1e-9)
 
     def test_far_wing_flagged_baseline(self, analytic_profile):
-        by_pos = {round(pt.position_um, 6): pt for pt in analytic_profile}
-        assert by_pos[round(3 * 1.86, 6)].baseline
-        assert not by_pos[0.0].baseline
+        by_pos = _rows_by_position(analytic_profile)
+        assert analytic_profile.baseline[by_pos[round(3 * 1.86, 6)]]
+        assert not analytic_profile.baseline[by_pos[0.0]]
 
     def test_sparse_durations_skipped_with_warning(self, beam_a):
         t = np.concatenate([np.linspace(1e-5, 1e-4, 6), np.linspace(1e-5, 1e-4, 2)])
         data = ScanDataset(np.repeat([0.0, 1.0], [6, 2]), t, np.full(8, 0.5), np.full(8, 100))
         with pytest.warns(UserWarning, match="distinct"):
             profile = fit_freq_profile(data)
-        assert [pt.position_um for pt in profile] == [0.0]
+        assert profile.position_um.tolist() == [0.0]
 
     @pytest.mark.parametrize(
         "layout", ["regular", "ragged", "shuffled", "spam_mismatch", "dark", "capped"])
@@ -1274,8 +1293,113 @@ class TestFreqProfile:
         # the capped layout holds rows stopped by the cap and by a stop rule
         assert (0 < sum(capped) < len(capped)) if layout == "capped" else not any(capped)
         if layout == "dark":
-            assert all(pt.omega == 0.0 and pt.omega_err == math.inf for pt in expected)
-        assert profile == tuple(expected)
+            assert (expected.omega == 0.0).all() and (expected.omega_err == math.inf).all()
+        _assert_same_columns(profile, expected)
+
+    @pytest.mark.parametrize("scan", ["log_parabola", "moments"])
+    def test_points_and_columns_agree(self, beam_a, scan, tmp_path):
+        # every consumer reads a list of FreqProfilePoint as the columns it
+        # converts to: the fine scan starts from the ln Omega parabola, the
+        # 9-position one from the profile's moments
+        if scan == "log_parabola":
+            ds = synth_dataset(beam_a, seed=4)
+        else:
+            _, durations = default_scan_grid(beam_a, 61, 21)
+            ds = generate(SynthConfig(truth=beam_a, positions_um=tuple(np.linspace(-6.0, 6.0, 9)),
+                                      durations_s=durations, shots=200, rng_seed=0))[0]
+        fit = fit_beam(ds)
+        profile = fit.freq_profile
+        points = [FreqProfilePoint(*row)
+                  for row in zip(*(getattr(profile, name).tolist() for name in PROFILE_COLUMNS))]
+        assert 0 < int(profile.baseline.sum()) < len(points) == len(profile)
+        assert d4sigma(points) == d4sigma(profile)
+        assert initial_guess(ds, points) == initial_guess(ds, profile)
+        keys = ("n_profile_points", "n_baseline_points", "d4sigma_um")
+        from_points = scan_fit.fit_report_dict(replace(fit, freq_profile=points))
+        assert [from_points[k] for k in keys] == [scan_fit.fit_report_dict(fit)[k] for k in keys]
+        write_freq_profile_csv(points, tmp_path / "points.csv")
+        write_freq_profile_csv(profile, tmp_path / "columns.csv")
+        assert (tmp_path / "points.csv").read_bytes() == (tmp_path / "columns.csv").read_bytes()
+
+    def test_columns_are_read_only_copies(self):
+        omega = np.array([1.0, 2.0])
+        profile = FreqProfile([0.0, 1.0], omega, [0.1, 0.1], [False, False])
+        omega[0] = 5.0
+        assert profile.omega.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError, match="read-only"):
+            profile.omega[0] = 3.0
+        assert len(profile) == 2
+        assert profile == FreqProfile([0.0, 1.0], [1.0, 2.0], [0.1, 0.1], [False, False])
+        assert profile != FreqProfile([0.0, 1.0], [1.0, 2.0], [0.1, 0.1], [False, True])
+        with pytest.raises(ValueError, match="equal length"):
+            FreqProfile([0.0], [1.0, 2.0], [0.1, 0.1], [False, False])
+
+
+@pytest.fixture
+def empty_sin2_cache():
+    _sin2_table.cache_clear()
+    yield scan_fit._SIN2_TABLES
+    _sin2_table.cache_clear()
+
+
+def _cached_bytes(cache):
+    return sum(grid.nbytes + table.nbytes for grid, table in cache.values())
+
+
+class TestSin2Cache:
+    # the grid search's SPAM-free sin^2 table is kept per duration sequence
+    def test_tables_are_read_only_and_reused(self, empty_sin2_cache):
+        t = np.linspace(0.0, 1e-3, 11)
+        grid, table = _sin2_table(t)
+        assert not grid.flags.writeable and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+        again = _sin2_table(t.copy())
+        assert again[0] is grid and again[1] is table
+        assert np.array_equal(table, np.sin(0.5 * np.outer(grid, t)) ** 2)
+
+    def test_order_and_sign_of_zero_are_part_of_the_key(self, empty_sin2_cache):
+        t = np.linspace(0.0, 1e-3, 11)
+        negative_zero = t.copy()
+        negative_zero[0] = -0.0
+        for durations in (t, t[::-1], negative_zero):
+            _sin2_table(np.ascontiguousarray(durations))
+        assert len(empty_sin2_cache) == 3
+
+    @pytest.mark.parametrize("n_dur", [11, 101])
+    def test_bounded(self, empty_sin2_cache, n_dur):
+        # 11 durations fill the entries first, 101 the bytes
+        for k in range(3 * scan_fit._SIN2_CACHE_ENTRIES):
+            _sin2_table(np.linspace(0.0, (k + 1) * 1e-4, n_dur))
+            assert len(empty_sin2_cache) <= scan_fit._SIN2_CACHE_ENTRIES
+            assert _cached_bytes(empty_sin2_cache) <= scan_fit._SIN2_CACHE_BYTES
+        # the last table used is kept
+        assert np.linspace(0.0, 3 * scan_fit._SIN2_CACHE_ENTRIES * 1e-4, n_dur).tobytes() \
+            in empty_sin2_cache
+
+    def test_oversize_table_computed_not_kept(self, empty_sin2_cache):
+        small = np.linspace(0.0, 1e-3, 11)
+        kept = _sin2_table(small)
+        n_dur = scan_fit._SIN2_CACHE_BYTES // (512 * 8) + 1
+        t = np.linspace(0.0, 1e-3, n_dur)
+        grid, table = _sin2_table(t)
+        assert table.nbytes > scan_fit._SIN2_CACHE_BYTES
+        assert np.array_equal(table, np.sin(0.5 * np.outer(grid, t)) ** 2)
+        assert list(empty_sin2_cache) == [small.tobytes()]
+        assert empty_sin2_cache[small.tobytes()] is kept
+
+    def test_warm_profile_equals_cold(self, beam_a, empty_sin2_cache):
+        # two SPAM models share the one table of the scan's durations; each
+        # profile fitted from it is bit for bit the one an empty cache gives
+        spams = (SpamModel(), SpamModel(eps_prep=0.08, eps_meas=0.05)) * 2
+        data = synth_dataset(beam_a, seed=5, spam=spams[1])
+        warm = [fit_freq_profile(data, spam) for spam in spams]
+        assert len(empty_sin2_cache) == 1
+        for profile, spam in zip(warm, spams):
+            _sin2_table.cache_clear()
+            cold = fit_freq_profile(data, spam)
+            for name in PROFILE_COLUMNS:
+                assert getattr(profile, name).tobytes() == getattr(cold, name).tobytes()
 
 
 def _random_scan(rng, trial):
@@ -1322,10 +1446,10 @@ def _row_costs(data, spam, profile):
     """Weighted SSE of each profile point's trace at its fitted omega."""
     x, t, p, n = data.arrays()
     costs = []
-    for pt in profile:
-        at = x == pt.position_um
+    for pos, omega in zip(profile.position_um.tolist(), profile.omega.tolist()):
+        at = x == pos
         w = _binomial_weights(p[at], n[at].astype(float))
-        r = apply_spam(np.sin(0.5 * pt.omega * t[at]) ** 2, spam) - p[at]
+        r = apply_spam(np.sin(0.5 * omega * t[at]) ** 2, spam) - p[at]
         costs.append(float(w @ (r * r)))
     return costs
 
@@ -1387,9 +1511,10 @@ class TestDecrementStop:
             with monkeypatch.context() as m:
                 m.setattr(scan_fit, "_DECREMENT_TOL", 0.0)
                 reference = fit_freq_profile(data, spam)
-            assert [pt.position_um for pt in profile] == [pt.position_um for pt in reference]
-            for pt, ref in zip(profile, reference):
-                assert abs(pt.omega - ref.omega) <= 1e-5 * ref.omega_err, (pt, ref)
+            assert np.array_equal(profile.position_um, reference.position_um)
+            moved = np.abs(profile.omega - reference.omega)
+            far = np.flatnonzero(~(moved <= 1e-5 * reference.omega_err))
+            assert far.size == 0, (far, profile.omega[far], reference.omega[far])
 
     @pytest.mark.parametrize("scans", ["recovery", "spam_mismatch"])
     def test_fit_beam_unmoved(self, cost_gate_scans, scans, monkeypatch):
@@ -1644,7 +1769,7 @@ class TestReports:
         assert len(lines) == 1 + len(result.freq_profile)
         first = lines[1].split(",")
         assert float(first[1]) == pytest.approx(
-            result.freq_profile[0].omega / TWO_PI, rel=1e-9
+            result.freq_profile.omega[0] / TWO_PI, rel=1e-9
         )
         assert first[3] in {"0", "1"}
 
