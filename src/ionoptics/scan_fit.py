@@ -15,14 +15,14 @@ the initial guess serve its SPAM solve, its weights and the first run's
 start. Per-position 1D fits give the Rabi-frequency profile Omega(x), a
 ``FreqProfile`` of columns, from which a D4sigma width is computed;
 positions that share a duration sequence start from one grid search done
-as two matrix products and are refined together in one batch by Newton
+as one matrix product and are refined together in one batch by Newton
 steps on the exact 1-D curvature, each row stopping once its step is
 under 1e-6 of its own sigma, with results identical to refining them one
-at a time. The grid search's SPAM-free sin^2 table depends on the
-durations alone, so a small bounded cache keeps it across calls; the
-SPAM is applied to it on every call, which keeps each profile bit for bit
-what a fresh table gives. Pairs of fits yield beam separations and
-crosstalk bounds.
+at a time. The grid search's sin^2 table carries no SPAM, which enters
+through the coefficients of each row instead, so the table depends on the
+durations alone and a small bounded cache keeps it across calls; each
+profile is bit for bit what a fresh table gives. Pairs of fits yield beam
+separations and crosstalk bounds.
 
 Record weighting is binomial: weight = shots/(m(1-m) + q) with a variance
 floor q = 1/(4*shots) so records at m in {0, 1} stay finite. The global fit
@@ -824,8 +824,8 @@ def fit_beam(data: ScanDataset, max_iterations: int = 200) -> BeamFitResult:
 _SIN2_CACHE_ENTRIES = 8
 _SIN2_CACHE_BYTES = 2 << 20
 
-#: Search grid and sin^2 table of the duration sequences seen last, keyed by
-#: ``t.tobytes()``, least recently used first.
+#: Search grid and [s | s*s] table of the duration sequences seen last,
+#: keyed by ``t.tobytes()``, least recently used first.
 _SIN2_TABLES: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -834,14 +834,15 @@ def _nbytes(arrays: tuple[np.ndarray, ...]) -> int:
 
 
 def _sin2_table(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Search grid of 512 omegas up to the Nyquist limit of ``t`` (>= 4
-    distinct durations), and sin^2(omega*t/2) at every (grid omega,
-    duration), both read-only.
+    """Search grid of 512 omegas up to the Nyquist limit of ``t`` (D >= 4
+    distinct durations), and the (512, 2D) table [s | s*s] of s =
+    sin^2(omega*t/2) at every (grid omega, duration), both read-only.
 
-    Both depend on ``t`` alone, so they are kept in ``_SIN2_TABLES``
-    within its bounds and reused by the next call with the same bytes;
-    the same durations in another order, or -0.0 for 0.0, are another key.
-    ``_sin2_table.cache_clear()`` empties it.
+    s carries no SPAM: ``_fit_omegas`` puts the SPAM into the coefficients
+    of its rows, so both depend on ``t`` alone. They are kept in
+    ``_SIN2_TABLES`` within its bounds and reused by the next call with the
+    same bytes; the same durations in another order, or -0.0 for 0.0, are
+    another key. ``_sin2_table.cache_clear()`` empties it.
     """
     key = t.tobytes()
     table = _SIN2_TABLES.pop(key, None)  # put back below as the most recent
@@ -849,7 +850,8 @@ def _sin2_table(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         spacing = np.diff(np.sort(t))
         omega_max = math.pi / float(spacing[spacing > 0].min())
         grid = np.linspace(0.0, omega_max, 512)
-        table = grid, np.sin(0.5 * np.outer(grid, t)) ** 2
+        s = np.sin(0.5 * np.outer(grid, t)) ** 2
+        table = grid, np.concatenate((s, s * s), axis=1)
         for array in table:
             array.flags.writeable = False
         size = _nbytes(table)
@@ -863,18 +865,6 @@ def _sin2_table(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 _sin2_table.cache_clear = _SIN2_TABLES.clear
-
-
-def _omega_grid_table(t: np.ndarray, spam: SpamModel) -> tuple[np.ndarray, np.ndarray]:
-    """Search grid of 512 omegas up to the Nyquist limit of ``t`` (>= 4
-    distinct durations), and the model at every (grid omega, duration).
-
-    The grid and the SPAM-free sin^2 come from ``_sin2_table``, computed
-    once per duration sequence; ``apply_spam`` runs on every call, so the
-    model is bit for bit the one computed from scratch.
-    """
-    grid, sin2 = _sin2_table(t)
-    return grid, apply_spam(sin2, spam)
 
 
 #: Fractions 1/2, 1/4, ... 1/2^19 of a refinement step, tried in this
@@ -908,11 +898,14 @@ def _fit_omegas(
 
     Each row of ``p`` and ``shots`` (shape (P, D)) is a trace over the
     duration sequence ``t`` (shape (D,)). A row starts at the best omega of
-    a 512-point grid up to the Nyquist limit of ``t``: with the grid model
-    m (512, D) and the weights w, the weighted SSE sum_j w (m - p)^2 of
-    every (row, grid omega) is w @ (m*m).T - 2 (w*p) @ m.T plus the row
-    constant sum_j w p^2, which cannot move a row's argmin, so the search is
-    two (P, D) x (D, 512) matrix products.
+    a 512-point grid up to the Nyquist limit of ``t``. With the weights w
+    and s = sin^2(omega*t/2) at the grid omegas, the model is eps0 +
+    kappa*s, and the weighted SSE w @ (eps0 + kappa*s - p)^2 of every (row,
+    grid omega) is kappa^2 w @ s^2 + 2 kappa (w (eps0 - p)) @ s plus the
+    row constant w @ (eps0 - p)^2, which cannot move a row's argmin. So the
+    search is one (P, 2D) x (2D, 512) product of the row coefficients
+    [2 kappa w (eps0 - p) | kappa^2 w] with the SPAM-free table [s | s*s]
+    that ``_sin2_table`` keeps per duration sequence.
 
     The row is then refined by at most ``_MAX_STEPS`` Newton steps on its
     cost w @ r^2, with r = eps0 + kappa*sin^2(theta) - p, theta = omega*t/2
@@ -929,9 +922,12 @@ def _fit_omegas(
     Wright, section 3.5), or when its jtj is <= 0. Otherwise the step is
     tried at full length, then halved up to 19 times until it lowers the
     cost; the row also stops when no trial lowers the cost, or the accepted
-    step is below 1e-12 of max(omega, 1). The rows still iterating are
-    refined together, and every row comes out bit for bit as it would when
-    fitted alone.
+    step is below 1e-12 of max(omega, 1). The accepted trial's residual and
+    cost are those of the next step, so they are carried over, not
+    evaluated again. A row whose grid omega is 0 is not refined: its jac,
+    and so its jtj, is 0 there. The rows still iterating are refined
+    together, and every row comes out bit for bit as it would when fitted
+    alone.
 
     Returns (omega, sigma_omega) per row, with sigma = 1/sqrt(jtj) at the
     fitted omega: the inverse root of the Fisher information under the
@@ -939,56 +935,61 @@ def _fit_omegas(
     carries the noise of r. sigma is inf where the trace carries no
     frequency information (flat trace, omega pinned at zero).
     """
-    grid, model = _omega_grid_table(t, spam)
+    grid, table = _sin2_table(t)
     w = _binomial_weights(p, shots)
+    kappa = spam.kappa
 
-    def weighted_sse(omegas: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # w @ r^2 of trace rows[i] at omegas[i]
+    def residuals(omegas: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # r of trace rows[i] at omegas[i], and its cost w @ r^2
         r = apply_spam(np.sin((0.5 * omegas)[:, None] * t) ** 2, spam) - p[rows]
-        return _rowdot(w[rows], r * r)
+        return r, _rowdot(w[rows], r * r)
 
     # weighted SSE of every (row, grid omega) less the row constant
-    sse = w @ (model * model).T
-    sse -= (2.0 * w * p) @ model.T
-    omega = grid[np.argmin(sse, axis=1)]
+    coef = np.concatenate(((2.0 * kappa) * (w * (spam.eps_prep - p)), (kappa * kappa) * w), axis=1)
+    omega = grid[np.argmin(coef @ table.T, axis=1)]
 
-    active = np.arange(p.shape[0])
+    active = np.flatnonzero(omega)
+    r, cost = residuals(omega[active], active)
     for _ in range(_MAX_STEPS):
         theta = (0.5 * omega[active])[:, None] * t
-        jac = spam.kappa * np.sin(2.0 * theta) * 0.5 * t
+        jac = kappa * np.sin(2.0 * theta) * 0.5 * t
         w_a = w[active]
         jtj = _rowdot(w_a, jac * jac)
-        r = apply_spam(np.sin(theta) ** 2, spam) - p[active]
         grad = _rowdot(w_a, jac * r)
         live = ~(jtj <= 0) & ~(grad * grad < _DECREMENT_TOL * jtj)
-        active, theta, jac, jtj, w_a, r, grad = (
-            a[live] for a in (active, theta, jac, jtj, w_a, r, grad))
+        active, theta, jtj, w_a, r, grad, cost = (
+            a[live] for a in (active, theta, jtj, w_a, r, grad, cost))
         if active.size == 0:
             break
         om = omega[active]
-        hess = jtj + _rowdot(w_a, r * (spam.kappa * np.cos(2.0 * theta) * 0.5 * t * t))
+        hess = jtj + _rowdot(w_a, r * (kappa * np.cos(2.0 * theta) * 0.5 * t * t))
         step = -grad / np.where(hess > 0, hess, jtj)
-        cost = _rowdot(w_a, r * r)
         trial = om + step
         scale = np.ones(active.size)
-        accepted = (trial >= 0) & (weighted_sse(trial, active) < cost)
+        trial_r, trial_cost = residuals(trial, active)
+        accepted = (trial >= 0) & (trial_cost < cost)
         rejected = np.flatnonzero(~accepted)
         if rejected.size:
             # only the rejected rows try the shorter steps
             trials = om[rejected, None] + _HALVINGS * step[rejected, None]
-            costs = weighted_sse(trials.ravel(), np.repeat(active[rejected], _HALVINGS.size))
-            ok = (trials >= 0) & (costs.reshape(trials.shape) < cost[rejected, None])
+            r_half, costs = residuals(trials.ravel(), np.repeat(active[rejected], _HALVINGS.size))
+            costs = costs.reshape(trials.shape)
+            ok = (trials >= 0) & (costs < cost[rejected, None])
             took = ok.any(axis=1)
             first = np.argmax(ok[took], axis=1)
-            trial[rejected[took]] = trials[took, first]
-            scale[rejected[took]] = _HALVINGS[first]
-            accepted[rejected[took]] = True
+            halved = rejected[took]
+            trial[halved] = trials[took, first]
+            scale[halved] = _HALVINGS[first]
+            trial_r[halved] = r_half.reshape(*trials.shape, t.size)[took, first]
+            trial_cost[halved] = costs[took, first]
+            accepted[halved] = True
         omega[active[accepted]] = trial[accepted]
         small = np.abs(scale * step) < 1e-12 * np.maximum(trial, 1.0)
-        active = active[accepted & ~small]
+        going = accepted & ~small
+        active, r, cost = active[going], trial_r[going], trial_cost[going]
 
     theta = (0.5 * omega)[:, None] * t
-    jac = spam.kappa * np.sin(2.0 * theta) * 0.5 * t
+    jac = kappa * np.sin(2.0 * theta) * 0.5 * t
     jtj = _rowdot(w, jac * jac)
     sigma = np.full(omega.size, math.inf)
     informative = ~(jtj <= 0)
@@ -1003,11 +1004,13 @@ def fit_freq_profile(data: ScanDataset, spam: SpamModel = SpamModel()) -> FreqPr
     warning. A row whose uncertainty reaches its value is flagged as
     baseline (no resolvable oscillation). Positions that carry the same
     duration sequence (same values in the same record order) share one
-    grid-search table and are refined together in one batch; the results
-    are identical to refining each position by itself. The table's
-    SPAM-free sin^2 is reused across calls for a duration sequence seen
-    recently (``_sin2_table``), and the SPAM applied to it afresh, so a
-    profile is bit for bit the same whether it was reused or not.
+    grid search and are refined together in one batch; the results are
+    identical to refining each position by itself. The search reads a
+    sin^2 table that carries no SPAM, kept across calls for a duration
+    sequence seen recently (``_sin2_table``); ``spam`` enters through the
+    coefficients of each position's row, so one table serves every SPAM
+    model, and a profile is bit for bit the same whether the table was
+    reused or not.
     """
     x, t, p, shots = data.arrays()
     order, starts = data._positions

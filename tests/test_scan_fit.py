@@ -2,11 +2,13 @@
 
 import codecs
 import csv
+import functools
 import io
 import itertools
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -47,7 +49,6 @@ from ionoptics.scan_fit import (
     _binomial_weights,
     _median,
     _n_distinct,
-    _omega_grid_table,
     _sin2_table,
     _spam_seed,
 )
@@ -70,17 +71,20 @@ def synth_dataset(beam, seed=None, shots=200, n_pos=31, n_dur=15, spam=SpamModel
     return generate(cfg)[0]
 
 
-def _fit_single_omega(t, p, shots, spam, newton=True):
+def _fit_single_omega(t, p, shots, spam, newton=True, goes_on=None):
     """Reference for the frequency profile: one trace, scalar dot products.
 
     The per-position loop the batched fit replaced, taking Newton steps
     (Gauss-Newton where the curvature is not positive) and stopping on the
     decrement test ``scan_fit._DECREMENT_TOL``, or with ``newton=False``
-    the Gauss-Newton steps, without that test, the fit took before. Returns
-    (omega, sigma_omega, capped); capped is True when the refinement ran
-    all of its ``scan_fit._MAX_STEPS`` steps.
+    the Gauss-Newton steps, without that test, the fit took before. Every
+    step evaluates its residual afresh. Returns (omega, sigma_omega,
+    capped); capped is True when the refinement ran all of its
+    ``scan_fit._MAX_STEPS`` steps. ``goes_on``, when a list, gets the
+    fraction (1, 1/2, 1/4, ...) of each accepted step the row goes on from.
     """
-    grid, model = _omega_grid_table(t, spam)
+    grid, table = _sin2_table(t)
+    model = apply_spam(table[:, :t.size], spam)
     kappa = 1.0 - spam.eps_prep - spam.eps_meas
     w = _binomial_weights(p, shots)
     sse = ((model - p) ** 2 * w).sum(axis=1)
@@ -120,6 +124,8 @@ def _fit_single_omega(t, p, shots, spam, newton=True):
         if not improved or abs(scale * step) < 1e-12 * max(omega, 1.0):
             capped = False
             break
+        if goes_on is not None:
+            goes_on.append(scale)
 
     theta = 0.5 * omega * t
     jac = kappa * np.sin(2.0 * theta) * 0.5 * t
@@ -1296,6 +1302,26 @@ class TestFreqProfile:
             assert (expected.omega == 0.0).all() and (expected.omega_err == math.inf).all()
         _assert_same_columns(profile, expected)
 
+    @pytest.mark.parametrize("scan", ["spam_mismatch", "random"])
+    def test_rows_going_on_from_a_halved_step(self, beam_a, scan):
+        # a row accepted only at a halved step takes its next step from that
+        # trial's residual and cost, carried over; the reference evaluates
+        # them afresh at every step. In the 121 x 41 scan profiled with its
+        # seed SPAM, a row goes on from the residual; in the random scan
+        # (found in a search of 3000), one goes on from the cost too.
+        if scan == "spam_mismatch":
+            data = synth_dataset(beam_a, seed=3, n_pos=121, n_dur=41,
+                                 spam=SpamModel(eps_prep=0.08, eps_meas=0.08))
+            spam = _spam_seed(data)
+        else:
+            data = _random_scan(np.random.default_rng([477, 30]), 0)
+            spam = SpamModel(eps_prep=0.2, eps_meas=0.2)
+        goes_on = []
+        expected, _ = _per_position_profile(
+            data, spam, functools.partial(_fit_single_omega, goes_on=goes_on))
+        assert any(scale < 1.0 for scale in goes_on)
+        _assert_same_columns(fit_freq_profile(data, spam), expected)
+
     @pytest.mark.parametrize("scan", ["log_parabola", "moments"])
     def test_points_and_columns_agree(self, beam_a, scan, tmp_path):
         # every consumer reads a list of FreqProfilePoint as the columns it
@@ -1346,17 +1372,27 @@ def _cached_bytes(cache):
     return sum(grid.nbytes + table.nbytes for grid, table in cache.values())
 
 
+def _assert_halves(grid, table, t):
+    """``table`` is [s | s*s] of s = sin^2(grid*t/2), bit for bit."""
+    s = np.sin(0.5 * np.outer(grid, t)) ** 2
+    assert table.shape == (grid.size, 2 * t.size)
+    assert table[:, :t.size].tobytes() == s.tobytes()
+    assert table[:, t.size:].tobytes() == (s * s).tobytes()
+
+
 class TestSin2Cache:
-    # the grid search's SPAM-free sin^2 table is kept per duration sequence
+    # the grid search's SPAM-free [s | s*s] table is kept per duration sequence
     def test_tables_are_read_only_and_reused(self, empty_sin2_cache):
         t = np.linspace(0.0, 1e-3, 11)
         grid, table = _sin2_table(t)
         assert not grid.flags.writeable and not table.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 1.0
+        for half in (table[:, :t.size], table[:, t.size:]):
+            assert not half.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                half[0, 0] = 1.0
         again = _sin2_table(t.copy())
         assert again[0] is grid and again[1] is table
-        assert np.array_equal(table, np.sin(0.5 * np.outer(grid, t)) ** 2)
+        _assert_halves(grid, table, t)
 
     def test_order_and_sign_of_zero_are_part_of_the_key(self, empty_sin2_cache):
         t = np.linspace(0.0, 1e-3, 11)
@@ -1368,25 +1404,32 @@ class TestSin2Cache:
 
     @pytest.mark.parametrize("n_dur", [11, 101])
     def test_bounded(self, empty_sin2_cache, n_dur):
-        # 11 durations fill the entries first, 101 the bytes
+        # 11 durations fill the entries first, 101 the bytes: an entry is a
+        # grid of 512 and a (512, 2 n_dur) table
+        entry_bytes = 512 * 8 * (1 + 2 * n_dur)
+        full = min(scan_fit._SIN2_CACHE_ENTRIES, scan_fit._SIN2_CACHE_BYTES // entry_bytes)
         for k in range(3 * scan_fit._SIN2_CACHE_ENTRIES):
             _sin2_table(np.linspace(0.0, (k + 1) * 1e-4, n_dur))
             assert len(empty_sin2_cache) <= scan_fit._SIN2_CACHE_ENTRIES
             assert _cached_bytes(empty_sin2_cache) <= scan_fit._SIN2_CACHE_BYTES
+        assert len(empty_sin2_cache) == full
         # the last table used is kept
         assert np.linspace(0.0, 3 * scan_fit._SIN2_CACHE_ENTRIES * 1e-4, n_dur).tobytes() \
             in empty_sin2_cache
 
     def test_oversize_table_computed_not_kept(self, empty_sin2_cache):
-        small = np.linspace(0.0, 1e-3, 11)
-        kept = _sin2_table(small)
-        n_dur = scan_fit._SIN2_CACHE_BYTES // (512 * 8) + 1
+        # the [s | s*s] table of n_dur durations alone fills the byte bound;
+        # one duration fewer fits with its grid
+        n_dur = scan_fit._SIN2_CACHE_BYTES // (512 * 8 * 2)
+        fits = np.linspace(0.0, 1e-3, n_dur - 1)
+        kept = _sin2_table(fits)
+        assert _cached_bytes(empty_sin2_cache) <= scan_fit._SIN2_CACHE_BYTES
         t = np.linspace(0.0, 1e-3, n_dur)
         grid, table = _sin2_table(t)
-        assert table.nbytes > scan_fit._SIN2_CACHE_BYTES
-        assert np.array_equal(table, np.sin(0.5 * np.outer(grid, t)) ** 2)
-        assert list(empty_sin2_cache) == [small.tobytes()]
-        assert empty_sin2_cache[small.tobytes()] is kept
+        assert grid.nbytes + table.nbytes > scan_fit._SIN2_CACHE_BYTES
+        _assert_halves(grid, table, t)
+        assert list(empty_sin2_cache) == [fits.tobytes()]
+        assert empty_sin2_cache[fits.tobytes()] is kept
 
     def test_warm_profile_equals_cold(self, beam_a, empty_sin2_cache):
         # two SPAM models share the one table of the scan's durations; each
@@ -1400,6 +1443,22 @@ class TestSin2Cache:
             cold = fit_freq_profile(data, spam)
             for name in PROFILE_COLUMNS:
                 assert getattr(profile, name).tobytes() == getattr(cold, name).tobytes()
+
+    def test_warm_profile_peak_memory(self, beam_a, empty_sin2_cache):
+        # with the table cached, a profile's largest array is the one (P,
+        # 512) product of the grid search; the bound was fixed at 2.5 of it
+        # before this test first ran
+        data = synth_dataset(beam_a, seed=3, n_pos=121, n_dur=41,
+                             spam=SpamModel(eps_prep=0.08, eps_meas=0.08))
+        fit_freq_profile(data)
+        tracemalloc.start()
+        try:
+            profile = fit_freq_profile(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(profile) == 121
+        assert peak < 2.5 * 121 * 512 * 8
 
 
 def _random_scan(rng, trial):
