@@ -1307,8 +1307,9 @@ class TestFreqProfile:
         # a row accepted only at a halved step takes its next step from that
         # trial's residual and cost, carried over; the reference evaluates
         # them afresh at every step. In the 121 x 41 scan profiled with its
-        # seed SPAM, a row goes on from the residual; in the random scan
-        # (found in a search of 3000), one goes on from the cost too.
+        # seed SPAM, a row goes on from the residual; in the random scan, one
+        # goes on from the cost too (found among the first scans of
+        # default_rng([s, 30]), s < 3000, fitted with SPAM 0.2).
         if scan == "spam_mismatch":
             data = synth_dataset(beam_a, seed=3, n_pos=121, n_dur=41,
                                  spam=SpamModel(eps_prep=0.08, eps_meas=0.08))
