@@ -29,7 +29,7 @@ _EXPORTS = {
         "min_diameter_for_na", "tradeoff_curve",
     ),
     "rabi_model": (
-        "BeamProfileParams", "SpamModel", "local_rabi", "p_excited",
+        "BeamProfileParams", "SpamModel", "p_excited",
         "apply_spam", "crosstalk_rabi_bound", "intensity_crosstalk_ratio",
     ),
     "system_model": (

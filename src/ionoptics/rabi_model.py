@@ -77,13 +77,6 @@ class SpamModel:
         return 1.0 - self.eps_prep - self.eps_meas
 
 
-def local_rabi(params: BeamProfileParams, x_um):
-    """Local Rabi frequency Omega(x) = Omega0*exp(-2*(x-x_c)^2/w0^2), rad/s."""
-    x = np.asarray(x_um, dtype=float)
-    u = (x - params.center_um) / params.width_um
-    return params.omega0 * np.exp(-2.0 * u * u)
-
-
 def _beam_phase(omega0, center, width, x, t):
     """(x - center, envelope g, phase theta, sin^2(theta)) of ``_excitation``
     at the beam (omega0, center, width): its exp and sin, which the SPAM

@@ -27,9 +27,9 @@ separations and crosstalk bounds.
 Record weighting is binomial: weight = shots/(m(1-m) + q) with a variance
 floor q = 1/(4*shots) so records at m in {0, 1} stay finite. The global fit
 takes m from the model at its starting point, the per-position profile from
-the measured p1. With the SPAM fitted and those weights, the residual RMS
-of a well-specified fit sits near 1, which is the shot-noise floor used to
-trigger multi-start recovery.
+the measured p1. The global fit's residual RMS keeps those start weights,
+so it is no calibrated chi^2: on the README grid its mean square is 0.33 at
+SPAM 0, where many records sit near m = 0, 0.91 at 0.01 and 0.98 at 0.08.
 
 File formats (see docs/file_formats.md): scans travel as CSV with header
 ``position_um,duration_us,p1,shots``; fit results as JSON (frequencies in
@@ -703,7 +703,7 @@ def _profile_columns(profile: FreqProfile | Sequence[FreqProfilePoint]) -> FreqP
 class BeamFitResult:
     params: BeamProfileParams
     covariance: np.ndarray  # 3x3, order (omega0 rad/s, center um, width um)
-    residual_rms: float  # weighted, per record; ~1 at the shot-noise floor
+    residual_rms: float  # per record, weighted by the start model plus 1/(4n); not a chi^2
     freq_profile: FreqProfile
     n_iterations: int
     converged: bool
@@ -921,19 +921,21 @@ def _fit_omegas(
     ``_DECREMENT_TOL`` * jtj: the Newton decrement in sigma units, Nocedal &
     Wright, section 3.5), or when its jtj is <= 0. Otherwise the step is
     tried at full length, then halved up to 19 times until it lowers the
-    cost; the row also stops when no trial lowers the cost, or the accepted
-    step is below 1e-12 of max(omega, 1). The accepted trial's residual and
-    cost are those of the next step, so they are carried over, not
-    evaluated again. A row whose grid omega is 0 is not refined: its jac,
-    and so its jtj, is 0 there. The rows still iterating are refined
-    together, and every row comes out bit for bit as it would when fitted
-    alone.
+    cost; the row also stops when no trial lowers the cost (a step too
+    small to matter fails the decrement test first). The accepted trial's
+    residual and cost are those of the next step, so they are carried
+    over, not evaluated again. A row whose grid omega is 0 is not refined:
+    its jac, and so its jtj, is 0 there. The rows still iterating are
+    refined together, and every row comes out bit for bit as it would when
+    fitted alone.
 
     Returns (omega, sigma_omega) per row, with sigma = 1/sqrt(jtj) at the
     fitted omega: the inverse root of the Fisher information under the
-    binomial weights. The observed curvature hess is not used there; it
-    carries the noise of r. sigma is inf where the trace carries no
-    frequency information (flat trace, omega pinned at zero).
+    binomial weights, from the jtj of the row's last pass (a row at the
+    step cap takes one more pass for it). The observed curvature hess is
+    not used there; it carries the noise of r. sigma is inf where the
+    trace carries no frequency information (flat trace, omega pinned at
+    zero).
     """
     grid, table = _sin2_table(t)
     w = _binomial_weights(p, shots)
@@ -948,13 +950,17 @@ def _fit_omegas(
     coef = np.concatenate(((2.0 * kappa) * (w * (spam.eps_prep - p)), (kappa * kappa) * w), axis=1)
     omega = grid[np.argmin(coef @ table.T, axis=1)]
 
+    info = np.zeros(omega.size)  # each row's jtj at its omega; 0 at grid omega 0
     active = np.flatnonzero(omega)
     r, cost = residuals(omega[active], active)
-    for _ in range(_MAX_STEPS):
+    for k in range(_MAX_STEPS + 1):
         theta = (0.5 * omega[active])[:, None] * t
         jac = kappa * np.sin(2.0 * theta) * 0.5 * t
         w_a = w[active]
         jtj = _rowdot(w_a, jac * jac)
+        info[active] = jtj
+        if k == _MAX_STEPS:
+            break
         grad = _rowdot(w_a, jac * r)
         live = ~(jtj <= 0) & ~(grad * grad < _DECREMENT_TOL * jtj)
         active, theta, jtj, w_a, r, grad, cost = (
@@ -965,7 +971,6 @@ def _fit_omegas(
         hess = jtj + _rowdot(w_a, r * (kappa * np.cos(2.0 * theta) * 0.5 * t * t))
         step = -grad / np.where(hess > 0, hess, jtj)
         trial = om + step
-        scale = np.ones(active.size)
         trial_r, trial_cost = residuals(trial, active)
         accepted = (trial >= 0) & (trial_cost < cost)
         rejected = np.flatnonzero(~accepted)
@@ -979,22 +984,14 @@ def _fit_omegas(
             first = np.argmax(ok[took], axis=1)
             halved = rejected[took]
             trial[halved] = trials[took, first]
-            scale[halved] = _HALVINGS[first]
             trial_r[halved] = r_half.reshape(*trials.shape, t.size)[took, first]
             trial_cost[halved] = costs[took, first]
             accepted[halved] = True
         omega[active[accepted]] = trial[accepted]
-        small = np.abs(scale * step) < 1e-12 * np.maximum(trial, 1.0)
-        going = accepted & ~small
-        active, r, cost = active[going], trial_r[going], trial_cost[going]
+        active, r, cost = active[accepted], trial_r[accepted], trial_cost[accepted]
 
-    theta = (0.5 * omega)[:, None] * t
-    jac = kappa * np.sin(2.0 * theta) * 0.5 * t
-    jtj = _rowdot(w, jac * jac)
-    sigma = np.full(omega.size, math.inf)
-    informative = ~(jtj <= 0)
-    sigma[informative] = 1.0 / np.sqrt(jtj[informative])
-    return omega, sigma
+    with np.errstate(divide="ignore"):  # inf at jtj 0
+        return omega, 1.0 / np.sqrt(info)
 
 
 def fit_freq_profile(data: ScanDataset, spam: SpamModel = SpamModel()) -> FreqProfile:
@@ -1014,7 +1011,7 @@ def fit_freq_profile(data: ScanDataset, spam: SpamModel = SpamModel()) -> FreqPr
     """
     x, t, p, shots = data.arrays()
     order, starts = data._positions
-    xs, ts, ps, ns = x[order], t[order], p[order], shots[order].astype(float)
+    xs, ts, ps, ns = x[order], t[order], p[order], shots[order]
     stops = np.append(starts[1:], xs.size)
     sequences: dict[bytes, list[int]] = {}
     for i, (lo, hi) in enumerate(zip(starts.tolist(), stops.tolist())):
@@ -1111,7 +1108,7 @@ def _trace_oscillates(trace: ScanDataset, spam: SpamModel) -> bool:
         raise DegenerateDataError(
             f"off-beam trace {trace.beam_label!r} needs >= 4 distinct durations"
         )
-    omega, sigma = _fit_omegas(t, p[None, :], shots[None, :].astype(float), spam)
+    omega, sigma = _fit_omegas(t, p[None, :], shots[None, :], spam)
     return bool(sigma[0] < omega[0])
 
 

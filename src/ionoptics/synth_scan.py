@@ -160,14 +160,17 @@ def default_scan_grid(
     run from zero through three full oscillation periods of the slowest
     beam. For two beams the position span widens to cover both envelopes
     (the count grows to keep the step at the narrowest w0/10 if needed).
-    Raises ValueError when that count would pass 2^20, the most positions
-    a grid may hold, before any grid is built.
+    Raises ValueError, before any grid is built, when either count asked
+    for, or the position count that step needs, would pass 2^20, the most
+    positions or durations a grid may hold.
     """
     beams = (truth,) if isinstance(truth, BeamProfileParams) else tuple(truth)
     if not beams:
         raise ValueError("need at least one beam")
     _count("grid positions", n_positions, least=2)
     _count("grid durations", n_durations, least=2)
+    if max(n_positions, n_durations) > _GRID_LIMIT:
+        raise ValueError("a grid may hold at most 2^20 positions and 2^20 durations")
     lo = min(b.center_um - 3.0 * b.width_um for b in beams)
     hi = max(b.center_um + 3.0 * b.width_um for b in beams)
     step_cap = min(b.width_um for b in beams) / 10.0

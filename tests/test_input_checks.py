@@ -95,6 +95,12 @@ CASES = {
                                     "grid positions must be an integer >= 2, got 1"),
     "default_scan_grid-durations": (lambda: default_scan_grid(BEAM, 61, 2.0),
                                     "grid durations must be an integer >= 2, got 2.0"),
+    "default_scan_grid-positions-limit": (
+        lambda: default_scan_grid(BEAM, (1 << 20) + 1, 21),
+        "a grid may hold at most 2^20 positions and 2^20 durations"),
+    "default_scan_grid-durations-limit": (
+        lambda: default_scan_grid(BEAM, 61, (1 << 20) + 1),
+        "a grid may hold at most 2^20 positions and 2^20 durations"),
     "default_scan_grid-span": (
         lambda: default_scan_grid((BEAM, BeamProfileParams(1.0, 2e5, 1.0))),
         "the beams span 200009 um: a default grid at steps of w0/10 = 0.1 um "

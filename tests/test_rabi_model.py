@@ -13,7 +13,6 @@ from ionoptics.rabi_model import (
     apply_spam,
     crosstalk_rabi_bound,
     intensity_crosstalk_ratio,
-    local_rabi,
     p_excited,
 )
 
@@ -26,32 +25,10 @@ RATIO_VS_2120 = 0.006015901967784892
 RATIO_VS_1910 = 0.006677336215551817
 
 
-class TestLocalRabi:
-    def test_peak_at_center(self, beam_a):
-        assert local_rabi(beam_a, 0.0) == pytest.approx(beam_a.omega0, rel=1e-12)
-
-    def test_one_width_out_drops_by_e2(self, beam_a):
-        # at x = x_c + w0 the frequency is Omega0 * e^-2 = 2*pi*258.49 Hz
-        assert local_rabi(beam_a, 1.86) / TWO_PI == pytest.approx(
-            258.49039098193026, rel=1e-12
-        )
-
-    @given(dx=st.floats(min_value=-10.0, max_value=10.0))
-    @settings(max_examples=200, deadline=None)
-    def test_mirror_symmetry(self, dx, beam_b):
-        left = local_rabi(beam_b, beam_b.center_um - dx)
-        right = local_rabi(beam_b, beam_b.center_um + dx)
-        assert left == pytest.approx(right, rel=1e-12)
-
+class TestBeamProfileParams:
     def test_non_finite_center_rejected(self):
         with pytest.raises(ValueError, match="^center must be finite$"):
             BeamProfileParams(omega0=1.0, center_um=math.nan, width_um=1.0)
-
-    def test_vectorized(self, beam_a):
-        xs = np.array([0.0, 1.86, -1.86])
-        out = local_rabi(beam_a, xs)
-        assert out.shape == (3,)
-        assert out[1] == pytest.approx(out[2], rel=1e-12)
 
 
 class TestPExcited:
@@ -81,7 +58,8 @@ class TestPExcited:
     @settings(max_examples=300, deadline=None)
     def test_envelope_bound(self, x, t, beam_a):
         # off-center oscillation never exceeds the optimum-duration envelope
-        theta = local_rabi(beam_a, x) * t / 2.0
+        u = (x - beam_a.center_um) / beam_a.width_um
+        theta = beam_a.omega0 * math.exp(-2.0 * u * u) * t / 2.0
         assert p_excited(beam_a, x, t) == pytest.approx(math.sin(theta) ** 2,
                                                         abs=1e-12)
 
