@@ -16,13 +16,14 @@ start. Per-position 1D fits give the Rabi-frequency profile Omega(x), a
 ``FreqProfile`` of columns, from which a D4sigma width is computed;
 positions that share a duration sequence start from one grid search done
 as one matrix product and are refined together in one batch by Newton
-steps on the exact 1-D curvature, each row stopping once its step is
-under 1e-6 of its own sigma, with results identical to refining them one
-at a time. The grid search's sin^2 table carries no SPAM, which enters
-through the coefficients of each row instead, so the table depends on the
-durations alone and a small bounded cache keeps it across calls; each
-profile is bit for bit what a fresh table gives. Pairs of fits yield beam
-separations and crosstalk bounds.
+steps on the exact 1-D curvature, each step backtracked by halving until
+it lowers the row's cost and each row stopping once its step is under
+1e-6 of its own sigma, with results identical to refining them one at a
+time. The grid search's sin^2 table carries no SPAM, which enters through
+the coefficients of each row instead, so the table depends on the
+durations alone and a cache bounded by its bytes alone keeps it across
+calls; each profile is bit for bit what a fresh table gives. Pairs of fits
+yield beam separations and crosstalk bounds.
 
 Record weighting is binomial: weight = shots/(m(1-m) + q) with a variance
 floor q = 1/(4*shots) so records at m in {0, 1} stay finite. The global fit
@@ -113,6 +114,16 @@ def _first_out_of_domain(x, t, p, shots) -> tuple[int, int] | None:
     return int(rows[0]), int(np.argmax(bad[:, rows[0]]))
 
 
+def _set_columns(obj, names: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Set ``columns`` read-only on the frozen dataclass ``obj`` as its fields
+    ``names``; raises ValueError unless they are 1-D and of equal length."""
+    if any(c.ndim != 1 or c.size != columns[0].size for c in columns):
+        raise ValueError("columns must be 1-D and of equal length")
+    for name, column in zip(names, columns):
+        column.flags.writeable = False
+        object.__setattr__(obj, name, column)
+
+
 @dataclass(frozen=True, eq=False)
 class ScanDataset:
     """A scan as four validated, read-only columns of equal length.
@@ -139,8 +150,7 @@ class ScanDataset:
             np.array(self.p1, dtype=float),
             shots.astype(np.int64),
         )
-        if any(c.ndim != 1 or c.size != columns[0].size for c in columns):
-            raise ValueError("columns must be 1-D and of equal length")
+        _set_columns(self, _COLUMNS, columns)
         if columns[0].size == 0:
             raise ValueError("dataset has no records")
         bad = _first_out_of_domain(*columns)
@@ -148,9 +158,6 @@ class ScanDataset:
             i, k = bad
             raise ValueError(
                 f"record {i}: {_COLUMNS[k]} {_DOMAINS[k]}, got {columns[k][i].item()!r}")
-        for name, column in zip(_COLUMNS, columns):
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(positions um, durations s, p1, shots): the dataset's read-only columns."""
@@ -199,14 +206,19 @@ def _median(values: Sequence[float]) -> float:
     return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
 
 
+#: Fewest distinct durations that constrain a trace's frequency: the beam
+#: fit's grid, each profiled position and each off-beam trace need this many.
+_MIN_DURATIONS = 4
+
+
 def _require_fit_grid(data: ScanDataset) -> None:
     n_t, n_x = _n_distinct(data.duration_s), data._positions[1].size
     if n_t == 1:
         raise DegenerateDataError("all durations equal; the fit is rank-deficient")
     if n_x < 4:
         raise DegenerateDataError(f"need >= 4 distinct positions, got {n_x}")
-    if n_t < 4:
-        raise DegenerateDataError(f"need >= 4 distinct durations, got {n_t}")
+    if n_t < _MIN_DURATIONS:
+        raise DegenerateDataError(f"need >= {_MIN_DURATIONS} distinct durations, got {n_t}")
     if len(data) < 12:
         raise DegenerateDataError(f"need >= 12 records, got {len(data)}")
     data._amplitude  # raises before any per-position work on a flat scan
@@ -544,14 +556,20 @@ def initial_guess(
     deviation (half its D4sigma), and Omega0 is the profile point nearest
     x_c (that trace oscillates at essentially Omega0). Raises
     DegenerateDataError when the moments cannot be taken or that point
-    has no frequency.
+    has no frequency, and ValueError when a profile position is not a
+    position of the scan.
     """
     profile = _profile_columns(profile)
     if not len(profile):
         raise DegenerateDataError("frequency profile has no points")
     xs, amp = data._amplitude
     px, omegas = profile.position_um, profile.omega
-    amp_p = amp[np.searchsorted(xs, px)]
+    at = np.minimum(np.searchsorted(xs, px), xs.size - 1)
+    stray = np.flatnonzero(xs[at] != px)
+    if stray.size:
+        raise ValueError(
+            f"profile position {px[stray[0]].item()!r} um is not a position of the scan")
+    amp_p = amp[at]
     bright = (amp_p >= 0.25 * amp.max()) & (omegas > 0)
     refined = _log_profile_refinement(
         px[bright], omegas[bright], amp_p[bright], float(xs[0]), float(xs[-1])
@@ -670,13 +688,9 @@ class FreqProfile:
     baseline: np.ndarray
 
     def __post_init__(self):
-        columns = (np.array(self.position_um, dtype=float), np.array(self.omega, dtype=float),
-                   np.array(self.omega_err, dtype=float), np.array(self.baseline, dtype=bool))
-        if any(c.ndim != 1 or c.size != columns[0].size for c in columns):
-            raise ValueError("columns must be 1-D and of equal length")
-        for name, column in zip(_PROFILE_COLUMNS, columns):
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        _set_columns(self, _PROFILE_COLUMNS, (
+            np.array(self.position_um, dtype=float), np.array(self.omega, dtype=float),
+            np.array(self.omega_err, dtype=float), np.array(self.baseline, dtype=bool)))
 
     def __len__(self) -> int:
         return self.position_um.size
@@ -819,9 +833,8 @@ def fit_beam(data: ScanDataset, max_iterations: int = 200) -> BeamFitResult:
 # === Per-position frequency profile =========================================
 
 
-#: Bounds of ``_SIN2_TABLES``: its entries, and the bytes of their arrays
-#: together. A grid and table larger than the byte bound is not kept.
-_SIN2_CACHE_ENTRIES = 8
+#: Bound on the bytes of the arrays in ``_SIN2_TABLES`` together. A grid
+#: and table larger than it is not kept.
 _SIN2_CACHE_BYTES = 2 << 20
 
 #: Search grid and [s | s*s] table of the duration sequences seen last,
@@ -834,15 +847,17 @@ def _nbytes(arrays: tuple[np.ndarray, ...]) -> int:
 
 
 def _sin2_table(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Search grid of 512 omegas up to the Nyquist limit of ``t`` (D >= 4
-    distinct durations), and the (512, 2D) table [s | s*s] of s =
-    sin^2(omega*t/2) at every (grid omega, duration), both read-only.
+    """Search grid of 512 omegas up to the Nyquist limit of ``t`` (D >=
+    ``_MIN_DURATIONS`` distinct durations), and the (512, 2D) table [s |
+    s*s] of s = sin^2(omega*t/2) at every (grid omega, duration), both
+    read-only.
 
     s carries no SPAM: ``_fit_omegas`` puts the SPAM into the coefficients
     of its rows, so both depend on ``t`` alone. They are kept in
-    ``_SIN2_TABLES`` within its bounds and reused by the next call with the
-    same bytes; the same durations in another order, or -0.0 for 0.0, are
-    another key. ``_sin2_table.cache_clear()`` empties it.
+    ``_SIN2_TABLES`` and reused by the next call with the same bytes; the
+    same durations in another order, or -0.0 for 0.0, are another key. The
+    one bound is ``_SIN2_CACHE_BYTES``: the least recently used tables are
+    dropped until the new one fits under it, however many that leaves.
     """
     key = t.tobytes()
     table = _SIN2_TABLES.pop(key, None)  # put back below as the most recent
@@ -857,21 +872,11 @@ def _sin2_table(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         size = _nbytes(table)
         if size > _SIN2_CACHE_BYTES:
             return table
-        while (len(_SIN2_TABLES) >= _SIN2_CACHE_ENTRIES
-               or sum(map(_nbytes, _SIN2_TABLES.values())) + size > _SIN2_CACHE_BYTES):
+        while sum(map(_nbytes, _SIN2_TABLES.values())) + size > _SIN2_CACHE_BYTES:
             del _SIN2_TABLES[next(iter(_SIN2_TABLES))]
     _SIN2_TABLES[key] = table
     return table
 
-
-_sin2_table.cache_clear = _SIN2_TABLES.clear
-
-
-#: Fractions 1/2, 1/4, ... 1/2^19 of a refinement step, tried in this
-#: order once the full step is rejected. Near a minimum the full Newton
-#: step is accepted; the halvings serve starts far from one and steps
-#: taken where the curvature is not positive.
-_HALVINGS = np.ldexp(1.0, -np.arange(1, 20))
 
 #: Most refinement steps a row takes.
 _MAX_STEPS = 60
@@ -919,15 +924,16 @@ def _fit_omegas(
     Before each step a row stops when its Gauss-Newton step grad/jtj, with
     grad = w @ (jac*r), is under 1e-6 of its own sigma (grad^2 <
     ``_DECREMENT_TOL`` * jtj: the Newton decrement in sigma units, Nocedal &
-    Wright, section 3.5), or when its jtj is <= 0. Otherwise the step is
-    tried at full length, then halved up to 19 times until it lowers the
-    cost; the row also stops when no trial lowers the cost (a step too
-    small to matter fails the decrement test first). The accepted trial's
-    residual and cost are those of the next step, so they are carried
-    over, not evaluated again. A row whose grid omega is 0 is not refined:
-    its jac, and so its jtj, is 0 there. The rows still iterating are
-    refined together, and every row comes out bit for bit as it would when
-    fitted alone.
+    Wright, section 3.5), or when its jtj is <= 0. Otherwise one
+    backtracking loop (Nocedal & Wright, section 3.1) tries every pending
+    row's step at 1, 1/2, ... 1/2^19 of its length, and a row leaves it at
+    the first trial that lowers its cost; the row stops when no trial does
+    (a step too small to matter fails the decrement test first). The
+    accepted trial's residual and cost are those of the next step, so they
+    are carried over, not evaluated again. A row whose grid omega is 0 is
+    not refined: its jac, and so its jtj, is 0 there. The rows still
+    iterating are refined together, and every row comes out bit for bit as
+    it would when fitted alone.
 
     Returns (omega, sigma_omega) per row, with sigma = 1/sqrt(jtj) at the
     fitted omega: the inverse root of the Fisher information under the
@@ -970,25 +976,23 @@ def _fit_omegas(
         om = omega[active]
         hess = jtj + _rowdot(w_a, r * (kappa * np.cos(2.0 * theta) * 0.5 * t * t))
         step = -grad / np.where(hess > 0, hess, jtj)
-        trial = om + step
-        trial_r, trial_cost = residuals(trial, active)
-        accepted = (trial >= 0) & (trial_cost < cost)
-        rejected = np.flatnonzero(~accepted)
-        if rejected.size:
-            # only the rejected rows try the shorter steps
-            trials = om[rejected, None] + _HALVINGS * step[rejected, None]
-            r_half, costs = residuals(trials.ravel(), np.repeat(active[rejected], _HALVINGS.size))
-            costs = costs.reshape(trials.shape)
-            ok = (trials >= 0) & (costs < cost[rejected, None])
-            took = ok.any(axis=1)
-            first = np.argmax(ok[took], axis=1)
-            halved = rejected[took]
-            trial[halved] = trials[took, first]
-            trial_r[halved] = r_half.reshape(*trials.shape, t.size)[took, first]
-            trial_cost[halved] = costs[took, first]
-            accepted[halved] = True
-        omega[active[accepted]] = trial[accepted]
-        active, r, cost = active[accepted], trial_r[accepted], trial_cost[accepted]
+        # each row tries 1, 1/2, ... 1/2^19 of its step and takes the first
+        # that lowers its cost; a row that none lowers stops
+        pending = np.arange(active.size)
+        fraction = 1.0
+        for _ in range(20):
+            trial = om[pending] + fraction * step[pending]
+            trial_r, trial_cost = residuals(trial, active[pending])
+            lower = (trial >= 0) & (trial_cost < cost[pending])
+            took = pending[lower]
+            omega[active[took]] = trial[lower]
+            r[took], cost[took] = trial_r[lower], trial_cost[lower]
+            pending = pending[~lower]
+            if pending.size == 0:
+                break
+            fraction *= 0.5
+        else:
+            active, r, cost = (np.delete(a, pending, axis=0) for a in (active, r, cost))
 
     with np.errstate(divide="ignore"):  # inf at jtj 0
         return omega, 1.0 / np.sqrt(info)
@@ -1023,11 +1027,11 @@ def fit_freq_profile(data: ScanDataset, spam: SpamModel = SpamModel()) -> FreqPr
     for members in sequences.values():
         lo, hi = starts[members[0]], stops[members[0]]
         n_distinct[members] = _n_distinct(ts[lo:hi])
-        if n_distinct[members[0]] >= 4:
+        if n_distinct[members[0]] >= _MIN_DURATIONS:
             rows = starts[members][:, None] + np.arange(hi - lo)
             omega[members], sigma[members] = _fit_omegas(ts[lo:hi], ps[rows], ns[rows], spam)
 
-    kept = n_distinct >= 4
+    kept = n_distinct >= _MIN_DURATIONS
     for pos, n in zip(xs[starts[~kept]].tolist(), n_distinct[~kept].tolist()):
         warnings.warn(
             f"position {pos:g} um has only {n} distinct "
@@ -1104,9 +1108,9 @@ def _trace_oscillates(trace: ScanDataset, spam: SpamModel) -> bool:
         raise DegenerateDataError(
             f"off-beam trace {trace.beam_label!r} must be recorded at one position, got {n_x}")
     _, t, p, shots = trace.arrays()
-    if _n_distinct(t) < 4:
+    if _n_distinct(t) < _MIN_DURATIONS:
         raise DegenerateDataError(
-            f"off-beam trace {trace.beam_label!r} needs >= 4 distinct durations"
+            f"off-beam trace {trace.beam_label!r} needs >= {_MIN_DURATIONS} distinct durations"
         )
     omega, sigma = _fit_omegas(t, p[None, :], shots[None, :], spam)
     return bool(sigma[0] < omega[0])
@@ -1132,9 +1136,13 @@ def pair_analysis(
     ``observation_window_s``, cut to the last duration of the shortest
     supplied trace: a trace shows nothing about times it did not record.
     Centers within ``_AMBIGUITY_K`` combined sigma are ambiguous. Raises
-    ValueError unless ``observation_window_s`` is finite and positive.
+    ValueError unless ``observation_window_s`` is finite and positive and
+    ``traces_at_centers`` holds two entries.
     """
     _positive("observation window", observation_window_s)
+    if len(traces_at_centers) != 2:
+        raise ValueError("traces_at_centers must hold 2 entries, one per beam, "
+                         f"got {len(traces_at_centers)}")
     if not (a.converged and b.converged):
         raise ValueError("pair analysis requires two converged fits")
     sep = abs(b.params.center_um - a.params.center_um)

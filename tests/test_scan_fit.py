@@ -834,6 +834,16 @@ class TestInitialGuess:
                            match="^no starting point: the frequency profile has no width$"):
             initial_guess(self.scan(), profile)
 
+    @pytest.mark.parametrize("stray", [4.0, 1.5], ids=["past_last", "between"])
+    def test_profile_position_off_the_scan(self, stray):
+        # the scan holds positions 0, 1, 2 and 3; the error names the first
+        # profile position that is none of them
+        profile = [FreqProfilePoint(x, 1000.0, 10.0, False)
+                   for x in (0.0, 1.0, stray, 2.0, 3.0, 5.0)]
+        with pytest.raises(ValueError, match=(
+                rf"^profile position {stray!r} um is not a position of the scan$")):
+            initial_guess(self.scan(), profile)
+
 
 class TestFitBeam:
     def test_noiseless_exact_recovery(self, beam_a):
@@ -1324,6 +1334,37 @@ class TestFreqProfile:
         assert any(scale < 1.0 for scale in goes_on)
         _assert_same_columns(fit_freq_profile(data, spam), expected)
 
+    def test_random_scans_match_per_position_loop(self):
+        # off-nominal grids: the first 30 scans of the random-scan recipe
+        # under default_rng(1), each profiled under its seed SPAM, equal the
+        # per-position reference row for row
+        rng = np.random.default_rng(1)
+        rows = 0
+        for trial in range(30):
+            data = _random_scan(rng, trial)
+            spam = _spam_seed(data)
+            expected, _ = _per_position_profile(data, spam, _fit_single_omega)
+            _assert_same_columns(fit_freq_profile(data, spam), expected)
+            rows += len(expected)
+        assert rows == 1139  # every position of the 30 scans
+
+    def test_row_that_no_trial_lowers_stops(self, monkeypatch):
+        # scan 132 of the random-scan recipe under default_rng(1) holds two
+        # rows that no fraction 1, 1/2, ... 1/2^19 of their first step
+        # lowers; they stop there, as in the reference, instead of retrying
+        # that step up to the _MAX_STEPS cap
+        rng = np.random.default_rng(1)
+        for trial in range(133):
+            data = _random_scan(rng, trial)
+        spam = _spam_seed(data)
+        expected, capped = _per_position_profile(data, spam, _fit_single_omega)
+        assert not any(capped)
+        calls = []
+        rowdot = scan_fit._rowdot
+        monkeypatch.setattr(scan_fit, "_rowdot", lambda a, b: calls.append(1) or rowdot(a, b))
+        _assert_same_columns(fit_freq_profile(data, spam), expected)
+        assert len(calls) < scan_fit._MAX_STEPS
+
     @pytest.mark.parametrize("scan", ["log_parabola", "moments"])
     def test_points_and_columns_agree(self, beam_a, scan, tmp_path):
         # every consumer reads a list of FreqProfilePoint as the columns it
@@ -1365,9 +1406,9 @@ class TestFreqProfile:
 
 @pytest.fixture
 def empty_sin2_cache():
-    _sin2_table.cache_clear()
+    scan_fit._SIN2_TABLES.clear()
     yield scan_fit._SIN2_TABLES
-    _sin2_table.cache_clear()
+    scan_fit._SIN2_TABLES.clear()
 
 
 def _cached_bytes(cache):
@@ -1406,18 +1447,18 @@ class TestSin2Cache:
 
     @pytest.mark.parametrize("n_dur", [11, 101])
     def test_bounded(self, empty_sin2_cache, n_dur):
-        # 11 durations fill the entries first, 101 the bytes: an entry is a
-        # grid of 512 and a (512, 2 n_dur) table
+        # the bytes alone bound the cache: an entry is a grid of 512 and a
+        # (512, 2 n_dur) table, and as many entries are kept as fit, 22 of
+        # 11 durations or 2 of 101
         entry_bytes = 512 * 8 * (1 + 2 * n_dur)
-        full = min(scan_fit._SIN2_CACHE_ENTRIES, scan_fit._SIN2_CACHE_BYTES // entry_bytes)
-        for k in range(3 * scan_fit._SIN2_CACHE_ENTRIES):
+        full = scan_fit._SIN2_CACHE_BYTES // entry_bytes
+        assert full == {11: 22, 101: 2}[n_dur]
+        for k in range(2 * full + 1):
             _sin2_table(np.linspace(0.0, (k + 1) * 1e-4, n_dur))
-            assert len(empty_sin2_cache) <= scan_fit._SIN2_CACHE_ENTRIES
             assert _cached_bytes(empty_sin2_cache) <= scan_fit._SIN2_CACHE_BYTES
         assert len(empty_sin2_cache) == full
         # the last table used is kept
-        assert np.linspace(0.0, 3 * scan_fit._SIN2_CACHE_ENTRIES * 1e-4, n_dur).tobytes() \
-            in empty_sin2_cache
+        assert np.linspace(0.0, (2 * full + 1) * 1e-4, n_dur).tobytes() in empty_sin2_cache
 
     def test_oversize_table_computed_not_kept(self, empty_sin2_cache):
         # the [s | s*s] table of n_dur durations alone fills the byte bound;
@@ -1441,7 +1482,7 @@ class TestSin2Cache:
         warm = [fit_freq_profile(data, spam) for spam in spams]
         assert len(empty_sin2_cache) == 1
         for profile, spam in zip(warm, spams):
-            _sin2_table.cache_clear()
+            scan_fit._SIN2_TABLES.clear()
             cold = fit_freq_profile(data, spam)
             for name in PROFILE_COLUMNS:
                 assert getattr(profile, name).tobytes() == getattr(cold, name).tobytes()
@@ -1783,6 +1824,13 @@ class TestPairAnalysis:
         with pytest.raises(DegenerateDataError, match=(
                 "^off-beam trace 'trace_A' must be recorded at one position, got 2$")):
             pair_analysis(a, b, traces_at_centers=(trace, None))
+
+    @pytest.mark.parametrize("n_traces", [1, 3])
+    def test_trace_count_not_two_rejected(self, fits, n_traces):
+        a, b = fits
+        with pytest.raises(ValueError, match=(
+                f"^traces_at_centers must hold 2 entries, one per beam, got {n_traces}$")):
+            pair_analysis(a, b, traces_at_centers=(None,) * n_traces)
 
     def test_sparse_trace_rejected(self, fits, beam_a):
         a, b = fits
