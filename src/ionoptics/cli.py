@@ -50,9 +50,6 @@ EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-#: Seed salt for off-beam trace datasets so they never reuse scan draws.
-_TRACE_SALT = 0x74726163
-
 #: Namespace entries that are not options of the subcommand.
 _NOT_OPTIONS = ("subcommand", "config", "func")
 
@@ -165,15 +162,13 @@ def cmd_propagate(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     from .rabi_model import BeamProfileParams, SpamModel
     from .scan_fit import TWO_PI, write_scan_csv
-    from .synth_scan import SynthConfig, default_scan_grid, generate, position_jitter
+    from .synth_scan import SynthConfig, _off_beam_traces, default_scan_grid, generate, position_jitter
 
     if not (len(args.rabi_hz) == len(args.center_um) == len(args.width_um)):
         raise ValueError(
             f"--rabi-hz/--center-um/--width-um must have equal counts, "
             f"got {len(args.rabi_hz)}/{len(args.center_um)}/{len(args.width_um)}"
         )
-    if args.emit_traces and len(args.rabi_hz) != 2:
-        raise ValueError("--emit-traces requires two beams")
     truth = tuple(
         BeamProfileParams(omega0=r * TWO_PI, center_um=c, width_um=w)
         for r, c, w in zip(args.rabi_hz, args.center_um, args.width_um)
@@ -199,14 +194,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         datasets = [position_jitter(ds, args.jitter_resolution, args.seed, k)
                     for k, ds in enumerate(datasets)]
     files = {f"scan_{ds.beam_label}.csv": ds for ds in datasets}
-
     if args.emit_traces:
-        # Off-beam response: drive one beam, record at the neighbor's center.
-        for label, (driven, other) in zip("AB", ((truth[0], truth[1]), (truth[1], truth[0]))):
-            trace_cfg = dataclasses.replace(synth, truth=(driven,),
-                                            positions_um=(other.center_um,),
-                                            rng_seed=args.seed ^ _TRACE_SALT)
-            files[f"trace_{label}.csv"] = generate(trace_cfg)[0]
+        files.update((f"trace_{ds.beam_label}.csv", ds) for ds in _off_beam_traces(synth))
     _finish(args, [], {name: functools.partial(write_scan_csv, ds) for name, ds in files.items()})
     return EXIT_OK
 

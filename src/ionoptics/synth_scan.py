@@ -4,13 +4,14 @@ Ground-truth beam parameters plus a position/duration grid produce the
 same CSV-shaped datasets the fitter consumes, so the full analysis chain
 can be exercised end to end with known answers.
 
-Randomness is counter-based and keyed per stream: beam k's counts are one
-vector ``binomial`` draw, in position-major record order, from a fresh
-``Philox(key=[seed, k << 60])``, and ``position_jitter``'s offsets for
-beam k are one vector ``uniform`` draw from ``Philox(key=[seed, 2^63 |
-k])``. So a record's draw depends on the seed, its beam and that beam's
-whole grid; a rerun of one config is identical, and the two beams never
-share a stream.
+Randomness is counter-based, and this module keys every stream: each is
+one vector draw from a fresh ``Philox(key=[seed, tag])``. Beam k's scan
+counts, in position-major record order, are a ``binomial`` draw with tag
+``k << 60``; its off-beam trace (``synth --emit-traces``) one with tag
+``(k << 60) | 1``; ``position_jitter``'s offsets for stream s (``synth``
+passes the beam index) a ``uniform`` draw with tag ``2^63 | s``. So a
+record's draw depends on the seed, its stream and that stream's whole
+grid; a rerun of one config is identical, and no two streams share a key.
 """
 
 from __future__ import annotations
@@ -100,6 +101,18 @@ class SynthConfig:
         _check_seed(self.rng_seed)
 
 
+def _draw(config: SynthConfig, k: int, beam: BeamProfileParams, positions_um, tag: int):
+    """Beam k's records over ``positions_um`` and the config's durations."""
+    positions, durations = np.array(positions_um), np.array(config.durations_s)
+    p = apply_spam(p_excited(beam, positions[:, None], durations), config.spam).ravel()
+    if config.analytic:
+        p1 = np.clip(p, 0.0, 1.0)
+    else:
+        p1 = _point_rng(config.rng_seed, tag).binomial(config.shots, p) / config.shots
+    return ScanDataset(np.repeat(positions, durations.size), np.tile(durations, positions.size),
+                       p1, np.full(p.size, config.shots), beam_label=_BEAM_LABELS[k])
+
+
 def generate(config: SynthConfig) -> list[ScanDataset]:
     """One dataset per ground-truth beam (labels A, B), same grid for all.
 
@@ -107,21 +120,23 @@ def generate(config: SynthConfig) -> list[ScanDataset]:
     ``analytic`` it is stored exactly, otherwise it is a binomial draw of
     ``shots`` shots divided by the shot count.
     """
-    positions, durations = np.array(config.positions_um), np.array(config.durations_s)
-    n_pos, n_dur = positions.size, durations.size
-    shots = config.shots
-    datasets = []
-    for k, beam in enumerate(config.truth):
-        p = apply_spam(p_excited(beam, positions[:, None], durations), config.spam).ravel()
-        if config.analytic:
-            p1 = np.clip(p, 0.0, 1.0)
-        else:
-            p1 = _point_rng(config.rng_seed, k << 60).binomial(shots, p) / shots
-        datasets.append(ScanDataset(
-            np.repeat(positions, n_dur), np.tile(durations, n_pos), p1,
-            np.full(p.size, shots), beam_label=_BEAM_LABELS[k],
-        ))
-    return datasets
+    return [_draw(config, k, beam, config.positions_um, k << 60)
+            for k, beam in enumerate(config.truth)]
+
+
+def _off_beam_traces(config: SynthConfig) -> list[ScanDataset]:
+    """Each of two beams driven alone, recorded at the other's center.
+
+    Trace k is beam k's response at the other beam's center over the
+    config's durations, drawn as ``generate`` draws a scan but keyed
+    ``[seed, (k << 60) | 1]``, so no trace shares a scan's or a jitter's
+    stream.
+    """
+    if len(config.truth) != 2:
+        raise ValueError(f"off-beam traces need two beams, got {len(config.truth)}")
+    pairs = (config.truth, config.truth[::-1])
+    return [_draw(config, k, beam, (other.center_um,), (k << 60) | 1)
+            for k, (beam, other) in enumerate(pairs)]
 
 
 def position_jitter(

@@ -3,7 +3,9 @@
 import argparse
 import contextlib
 import copy
+import dataclasses
 import functools
+import inspect
 import io
 import json
 import math
@@ -21,8 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionoptics.cli import build_parser, main
-from ionoptics.scan_fit import read_fit_report, read_scan_csv
-from ionoptics.synth_scan import position_jitter
+from ionoptics.design_tradeoff import DesignConstraints
+from ionoptics.rabi_model import SpamModel
+from ionoptics.scan_fit import fit_beam, pair_analysis, read_fit_report, read_scan_csv
+from ionoptics.synth_scan import SynthConfig, default_scan_grid, position_jitter
+from ionoptics.system_model import image_array
 
 TWO_PI = 2.0 * math.pi
 
@@ -273,8 +278,8 @@ class TestSynth:
         assert (a / "scan_A.csv").read_bytes() != (b / "scan_A.csv").read_bytes()
 
     def test_trace_stream_independent_of_scan(self, tmp_path):
-        # the off-beam trace must not replay the draws an unsalted run
-        # with the same seed would produce on the same grid
+        # the off-beam trace must not replay the draws a one-beam scan with
+        # the same seed would produce on the trace's grid
         from ionoptics.rabi_model import BeamProfileParams
         from ionoptics.synth_scan import SynthConfig, default_scan_grid, generate
 
@@ -286,12 +291,12 @@ class TestSynth:
         beam_a = BeamProfileParams(omega0=TWO_PI * 1910.0, center_um=0.0, width_um=1.86)
         beam_b = BeamProfileParams(omega0=TWO_PI * 2790.0, center_um=4.31, width_um=1.88)
         _, durations = default_scan_grid((beam_a, beam_b), 61, 21)
-        unsalted = generate(SynthConfig(
+        scan = generate(SynthConfig(
             truth=(beam_a,), positions_um=(beam_b.center_um,),
             durations_s=durations, shots=200, rng_seed=0,
         ))[0]
-        assert len(unsalted) == len(trace_a)
-        assert (unsalted.p1 != trace_a.p1).any()
+        assert len(scan) == len(trace_a)
+        assert (scan.p1 != trace_a.p1).any()
 
     @pytest.mark.parametrize("options, durations_us", [
         (["--analytic"], None),
@@ -299,11 +304,11 @@ class TestSynth:
         (["--positions", "-1", "2", "5"], [0.0, 150.0, 300.0, 450.0]),
     ], ids=["analytic", "shots-and-spam", "explicit-grid"])
     def test_traces_match_a_config_built_field_by_field(self, tmp_path, options, durations_us):
-        # the reference is the trace recipe that restated every field
-        from ionoptics.cli import _TRACE_SALT
-        from ionoptics.rabi_model import BeamProfileParams, SpamModel
-        from ionoptics.scan_fit import write_scan_csv
-        from ionoptics.synth_scan import SynthConfig, default_scan_grid, generate
+        # the reference is the trace recipe restated field by field: trace
+        # k drives beam k at the other beam's center, keyed [seed, (k << 60) | 1]
+        from ionoptics.rabi_model import BeamProfileParams, SpamModel, apply_spam, p_excited
+        from ionoptics.scan_fit import ScanDataset, write_scan_csv
+        from ionoptics.synth_scan import default_scan_grid
 
         if durations_us is not None:
             options = [*options, "--durations-us", *(str(v) for v in durations_us)]
@@ -319,16 +324,17 @@ class TestSynth:
             _, durations = default_scan_grid(truth, 61, 21)
         else:
             durations = tuple(v * 1e-6 for v in durations_us)
-        for label, (driven, other) in zip("AB", (truth, truth[::-1])):
-            reference = generate(SynthConfig(
-                truth=(driven,),
-                positions_um=(other.center_um,),
-                durations_s=durations,
-                shots=args.shots,
-                spam=SpamModel(eps_prep=args.spam_prep, eps_meas=args.spam_meas),
-                rng_seed=5 ^ _TRACE_SALT,
-                analytic=args.analytic,
-            ))[0]
+        spam = SpamModel(eps_prep=args.spam_prep, eps_meas=args.spam_meas)
+        for k, (label, (driven, other)) in enumerate(zip("AB", (truth, truth[::-1]))):
+            p = apply_spam(p_excited(driven, other.center_um, numpy.array(durations)), spam)
+            if args.analytic:
+                p1 = numpy.clip(p, 0.0, 1.0)
+            else:
+                key = numpy.array([5, (k << 60) | 1], dtype=numpy.uint64)
+                rng = numpy.random.Generator(numpy.random.Philox(key=key))
+                p1 = rng.binomial(args.shots, p) / args.shots
+            reference = ScanDataset(numpy.full(p.size, other.center_um), durations, p1,
+                                    numpy.full(p.size, args.shots))
             write_scan_csv(reference, tmp_path / f"reference_{label}.csv")
             assert ((out / f"trace_{label}.csv").read_bytes()
                     == (tmp_path / f"reference_{label}.csv").read_bytes()), label
@@ -351,9 +357,14 @@ class TestSynth:
         assert rc == 2
         assert "equal counts" in capsys.readouterr().err
 
-    def test_traces_require_two_beams(self, tmp_path):
-        rc = main(["synth", "--out-dir", str(tmp_path), "--emit-traces"])
-        assert rc == 2
+    def test_traces_require_two_beams(self, tmp_path, capsys):
+        # the rule lives in synth_scan and fires after the scan is drawn
+        # (and jittered), still before any file is written
+        for run, options in (("plain", []), ("jittered", ["--jitter-resolution", "0.05"])):
+            out = tmp_path / run
+            assert main(["synth", "--out-dir", str(out), "--emit-traces", *options]) == 2
+            assert capsys.readouterr().err == "error: off-beam traces need two beams, got 1\n"
+            assert files_in(out) == []
 
     def test_jitter_bounded_by_resolution(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -916,6 +927,39 @@ class TestManifest:
         man_a["options"].pop("out_dir")
         man_b["options"].pop("out_dir")
         assert man_a == man_b
+
+
+def _library_default(owner, name):
+    """The default of a dataclass field, or of a function's parameter."""
+    if dataclasses.is_dataclass(owner):
+        return {f.name: f.default for f in dataclasses.fields(owner)}[name]
+    return inspect.signature(owner).parameters[name].default
+
+
+class TestDefaults:
+    # each default is declared in the parser and again in the library; the
+    # two must agree, value and type
+    @pytest.mark.parametrize("sub, dest, owner, name", [
+        pytest.param(sub, dest, owner, name, id=f"{sub}-{dest}")
+        for sub, dest, owner, name in [
+            ("design", "wavelength", DesignConstraints, "wavelength_um"),
+            ("design", "neighbor_distance", DesignConstraints, "neighbor_distance_um"),
+            ("design", "na_cap", DesignConstraints, "na_cap"),
+            ("propagate", "wavelength", image_array, "wavelength_um"),
+            ("synth", "shots", SynthConfig, "shots"),
+            ("synth", "seed", SynthConfig, "rng_seed"),
+            ("synth", "spam_prep", SpamModel, "eps_prep"),
+            ("synth", "spam_meas", SpamModel, "eps_meas"),
+            ("synth", "grid_positions", default_scan_grid, "n_positions"),
+            ("synth", "grid_durations", default_scan_grid, "n_durations"),
+            ("fit", "max_iterations", fit_beam, "max_iterations"),
+            ("pair", "window_s", pair_analysis, "observation_window_s"),
+            ("pair", "floor", pair_analysis, "detection_floor"),
+        ]])
+    def test_cli_default_is_the_library_default(self, sub, dest, owner, name):
+        cli = build_parser()[1][sub].get_default(dest)
+        library = _library_default(owner, name)
+        assert (type(cli), cli) == (type(library), library)
 
 
 class TestConfigFile:

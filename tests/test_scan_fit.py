@@ -1365,6 +1365,28 @@ class TestFreqProfile:
         _assert_same_columns(fit_freq_profile(data, spam), expected)
         assert len(calls) < scan_fit._MAX_STEPS
 
+    def test_row_going_on_from_the_last_trial_fraction(self):
+        # a hand-built row whose first step is taken at 1/2^19, the last
+        # fraction tried (random traces take 1, rarely 1/2 or 1/4). Eight
+        # durations 10 us apart hold the model at grid omega w0 = grid[100],
+        # so their cost has its minimum there; one long duration T at p =
+        # 1/2 adds a pure ripple ~ cos(2 omega T) of period pi/T, about two
+        # grid steps. T is tuned (window about +-3e-12 s) so that at w0 the
+        # ripple's curvature cancels theirs to ~2e-6: the Newton step is
+        # ~1.7e8 rad/s downwards, its trials down to 1/2^11 of it fall
+        # below 0, those to 1/2^18 land where the cost is higher, and the
+        # 330 rad/s of 1/2^19 lands in the ripple's dip below w0
+        spam = SpamModel()
+        t = np.append(np.arange(8) * 1e-5, 2.54571859e-3)
+        grid, _ = _sin2_table(t)
+        p = np.append(apply_spam(np.sin(0.5 * grid[100] * t[:8]) ** 2, spam), 0.5)
+        data = ScanDataset(np.zeros(9), t, p, np.append(np.full(8, 1000), 5))
+        goes_on = []
+        expected, _ = _per_position_profile(
+            data, spam, functools.partial(_fit_single_omega, goes_on=goes_on))
+        assert goes_on[0] == 2.0 ** -19
+        _assert_same_columns(fit_freq_profile(data, spam), expected)
+
     @pytest.mark.parametrize("scan", ["log_parabola", "moments"])
     def test_points_and_columns_agree(self, beam_a, scan, tmp_path):
         # every consumer reads a list of FreqProfilePoint as the columns it

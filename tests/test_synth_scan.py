@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ionoptics import synth_scan
-from ionoptics.cli import _TRACE_SALT, main
+from ionoptics.cli import main
 from ionoptics.rabi_model import BeamProfileParams, SpamModel, apply_spam, p_excited
 from ionoptics.scan_fit import ScanDataset, fit_model, read_scan_csv
 from ionoptics.synth_scan import SynthConfig, default_scan_grid, generate, position_jitter
@@ -75,24 +75,52 @@ class TestDeterminism:
     def test_readme_run_reconstructable_from_fresh_philox(self, beam_a, beam_b, tmp_path):
         # the README two-beam synth (85 x 21 per scan) is one vector draw
         # per beam from a fresh Philox keyed [seed, beam << 60], and each
-        # off-beam trace one draw keyed [seed ^ _TRACE_SALT, 0]
+        # off-beam trace one draw keyed [seed, (beam << 60) | 1]
         assert main(["synth", "--out-dir", str(tmp_path), "--seed", "0",
                      "--rabi-hz", "1910", "2790", "--center-um", "0", "4.31",
                      "--width-um", "1.86", "1.88", "--emit-traces"]) == 0
         positions, durations = default_scan_grid((beam_a, beam_b), 61, 21)
         assert (len(positions), len(durations)) == (85, 21)
         spam = SpamModel(eps_prep=0.01, eps_meas=0.01)
-        files = [(f"scan_{label}.csv", beam, positions, 0, k)
+        files = [(f"scan_{label}.csv", beam, positions, k << 60)
                  for k, (label, beam) in enumerate(zip("AB", (beam_a, beam_b)))]
-        files += [(f"trace_{label}.csv", driven, (other.center_um,), _TRACE_SALT, 0)
-                  for label, driven, other in (("A", beam_a, beam_b), ("B", beam_b, beam_a))]
-        for name, beam, xs, seed, k in files:
+        files += [(f"trace_{label}.csv", driven, (other.center_um,), (k << 60) | 1)
+                  for k, (label, driven, other) in enumerate(
+                      (("A", beam_a, beam_b), ("B", beam_b, beam_a)))]
+        for name, beam, xs, tag in files:
             ds = read_scan_csv(tmp_path / name)
             p = apply_spam(p_excited(beam, np.array(xs)[:, None], np.array(durations)),
                            spam).ravel()
-            key = np.array([seed, k << 60], dtype=np.uint64)
+            key = np.array([0, tag], dtype=np.uint64)
             expected = np.random.Generator(np.random.Philox(key=key)).binomial(200, p)
             assert np.rint(ds.p1 * 200).astype(int).tolist() == expected.tolist(), name
+
+    def test_traces_draw_from_disjoint_streams(self, tmp_path):
+        # two alike beams 0.01 um apart: each trace sees the same
+        # probabilities, so only their streams can set the draws apart
+        beams = ["--rabi-hz", "1910", "1910", "--center-um", "0", "0.01",
+                 "--width-um", "1.86", "1.86", "--emit-traces"]
+        p1 = {}
+        for run in ("analytic", "drawn"):
+            out = tmp_path / run
+            assert main(["synth", "--out-dir", str(out), *beams,
+                         *(["--analytic"] if run == "analytic" else [])]) == 0
+            p1[run] = [read_scan_csv(out / f"trace_{label}.csv").p1.tolist() for label in "AB"]
+        assert p1["analytic"][0] == p1["analytic"][1]
+        assert p1["drawn"][0] != p1["drawn"][1]
+
+    def test_synth_keys_every_stream_apart(self, tmp_path, monkeypatch):
+        # scans, off-beam traces and jitter offsets of one two-beam run:
+        # six streams, six distinct [seed, tag] keys
+        keys = []
+        point_rng = synth_scan._point_rng
+        monkeypatch.setattr(synth_scan, "_point_rng",
+                            lambda seed, tag: keys.append((seed, tag)) or point_rng(seed, tag))
+        assert main(["synth", "--out-dir", str(tmp_path), "--seed", "0",
+                     "--rabi-hz", "1910", "2790", "--center-um", "0", "4.31",
+                     "--width-um", "1.86", "1.88", "--emit-traces",
+                     "--jitter-resolution", "0.05"]) == 0
+        assert len(keys) == len(set(keys)) == 6
 
     def test_one_generator_built_per_beam(self, beam_a, beam_b, monkeypatch):
         built = []
