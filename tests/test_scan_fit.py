@@ -1372,7 +1372,7 @@ class TestFreqProfile:
         # so their cost has its minimum there; one long duration T at p =
         # 1/2 adds a pure ripple ~ cos(2 omega T) of period pi/T, about two
         # grid steps. T is tuned (window about +-3e-12 s) so that at w0 the
-        # ripple's curvature cancels theirs to ~2e-6: the Newton step is
+        # ripple's curvature cancels theirs to 2.5e-6: the Newton step is
         # ~1.7e8 rad/s downwards, its trials down to 1/2^11 of it fall
         # below 0, those to 1/2^18 land where the cost is higher, and the
         # 330 rad/s of 1/2^19 lands in the ripple's dip below w0
