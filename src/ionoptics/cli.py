@@ -19,9 +19,7 @@ the manifest so data files are byte-identical across reruns. Data files
 and manifests are all written atomically (temporary file, then rename).
 
 Each subcommand imports the library modules it runs when it runs, so
-``--version``, ``design`` and ``propagate`` never load numpy. BLAS runs
-on one thread unless the caller set a thread variable (``_THREAD_VARS``)
-or had loaded numpy already; the manifest records the three variables.
+``--version``, ``design`` and ``propagate`` never load numpy.
 
 Each subcommand computes every output, and runs every check, before it
 writes its first file, so a step that fails leaves no output behind. No
@@ -39,7 +37,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -55,9 +52,6 @@ EXIT_NUMERICAL = 3
 
 #: Namespace entries that are not options of the subcommand.
 _NOT_OPTIONS = ("subcommand", "config", "func")
-
-#: The variables that set BLAS's thread count; numpy's BLAS reads them once, as it loads.
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _finish(args: argparse.Namespace, inputs: list[str], writes: dict, prefix: str = "") -> None:
@@ -80,7 +74,6 @@ def _finish(args: argparse.Namespace, inputs: list[str], writes: dict, prefix: s
         "version": __version__,
         "python": "%d.%d.%d" % sys.version_info[:3],
         "numpy": getattr(numpy, "__version__", None),
-        "blas_threads": {name: os.environ.get(name) for name in _THREAD_VARS},
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "options": {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS},
         "inputs": inputs,
@@ -416,10 +409,6 @@ def _config_element(key: str, type_, value):
 
 
 def main(argv=None) -> int:
-    # A BLAS product split over threads waits for a free core whenever
-    # another process holds one, as in parallel fits of several channels.
-    if "numpy" not in sys.modules and not any(name in os.environ for name in _THREAD_VARS):
-        os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
     parser, subparsers = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -14,7 +14,6 @@ import os
 import platform
 import subprocess
 import sys
-import textwrap
 import warnings
 from datetime import datetime
 
@@ -32,11 +31,8 @@ from ionoptics.system_model import image_array
 
 TWO_PI = 2.0 * math.pi
 
-MANIFEST_KEYS = {"subcommand", "version", "python", "numpy", "blas_threads", "generated_at",
-                 "options", "inputs", "outputs"}
-
-#: The variables that set BLAS's thread count.
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+MANIFEST_KEYS = {"subcommand", "version", "python", "numpy", "generated_at", "options",
+                 "inputs", "outputs"}
 
 
 def load_json(path):
@@ -918,15 +914,6 @@ class TestManifest:
             assert python.startswith(man["python"])
             assert man["numpy"] is None
 
-    def test_records_the_blas_thread_variables(self, tmp_path, monkeypatch):
-        # numpy is loaded here, so main leaves the environment as it is
-        for name in THREAD_VARS:
-            monkeypatch.delenv(name, raising=False)
-        monkeypatch.setenv("MKL_NUM_THREADS", "4")
-        assert main(["design", "--out-dir", str(tmp_path)]) == 0
-        assert load_json(tmp_path / "design_manifest.json")["blas_threads"] == {
-            "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "4"}
-
     def test_timestamps_only_in_manifest(self, tmp_path):
         # reruns differ only in the manifest, so data files carry no clock
         a, b = tmp_path / "a", tmp_path / "b"
@@ -940,66 +927,6 @@ class TestManifest:
         man_a["options"].pop("out_dir")
         man_b["options"].pop("out_dir")
         assert man_a == man_b
-
-
-# === BLAS threads ===========================================================
-
-
-#: Runs ``main`` on the command line's arguments in a fresh interpreter and
-#: prints the thread variables as they stood when numpy began to load.
-_AT_NUMPY_LOAD = f"""
-import json, os, sys
-
-seen = {{}}
-
-class AtNumpyLoad:
-    def find_spec(self, name, path=None, target=None):
-        if name == "numpy" and not seen:
-            seen.update((var, os.environ.get(var)) for var in {THREAD_VARS!r})
-        return None  # the usual finders load it
-
-sys.meta_path.insert(0, AtNumpyLoad())
-from ionoptics.cli import main
-assert main(sys.argv[1:]) == 0
-print(json.dumps(seen))
-"""
-
-
-class TestBlasThreads:
-    # A BLAS product split over threads waits for a free core whenever
-    # another process holds one, so a CLI step defaults BLAS to one thread
-    @staticmethod
-    def run_fit(pair_run, out, subprocess_env, code=_AT_NUMPY_LOAD, **env):
-        env = {**{k: v for k, v in subprocess_env.items() if k not in THREAD_VARS}, **env}
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "fit", str(pair_run / "scan_A.csv"), "--out-dir", str(out)],
-            env=env, capture_output=True, text=True, check=True)
-        return json.loads(proc.stdout), load_json(out / "scan_A_fit_manifest.json")["blas_threads"]
-
-    def test_one_thread_when_no_variable_is_set(self, pair_run, tmp_path, subprocess_env):
-        one = dict.fromkeys(THREAD_VARS, "1")
-        assert self.run_fit(pair_run, tmp_path, subprocess_env) == (one, one)
-
-    def test_a_variable_the_user_set_leaves_all_three_alone(self, pair_run, tmp_path,
-                                                            subprocess_env):
-        chosen = {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
-        assert self.run_fit(pair_run, tmp_path, subprocess_env, OMP_NUM_THREADS="2") == (
-            chosen, chosen)
-
-    def test_main_after_numpy_leaves_the_environment_alone(self, pair_run, tmp_path,
-                                                           subprocess_env):
-        # too late to set BLAS's threads: numpy read the variables as it loaded
-        code = """
-            import json, os, sys
-            import numpy
-            from ionoptics.cli import main
-            before = dict(os.environ)
-            assert main(sys.argv[1:]) == 0
-            print(json.dumps(dict(os.environ) == before))
-        """
-        unset = dict.fromkeys(THREAD_VARS)
-        assert self.run_fit(pair_run, tmp_path, subprocess_env,
-                            code=textwrap.dedent(code)) == (True, unset)
 
 
 def _library_default(owner, name):

@@ -81,29 +81,6 @@ def test_measurement_steps_skip_the_design_modules(subprocess_env, tmp_path):
                          "ionoptics.design_tradeoff", "numpy.ma"}
 
 
-def test_synth_compiles_the_fitter_before_numpy_loads(subprocess_env, tmp_path):
-    # A module enters sys.modules before it is compiled (and moves to the
-    # end once loaded, so the final order shows nothing). Without a
-    # bytecode cache, scan_fit compiled before numpy is resident lets
-    # numpy's objects reuse the compiler's freed memory instead of stacking
-    # on top of it.
-    proc = run_python(f"""
-        import sys
-
-        class AtNumpyLoad:
-            def find_spec(self, name, path=None, target=None):
-                if name == "numpy":
-                    print("ionoptics.scan_fit" in sys.modules)
-                    sys.meta_path.remove(self)
-                return None  # the usual finders load it
-
-        sys.meta_path.insert(0, AtNumpyLoad())
-        from ionoptics.cli import main
-        assert main(["synth", "--out-dir", {str(tmp_path)!r}]) == 0
-    """, subprocess_env)
-    assert proc.stdout.strip() == "True"
-
-
 def test_every_public_name_resolves():
     assert len(set(ionoptics.__all__)) == len(ionoptics.__all__)
     for name in ionoptics.__all__:
