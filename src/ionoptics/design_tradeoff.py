@@ -76,7 +76,7 @@ def required_na(beam_diameter_um: float, wavelength_um: float = _WAVELENGTH_UM) 
     if theta >= math.pi / 2:
         raise ValueError(
             f"diameter {beam_diameter_um} um is below the focusing limit "
-            f"for wavelength {wavelength_um} um (divergence {theta:.3f} rad)"
+            f"for wavelength {wavelength_um} um (divergence {theta:.3g} rad)"
         )
     return 2.0 * math.sin(theta)
 

@@ -44,10 +44,10 @@ import io
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -114,18 +114,34 @@ def _first_out_of_domain(x, t, p, shots) -> tuple[int, int] | None:
     return int(rows[0]), int(np.argmax(bad[:, rows[0]]))
 
 
-def _set_columns(obj, names: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Set ``columns`` read-only on the frozen dataclass ``obj`` as its fields
-    ``names``; raises ValueError unless they are 1-D and of equal length."""
-    if any(c.ndim != 1 or c.size != columns[0].size for c in columns):
-        raise ValueError("columns must be 1-D and of equal length")
-    for name, column in zip(names, columns):
-        column.flags.writeable = False
-        object.__setattr__(obj, name, column)
+class _Columns:
+    """Base of the frozen dataclasses stored as read-only numpy columns of
+    equal length, named by ``_column_names``; ``len`` counts the rows."""
+
+    _column_names: ClassVar[tuple[str, ...]]
+
+    def _set_columns(self, columns: Sequence[np.ndarray]) -> None:
+        """Set ``columns`` read-only as the fields ``_column_names``; raises
+        ValueError unless they are 1-D and of equal length."""
+        if any(c.ndim != 1 or c.size != columns[0].size for c in columns):
+            raise ValueError("columns must be 1-D and of equal length")
+        for name, column in zip(self._column_names, columns):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return getattr(self, self._column_names[0]).size
+
+    def __eq__(self, other):
+        # exact: every field, columns and the rest alike, compares equal
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)
-class ScanDataset:
+class ScanDataset(_Columns):
     """A scan as four validated, read-only columns of equal length.
 
     ``position_um`` and ``duration_s`` (seconds) and ``p1`` are float64,
@@ -140,6 +156,8 @@ class ScanDataset:
     shots: np.ndarray
     beam_label: str = ""
 
+    _column_names = _COLUMNS
+
     def __post_init__(self):
         shots = np.asarray(self.shots)
         if shots.size and shots.dtype.kind not in "iu":
@@ -150,7 +168,7 @@ class ScanDataset:
             np.array(self.p1, dtype=float),
             shots.astype(np.int64),
         )
-        _set_columns(self, _COLUMNS, columns)
+        self._set_columns(columns)
         if columns[0].size == 0:
             raise ValueError("dataset has no records")
         bad = _first_out_of_domain(*columns)
@@ -162,15 +180,6 @@ class ScanDataset:
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(positions um, durations s, p1, shots): the dataset's read-only columns."""
         return self.position_um, self.duration_s, self.p1, self.shots
-
-    def __len__(self) -> int:
-        return self.position_um.size
-
-    def __eq__(self, other):
-        if not isinstance(other, ScanDataset):
-            return NotImplemented
-        return (self.beam_label == other.beam_label
-                and all(np.array_equal(a, b) for a, b in zip(self.arrays(), other.arrays())))
 
     @cached_property
     def _positions(self) -> tuple[np.ndarray, np.ndarray]:
@@ -187,8 +196,18 @@ class ScanDataset:
 
     @cached_property
     def _amplitude(self) -> tuple[np.ndarray, np.ndarray]:
-        # shared by the grid check and the initial guess of one fit
-        return _amplitude_profile(self)
+        """Distinct positions (sorted) and the max-min oscillation amplitude
+        at each, shared by the grid check and the initial guess of one fit.
+
+        Shot noise puts a pedestal under the profile; it is subtracted.
+        """
+        order, starts = self._positions
+        xs, ps = self.position_um[order], self.p1[order]
+        amp = np.maximum.reduceat(ps, starts) - np.minimum.reduceat(ps, starts)
+        amp = amp - amp.min()
+        if float(amp.sum()) <= 0:
+            raise DegenerateDataError("no oscillation amplitude at any position")
+        return xs[starts], amp
 
 
 # np.unique and np.median import numpy.ma (15-19 ms) on first use; these
@@ -279,7 +298,7 @@ def _scan_columns(text: str) -> tuple[np.ndarray, ...] | None:
     header, _, body = text.partition("\n")
     header = header.removesuffix("\r")
     if (not text.isascii() or any(c in text for c in _NUMPY_ONLY_SPACE)
-            or '"' in header or "\r" in header
+            or "\r" in header
             or [h.strip() for h in header.split(",")] != list(_CSV_FIELDS)
             or not body or body.isspace()  # loadtxt warns on empty input
             or _may_exceed_field_limit(text)):
@@ -501,20 +520,6 @@ def _levenberg_marquardt(
 # === Initialization =========================================================
 
 
-def _amplitude_profile(data: ScanDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct positions (sorted) and the max-min oscillation amplitude at each.
-
-    Shot noise puts a pedestal under the profile; it is subtracted.
-    """
-    order, starts = data._positions
-    xs, ps = data.position_um[order], data.p1[order]
-    amp = np.maximum.reduceat(ps, starts) - np.minimum.reduceat(ps, starts)
-    amp = amp - amp.min()
-    if float(amp.sum()) <= 0:
-        raise DegenerateDataError("no oscillation amplitude at any position")
-    return xs[starts], amp
-
-
 def _log_profile_refinement(x_sel, omegas, amp_sel, x_lo, x_hi):
     """Quadratic fit of ln Omega(x) over the bright region, or None.
 
@@ -544,9 +549,7 @@ def _log_profile_refinement(x_sel, omegas, amp_sel, x_lo, x_hi):
     return omega0, xc, w0
 
 
-def initial_guess(
-    data: ScanDataset, profile: FreqProfile | Sequence[FreqProfilePoint],
-) -> BeamProfileParams:
+def initial_guess(data: ScanDataset, profile: FreqProfile) -> BeamProfileParams:
     """Deterministic, derivative-free starting point for fit_beam.
 
     When the bright region of the frequency profile supports it, a
@@ -557,9 +560,9 @@ def initial_guess(
     x_c (that trace oscillates at essentially Omega0). Raises
     DegenerateDataError when the moments cannot be taken or that point
     has no frequency, and ValueError when a profile position is not a
-    position of the scan.
+    position of the scan. Only ``d4sigma`` also takes hand-built
+    FreqProfilePoints; here build a FreqProfile from columns.
     """
-    profile = _profile_columns(profile)
     if not len(profile):
         raise DegenerateDataError("frequency profile has no points")
     xs, amp = data._amplitude
@@ -661,7 +664,8 @@ def _best_run(runs: Sequence[_LMRun]) -> _LMRun:
 
 @dataclass(frozen=True)
 class FreqProfilePoint:
-    """One position of a frequency profile, for building a profile by hand."""
+    """One position of a frequency profile, for building a profile by hand.
+    Only ``d4sigma`` takes a sequence of these; the rest take a FreqProfile."""
 
     position_um: float
     omega: float  # rad/s
@@ -674,7 +678,7 @@ _PROFILE_COLUMNS = ("position_um", "omega", "omega_err", "baseline")
 
 
 @dataclass(frozen=True, eq=False)
-class FreqProfile:
+class FreqProfile(_Columns):
     """A frequency profile as four read-only columns of equal length, one
     row per profiled position: ``position_um``, ``omega`` (rad/s) and
     ``omega_err`` (rad/s; inf when unconstrained) are float64, ``baseline``
@@ -687,30 +691,12 @@ class FreqProfile:
     omega_err: np.ndarray
     baseline: np.ndarray
 
+    _column_names = _PROFILE_COLUMNS
+
     def __post_init__(self):
-        _set_columns(self, _PROFILE_COLUMNS, (
+        self._set_columns((
             np.array(self.position_um, dtype=float), np.array(self.omega, dtype=float),
             np.array(self.omega_err, dtype=float), np.array(self.baseline, dtype=bool)))
-
-    def __len__(self) -> int:
-        return self.position_um.size
-
-    def __eq__(self, other):
-        if not isinstance(other, FreqProfile):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, name), getattr(other, name))
-                   for name in _PROFILE_COLUMNS)
-
-
-def _profile_columns(profile: FreqProfile | Sequence[FreqProfilePoint]) -> FreqProfile:
-    """``profile`` as a FreqProfile: the one conversion of a sequence of points."""
-    if isinstance(profile, FreqProfile):
-        return profile
-    points = list(profile)
-    return FreqProfile(position_um=[pt.position_um for pt in points],
-                       omega=[pt.omega for pt in points],
-                       omega_err=[pt.omega_err for pt in points],
-                       baseline=[pt.baseline for pt in points])
 
 
 @dataclass(frozen=True)
@@ -1067,9 +1053,12 @@ def d4sigma(profile: FreqProfile | Sequence[FreqProfilePoint]) -> float:
     intensity), less the median Omega of the baseline-flagged points, with
     negative weights clamped to zero: second moments diverge under a
     constant background (ISO 11146 subtracts it too). Raises ValueError
-    with fewer than 3 non-baseline points or no positive weight.
+    with fewer than 3 non-baseline points or no positive weight. A
+    sequence of ``FreqProfilePoint`` is read as the columns it holds.
     """
-    profile = _profile_columns(profile)
+    if not isinstance(profile, FreqProfile):
+        points = list(profile)
+        profile = FreqProfile(*([getattr(pt, name) for pt in points] for name in _PROFILE_COLUMNS))
     live = len(profile) - int(np.count_nonzero(profile.baseline))
     if live < 3:
         raise ValueError(f"need >= 3 non-baseline profile points, got {live}")
@@ -1207,7 +1196,7 @@ def fit_report_dict(result: BeamFitResult) -> dict:
     """JSON-ready fit report; frequencies in Hz, lengths in um."""
     scale = np.diag([1.0 / TWO_PI, 1.0, 1.0])
     cov_hz = scale @ result.covariance @ scale
-    profile = _profile_columns(result.freq_profile)
+    profile = result.freq_profile
     return {
         "schema_version": FIT_REPORT_SCHEMA,
         "beam_label": result.beam_label,
@@ -1257,7 +1246,8 @@ def _read_fit_report(path: str | Path) -> tuple[BeamFitResult, dict]:
     string ``beam_label``, an integer ``n_iterations``, a 3x3
     ``covariance``, and a finite JSON number (not a boolean or a string)
     for ``residual_rms`` and for each ``params``, ``spam`` and covariance
-    entry.
+    entry; ``n_iterations``, ``residual_rms``, the two SPAM errors and the
+    covariance diagonal must be >= 0.
     """
     raw = _read_json(path, ScanFormatError)
     version = raw.get("schema_version") if isinstance(raw, dict) else None
@@ -1270,23 +1260,26 @@ def _read_fit_report(path: str | Path) -> tuple[BeamFitResult, dict]:
     label, n_iter = raw.get("beam_label"), raw.get("n_iterations")
     if not isinstance(label, str):
         raise ScanFormatError(f"{path}: beam_label must be a string, got {label!r}")
-    if isinstance(n_iter, bool) or not isinstance(n_iter, int):
-        raise ScanFormatError(f"{path}: n_iterations must be an integer, got {n_iter!r}")
+    if isinstance(n_iter, bool) or not isinstance(n_iter, int) or n_iter < 0:
+        raise ScanFormatError(f"{path}: n_iterations must be an integer >= 0, got {n_iter!r}")
 
-    def number(name, value):
+    def number(name, value, nonnegative=False):
         if not _is_finite_number(value):
             raise ScanFormatError(f"{path}: {name} must be a finite number, got {value!r}")
+        if nonnegative and value < 0:
+            raise ScanFormatError(f"{path}: {name} must be >= 0, got {value!r}")
         return value
 
-    rms = number("residual_rms", raw.get("residual_rms"))
+    rms = number("residual_rms", raw.get("residual_rms"), nonnegative=True)
     try:
         fitted, spam, cov = raw["params"], raw["spam"], raw["covariance"]
         hz, center, width = (number(f"params.{key}", fitted[key])
                              for key in ("peak_rabi_hz", "center_um", "width_um"))
         eps_prep, eps_meas, prep_err, meas_err = (
-            number(f"spam.{key}", spam[key])
+            number(f"spam.{key}", spam[key], nonnegative=key.endswith("_err"))
             for key in ("eps_prep", "eps_meas", "eps_prep_err", "eps_meas_err"))
-        cov_hz = np.array([[number(f"covariance[{i}][{j}]", entry) for j, entry in enumerate(row)]
+        cov_hz = np.array([[number(f"covariance[{i}][{j}]", entry, nonnegative=i == j)
+                            for j, entry in enumerate(row)]
                            for i, row in enumerate(cov)], dtype=float)
         params = BeamProfileParams(omega0=hz * TWO_PI, center_um=center, width_um=width)
         spam_model = SpamModel(eps_prep=eps_prep, eps_meas=eps_meas)
@@ -1304,10 +1297,9 @@ def _read_fit_report(path: str | Path) -> tuple[BeamFitResult, dict]:
         spam_errors=(float(prep_err), float(meas_err)), beam_label=label), raw
 
 
-def write_freq_profile_csv(
-    profile: FreqProfile | Sequence[FreqProfilePoint], path: str | Path,
-) -> None:
-    profile = _profile_columns(profile)
+def write_freq_profile_csv(profile: FreqProfile, path: str | Path) -> None:
+    """Write a FreqProfile as CSV in Hz; only ``d4sigma`` also takes
+    hand-built FreqProfilePoints."""
     lines = ["position_um,rabi_hz,rabi_err_hz,baseline"]
     lines += [f"{x:.10g},{hz:.10g},{err_hz:.10g},{b:d}"
               for x, hz, err_hz, b in zip(profile.position_um.tolist(),

@@ -96,6 +96,16 @@ class TestDesign:
         assert "NA cap" in capsys.readouterr().err
         assert not (tmp_path / "design_curve.csv").exists()
 
+    def test_diameter_below_the_focusing_limit_exits_2(self, tmp_path, capsys):
+        # the divergence is printed to 3 significant digits, however large
+        rc = main(["design", "--out-dir", str(tmp_path / "out"),
+                   "--diameter-range", "1e-300", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: diameter 1e-300 um is below the focusing limit for wavelength "
+            "0.355 um (divergence 2.26e+299 rad)\n")
+        assert not (tmp_path / "out").exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["design", "--out-dir", str(a)])
@@ -664,6 +674,23 @@ class TestPair:
         assert rc == 2
         assert "must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "pair_report.json").exists()
+
+    @pytest.mark.parametrize("path", [
+        ("covariance", 0, 0), ("covariance", 1, 1), ("covariance", 2, 2),
+        ("spam", "eps_prep_err"), ("spam", "eps_meas_err"), ("residual_rms",), ("n_iterations",),
+    ], ids=_field_name)
+    def test_negative_variance_or_count_exits_2(self, pair_run, tmp_path, capsys, path):
+        # a negative center variance would read as a separation error of 0
+        report = load_json(pair_run / "scan_A_report.json")
+        functools.reduce(operator.getitem, path[:-1], report)[path[-1]] = -1
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(report))
+        out = tmp_path / "out"
+        rc = main(["pair", "--fit-a", str(report_path),
+                   "--fit-b", str(pair_run / "scan_B_report.json"), "--out-dir", str(out)])
+        assert rc == 2
+        assert f"{_field_name(path)} must be " in capsys.readouterr().err
+        assert files_in(out) == []
 
     def test_report_that_is_not_json_names_its_path(self, pair_run, tmp_path, capsys):
         bad = tmp_path / "report.json"
