@@ -116,7 +116,8 @@ def _first_out_of_domain(x, t, p, shots) -> tuple[int, int] | None:
 
 class _Columns:
     """Base of the frozen dataclasses stored as read-only numpy columns of
-    equal length, named by ``_column_names``; ``len`` counts the rows."""
+    equal length, named by ``_column_names``. ``len`` counts the rows, and
+    ``==`` holds between two of one type whose every field is equal."""
 
     _column_names: ClassVar[tuple[str, ...]]
 
@@ -133,7 +134,6 @@ class _Columns:
         return getattr(self, self._column_names[0]).size
 
     def __eq__(self, other):
-        # exact: every field, columns and the rest alike, compares equal
         if type(other) is not type(self):
             return NotImplemented
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
