@@ -77,29 +77,20 @@ class SpamModel:
         return 1.0 - self.eps_prep - self.eps_meas
 
 
-def _beam_phase(omega0, center, width, x, t):
-    """(x - center, envelope g, phase theta, sin^2(theta)) of ``_excitation``
-    at the beam (omega0, center, width): its exp and sin, which the SPAM
-    errors do not enter. sin^2 is a product: numpy squares a scalar with
-    libm ``pow``, which can round unlike the array multiply.
-    """
-    dx = x - center
-    u = dx / width
-    g = np.exp(-2.0 * u * u)
-    theta = 0.5 * omega0 * t * g
-    s = np.sin(theta)
-    return dx, g, theta, s * s
-
-
-def _excitation(vec, x, t, phase=None):
+def _excitation(vec, x, t):
     """Model eps_prep + kappa*sin^2(theta), theta = Omega(x)*t/2, at vec =
     (omega0, center, width, eps_prep, kappa), and ``fill_jacobian(out)``,
     which writes the five partials into out[0] ... out[4] from the model's
-    own exponential, phase and sin^2. ``phase``, when given, is
-    ``_beam_phase`` at vec's beam and (x, t), already evaluated.
+    own exponential, phase and sin^2. sin^2 is a product: numpy squares a
+    scalar with libm ``pow``, which can round unlike the array multiply.
     """
     om, xc, w0, eps_prep, kappa = vec
-    dx, g, theta, sin_sq = _beam_phase(om, xc, w0, x, t) if phase is None else phase
+    dx = x - xc
+    u = dx / w0
+    g = np.exp(-2.0 * u * u)
+    theta = 0.5 * om * t * g
+    s = np.sin(theta)
+    sin_sq = s * s
 
     def fill_jacobian(out: np.ndarray) -> None:
         s2 = np.sin(2.0 * theta)

@@ -10,20 +10,18 @@ hand-rolled damped Gauss-Newton (Levenberg-Marquardt) loop and the analytic
 Jacobian, both from ``rabi_model._excitation``, the kernel synthesis uses
 too. A single matrix product over the stacked Jacobian and residual gives
 the normal equations; a trial point is valid exactly when its beam and SPAM
-construct as ``BeamProfileParams`` and ``SpamModel``; one exp and sin at
-the initial guess serve its SPAM solve, its weights and the first run's
-start. Per-position 1D fits give the Rabi-frequency profile Omega(x), a
-``FreqProfile`` of columns, from which a D4sigma width is computed;
-positions that share a duration sequence start from one grid search done
-as one matrix product and are refined together in one batch by Newton
-steps on the exact 1-D curvature, each step backtracked by halving until
-it lowers the row's cost and each row stopping once its step is under
-1e-6 of its own sigma, with results identical to refining them one at a
-time. The grid search's sin^2 table carries no SPAM, which enters through
-the coefficients of each row instead, so the table depends on the
-durations alone and a cache bounded by its bytes alone keeps it across
-calls; each profile is bit for bit what a fresh table gives. Pairs of fits
-yield beam separations and crosstalk bounds.
+construct as ``BeamProfileParams`` and ``SpamModel``. Per-position 1D fits
+give the Rabi-frequency profile Omega(x), a ``FreqProfile`` of columns,
+from which a D4sigma width is computed; positions that share a duration
+sequence start from one grid search done as one matrix product and are
+refined together in one batch by Newton steps on the exact 1-D curvature,
+each step backtracked by halving until it lowers the row's cost and each
+row stopping once its step is under 1e-6 of its own sigma, with results
+identical to refining them one at a time. The grid search's sin^2 table
+carries no SPAM, which enters through the coefficients of each row instead,
+so the table depends on the durations alone and a cache bounded by its
+bytes alone keeps it across calls; each profile is bit for bit what a fresh
+table gives. Pairs of fits yield beam separations and crosstalk bounds.
 
 Record weighting is binomial: weight = shots/(m(1-m) + q) with a variance
 floor q = 1/(4*shots) so records at m in {0, 1} stay finite. The global fit
@@ -54,8 +52,8 @@ import numpy as np
 from . import _EXPORTS
 from ._atomic import _count, _is_finite_number, _positive, _read_json, _write_atomic, _write_json
 from .rabi_model import (
-    BeamProfileParams, SpamModel, _beam_phase, _excitation, apply_spam, crosstalk_rabi_bound,
-    intensity_crosstalk_ratio,
+    BeamProfileParams, SpamModel, _excitation, apply_spam, crosstalk_rabi_bound,
+    intensity_crosstalk_ratio, p_excited,
 )
 
 __all__ = list(_EXPORTS["scan_fit"])
@@ -95,6 +93,16 @@ _COLUMNS = ("position_um", "duration_s", "p1", "shots")
 _DOMAINS = ("must be finite", "must be finite and >= 0", "must be in [0, 1]", "must be >= 1")
 
 
+def _first_flagged(bad: np.ndarray) -> tuple[int, int] | None:
+    """(row, column) of the first set flag in ``bad``, which holds one row
+    of flags per column, or None. Rows are checked in order and, within a
+    row, columns in order."""
+    rows = np.flatnonzero(bad.any(axis=0))
+    if rows.size == 0:
+        return None
+    return int(rows[0]), int(np.argmax(bad[:, rows[0]]))
+
+
 def _first_out_of_domain(x, t, p, shots) -> tuple[int, int] | None:
     """(record, column) of the first value outside its column's domain, or None.
 
@@ -102,16 +110,12 @@ def _first_out_of_domain(x, t, p, shots) -> tuple[int, int] | None:
     order of ``_COLUMNS``; the rule is unit-free, so it applies to
     durations in seconds and in microseconds alike.
     """
-    bad = np.stack([
+    return _first_flagged(np.stack([
         ~np.isfinite(x),
         ~(np.isfinite(t) & (t >= 0)),
         ~((p >= 0) & (p <= 1)),  # NaN fails both comparisons
         shots < 1,
-    ])
-    rows = np.flatnonzero(bad.any(axis=0))
-    if rows.size == 0:
-        return None
-    return int(rows[0]), int(np.argmax(bad[:, rows[0]]))
+    ]))
 
 
 class _Columns:
@@ -434,19 +438,16 @@ class _LMRun:
     converged: bool
 
 
-def _levenberg_marquardt(
-    residual, p0: np.ndarray, is_valid, max_iterations: int, at_p0: tuple,
-) -> _LMRun:
+def _levenberg_marquardt(residual, p0: np.ndarray, is_valid, max_iterations: int) -> _LMRun:
     """Minimize ||r(p)||^2 with Marquardt damping and Nielsen's mu update.
 
     The scheme of Madsen, Nielsen & Tingleff, *Methods for Non-Linear Least
     Squares Problems* (DTU, 2004), section 3.2. ``residual(p)`` returns r
-    and a ``fill_jacobian(out)``, as ``rabi_model._excitation`` does;
-    ``at_p0`` is ``residual(p0)``, which the caller evaluates. A trial point
-    costs one residual; the Jacobian is built only at the start point and
-    at accepted trials. There its k rows and r are stacked into one
-    (k + 1, n) array, so that a single matrix product gives both J^T J and
-    J^T r; k is the length of ``p0``.
+    and a ``fill_jacobian(out)``, as ``rabi_model._excitation`` does. A
+    trial point costs one residual; the Jacobian is built only at the start
+    point and at accepted trials. There its k rows and r are stacked into
+    one (k + 1, n) array, so that a single matrix product gives both J^T J
+    and J^T r; k is the length of ``p0``.
 
     The damping mu * diag(J^T J) scales with each parameter's own
     curvature, so mu is dimensionless and starts at 1e-3. A start of
@@ -456,7 +457,7 @@ def _levenberg_marquardt(
     """
     p = np.asarray(p0, dtype=float)
     k = p.size
-    r, fill_jacobian = at_p0
+    r, fill_jacobian = residual(p)
     aug = np.empty((k + 1, r.size))
 
     def normal_equations(r, fill_jacobian):
@@ -673,8 +674,10 @@ class FreqProfilePoint:
     baseline: bool  # uncertainty >= value: indistinguishable from no drive
 
 
-#: Column names of a frequency profile, in order.
+#: Column names of a frequency profile, in order, and the domain of each
+#: float column.
 _PROFILE_COLUMNS = ("position_um", "omega", "omega_err", "baseline")
+_PROFILE_DOMAINS = ("must be finite", "must be finite and >= 0", "must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -684,6 +687,8 @@ class FreqProfile(_Columns):
     ``omega_err`` (rad/s; inf when unconstrained) are float64, ``baseline``
     (uncertainty >= value: indistinguishable from no drive) is bool. The
     constructor copies what it is given; ``len`` counts the positions.
+    Positions and frequencies must be finite, frequencies and their errors
+    >= 0; an error may be inf, but none may be NaN.
     """
 
     position_um: np.ndarray
@@ -694,9 +699,19 @@ class FreqProfile(_Columns):
     _column_names = _PROFILE_COLUMNS
 
     def __post_init__(self):
-        self._set_columns((
-            np.array(self.position_um, dtype=float), np.array(self.omega, dtype=float),
-            np.array(self.omega_err, dtype=float), np.array(self.baseline, dtype=bool)))
+        columns = (np.array(self.position_um, dtype=float), np.array(self.omega, dtype=float),
+                   np.array(self.omega_err, dtype=float), np.array(self.baseline, dtype=bool))
+        self._set_columns(columns)
+        x, omega, err = columns[:3]
+        bad = _first_flagged(np.stack([
+            ~np.isfinite(x),
+            ~(np.isfinite(omega) & (omega >= 0)),
+            ~(err >= 0),  # NaN fails the comparison, inf passes
+        ]))
+        if bad is not None:
+            i, k = bad
+            raise ValueError(f"row {i}: {_PROFILE_COLUMNS[k]} {_PROFILE_DOMAINS[k]}, "
+                             f"got {columns[k][i].item()!r}")
 
 
 @dataclass(frozen=True)
@@ -755,23 +770,18 @@ def fit_beam(data: ScanDataset, max_iterations: int = 200) -> BeamFitResult:
     seed = _spam_seed(data)
     profile = fit_freq_profile(data, seed)
     guess = initial_guess(data, profile)
-    # one exp and sin at the guess serve the SPAM solve, the weights and
-    # the first run's start point
-    phase = _beam_phase(guess.omega0, guess.center_um, guess.width_um, x, t)
-    start_spam = _spam_at(data, phase[3], seed)
+    start_spam = _spam_at(data, p_excited(guess, x, t), seed)
     start = np.array(_param_vector(guess, start_spam))
-    start_model, fill_start = _excitation(start, x, t, phase)
-    sqrt_w = np.sqrt(_binomial_weights(start_model, shots))
+    sqrt_w = np.sqrt(_binomial_weights(_excitation(start, x, t)[0], shots))
 
-    def weighted(model: np.ndarray, fill_model):
+    def residual(vec: np.ndarray):
+        model, fill_model = _excitation(vec, x, t)
+
         def fill_jacobian(out: np.ndarray) -> None:
             fill_model(out)
             out *= sqrt_w
 
         return sqrt_w * (model - p), fill_jacobian
-
-    def residual(vec: np.ndarray):
-        return weighted(*_excitation(vec, x, t))
 
     def is_valid(vec: np.ndarray) -> bool:
         try:
@@ -781,14 +791,13 @@ def fit_beam(data: ScanDataset, max_iterations: int = 200) -> BeamFitResult:
             return False
         return True
 
-    first = _levenberg_marquardt(residual, start, is_valid, max_iterations,
-                                 weighted(start_model, fill_start))
+    first = _levenberg_marquardt(residual, start, is_valid, max_iterations)
     runs = [first]
     multi_start = not (first.converged and first.rms <= RESTART_RMS)
     if multi_start:
         for beam in _perturbed_starts(guess):
             p0 = np.array(_param_vector(beam, start_spam))
-            runs.append(_levenberg_marquardt(residual, p0, is_valid, max_iterations, residual(p0)))
+            runs.append(_levenberg_marquardt(residual, p0, is_valid, max_iterations))
     best = _best_run(runs)  # a converged run whenever one exists
 
     eps_prep, kappa = (float(v) for v in best.params[3:])
@@ -1054,7 +1063,8 @@ def d4sigma(profile: FreqProfile | Sequence[FreqProfilePoint]) -> float:
     negative weights clamped to zero: second moments diverge under a
     constant background (ISO 11146 subtracts it too). Raises ValueError
     with fewer than 3 non-baseline points or no positive weight. A
-    sequence of ``FreqProfilePoint`` is read as the columns it holds.
+    sequence of ``FreqProfilePoint`` is read as the columns it holds, and
+    a value outside ``FreqProfile``'s domain raises ValueError there.
     """
     if not isinstance(profile, FreqProfile):
         points = list(profile)

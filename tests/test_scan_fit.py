@@ -768,7 +768,7 @@ class TestLevenbergMarquardtExits:
     @staticmethod
     def run(jac, target, p0, is_valid=lambda p: True):
         residual, p0 = _linear_residual(jac, target), np.array(p0, dtype=float)
-        return scan_fit._levenberg_marquardt(residual, p0, is_valid, 200, residual(p0))
+        return scan_fit._levenberg_marquardt(residual, p0, is_valid, 200)
 
     def test_zero_residual_stops_on_the_gradient(self):
         run = self.run([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0], [1.0, 2.0])
@@ -1003,8 +1003,9 @@ class TestFitBeam:
 
     def test_least_squares_spam_at_a_fixed_beam(self, beam_a):
         # exact data: the closed form returns the SPAM it was made with; on
-        # data that no SpamModel fits (p = 1 - sin^2, so eps_prep = 1) it
-        # returns the fallback
+        # data that no SpamModel fits (p = 1 - sin^2, so eps_prep = 1), and
+        # where sin^2 = 0 on every record makes the 2 x 2 system singular,
+        # it returns the fallback
         spam, fallback = SpamModel(eps_prep=0.03, eps_meas=0.05), SpamModel(0.02, 0.02)
         ds = synth_dataset(beam_a, spam=spam)
         x, t, _, shots = ds.arrays()
@@ -1014,6 +1015,7 @@ class TestFitBeam:
         assert got.eps_meas == pytest.approx(0.05, abs=1e-12)
         inverted = ScanDataset(x, t, 1.0 - sin_sq, shots)
         assert scan_fit._spam_at(inverted, sin_sq, fallback) is fallback
+        assert scan_fit._spam_at(ds, np.zeros_like(sin_sq), fallback) is fallback
 
     def test_bright_dark_records_rejected(self, beam_a):
         # t = 0 records that read bright half the time give no SPAM error
@@ -1162,7 +1164,7 @@ class TestAgainstReferenceLM:
                                    np.ones_like(x), p_excited(params, x, t)])
             return r, sqrt_w[:, None] * jac
 
-        def reference_lm(residual, p0, is_valid, n, at_p0):
+        def reference_lm(residual, p0, is_valid, n):
             nonlocal sqrt_w
             if not runs:
                 guess = fit_model(BeamProfileParams(*p0[:3]), _vector_spam(p0), x, t)
@@ -1419,6 +1421,26 @@ class TestFreqProfile:
         assert profile != FreqProfile([0.0, 1.0], [1.0, 2.0], [0.1, 0.1], [False, True])
         with pytest.raises(ValueError, match="equal length"):
             FreqProfile([0.0], [1.0, 2.0], [0.1, 0.1], [False, False])
+
+    @pytest.mark.parametrize("column, row, value, message", [
+        ("omega", 2, math.nan, "row 2: omega must be finite and >= 0, got nan"),
+        ("omega", 2, math.inf, "row 2: omega must be finite and >= 0, got inf"),
+        ("position_um", 1, math.nan, "row 1: position_um must be finite, got nan"),
+        ("omega", 0, -500.0, "row 0: omega must be finite and >= 0, got -500.0"),
+    ], ids=["nan_omega", "inf_omega", "nan_position", "negative_baseline_omega"])
+    def test_out_of_domain_value_rejected(self, column, row, value, message):
+        # the README's five-row profile, one value spoiled; d4sigma read
+        # the NaN or inf as nan and the negative baseline omega as a weight
+        columns = {"position_um": [-2.0, -1.0, 0.0, 1.0, 2.0],
+                   "omega": [0.0, 2000.0, 12000.0, 2000.0, 0.0],
+                   "omega_err": [math.inf, 40.0, 40.0, 40.0, math.inf],
+                   "baseline": [True, False, False, False, True]}
+        columns[column][row] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FreqProfile(**columns)
+        points = [FreqProfilePoint(*values) for values in zip(*columns.values())]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            d4sigma(points)
 
     def test_equality_is_exact_and_of_one_type(self):
         # profiles and datasets share one __eq__: another type compares
@@ -1730,9 +1752,11 @@ class TestD4Sigma:
         assert report["gaussian_diameter_um"] == 2 * fit.params.width_um
         assert "d4sigma_raw_um" not in report
         # two non-baseline points: no D4sigma, and no error either
-        profile = tuple(FreqProfilePoint(x, om, 0.1, om < 0.1)
-                        for x, om in [(0.0, 1.0), (1.0, 1.0), (2.0, 0.05), (3.0, 0.05)])
-        assert replace(fit, freq_profile=profile).d4sigma_um is None
+        omega = np.array([1.0, 1.0, 0.05, 0.05])
+        profile = FreqProfile([0.0, 1.0, 2.0, 3.0], omega, np.full(4, 0.1), omega < 0.1)
+        narrow = replace(fit, freq_profile=profile)
+        assert narrow.d4sigma_um is None
+        assert scan_fit.fit_report_dict(narrow)["d4sigma_um"] is None
 
     def test_needs_three_live_points(self):
         profile = [
